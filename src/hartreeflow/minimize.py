@@ -1,15 +1,22 @@
 """Mass-constrained minimisation of the coupled Hartree energy.
 
 The constrained infimum over tuples with prescribed L^2 masses is computed by
-projected gradient descent: each step moves against the L^2 gradient and then
-rescales every component back onto its mass sphere,
+a Sobolev-preconditioned projected gradient descent.  The search direction is
+the Euler-Lagrange residual grad_j + lambda_j phi_j smoothed per component by
+P_j = (c_j - lap)^(-1), c_j = max(lambda_j, 1e-2), with its component along
+phi_j removed again so that d is tangent to the mass spheres.  Each step moves
+against d and rescales every component back onto its mass sphere,
 
-    x  <-  project_masses(x - tau * grad),
+    x  <-  project_masses(x - tau * d).
 
-with tau chosen by backtracking (halve until the energy strictly decreases,
-reset to tau0 = 1/(max|k|^2 + 1) each iteration).  The energy is
-non-increasing across accepted steps by construction.  Convergence is declared
-when max_j ||grad_j + lambda_j phi_j|| / ||phi_j||_{H^1} <= tol with the
+The preconditioner makes the iteration count independent of the grid
+resolution (Danaila & Kazemi 2010; Antoine, Levitt & Tang 2017).  tau starts
+from the Barzilai-Borwein length |s|^2 / |<s, y>| (s and y the changes of x
+and d over the previous step; 1 on the first step), clamped to [1e-3, 1]
+because larger steps amplify grid-scale noise that the energy does not see,
+and is halved until the energy strictly decreases.  The energy is therefore
+non-increasing across accepted steps.  Convergence is declared when
+max_j ||grad_j + lambda_j phi_j|| / ||phi_j||_{H^1} <= tol with the
 multipliers re-estimated at every check.
 
 Converged minimisers come out with strictly positive Lagrange multipliers and
@@ -34,6 +41,8 @@ from .params import SystemParams
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 300_000
 _BACKTRACK_LIMIT = 60
+_SHIFT_FLOOR = 1e-2  # lower bound of c_j in the preconditioner (c_j - lap)^(-1)
+_STEP_MIN, _STEP_MAX = 1e-3, 1.0  # clamp of the Barzilai-Borwein step
 
 
 class ZeroMassError(ValueError):
@@ -46,15 +55,23 @@ class EnergyNanError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GroundState:
-    """Converged (or flagged) minimiser with its diagnostics."""
+    """Converged (or flagged) minimiser with its diagnostics.
+
+    stop_reason is "converged" (residual test met), "max_iters" (budget
+    exhausted) or "stalled" (no step length lowered the energy).
+    """
 
     fields: MultiField
     multipliers: np.ndarray
     energy: EnergyBreakdown
     residuals: np.ndarray
     iterations: int
-    converged: bool
+    stop_reason: str
     seed: int | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +143,19 @@ def extract_multipliers(mf: MultiField, kernel: Kernel, p: float) -> np.ndarray:
     from .hartree import energy_gradient
 
     grad = energy_gradient(mf, kernel, p)
-    axes = tuple(range(1, mf.data.ndim))
-    overlap = mf.grid.cell_volume * np.sum((np.conj(grad.data) * mf.data).real, axis=axes)
-    return -overlap / masses
+    return _tangent_projection(grad.data, mf.data, mf.grid.cell_volume, masses)[1]
+
+
+def _tangent_projection(v: np.ndarray, x: np.ndarray, cell: float, masses: np.ndarray):
+    """Remove from each v_j its L^2 component along x_j.
+
+    Returns (v + mu x, mu) with mu_j = -Re<v_j, x_j> / M_j.  For v the energy
+    gradient, mu are the Lagrange multipliers (they minimise
+    ||grad_j + mu_j x_j||) and v + mu x is the Euler-Lagrange residual.
+    """
+    axes = tuple(range(1, x.ndim))
+    mu = -cell * np.sum((np.conj(v) * x).real, axis=axes) / masses
+    return v + mu.reshape((-1,) + (1,) * len(axes)) * x, mu
 
 
 def phase_factorize(f: Field):
@@ -176,7 +203,7 @@ class _FlowState:
 
 
 class _Workspace:
-    __slots__ = ("grid", "p", "k2", "mult", "cell", "w_spec", "axes", "axes0", "masses", "tau0")
+    __slots__ = ("grid", "p", "k2", "mult", "cell", "w_spec", "axes", "axes0", "masses")
 
     def __init__(self, grid: Grid, kernel: Kernel, p: float, masses: np.ndarray):
         self.grid = grid
@@ -188,12 +215,17 @@ class _Workspace:
         self.axes = tuple(range(1, 1 + grid.space_dim))
         self.axes0 = tuple(range(grid.space_dim))
         self.masses = masses
-        self.tau0 = 1.0 / (grid.max_k_squared + 1.0)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         current = self.cell * np.sum(x.real**2 + x.imag**2, axis=self.axes)
         factors = np.sqrt(self.masses / current)
         return x * factors.reshape((-1,) + (1,) * self.grid.space_dim)
+
+    def direction(self, residual: np.ndarray, state: _FlowState, lambdas: np.ndarray) -> np.ndarray:
+        """Sobolev direction: (c_j - lap)^(-1) residual_j, projected onto the tangent space."""
+        c = np.maximum(lambdas, _SHIFT_FLOOR).reshape((-1,) + (1,) * self.grid.space_dim)
+        smoothed = np.fft.ifftn(np.fft.fftn(residual, axes=self.axes) / (c + self.k2), axes=self.axes)
+        return _tangent_projection(smoothed, state.x, self.cell, state.masses)[0]
 
 
 def _center_peak(mf: MultiField) -> MultiField:
@@ -236,30 +268,38 @@ def ground_state(
     x = ws.project(init.data.astype(np.complex128, copy=True))
     state = _FlowState(ws, x)
 
-    converged = False
+    stop_reason = "max_iters"
     iterations = 0
     lambdas = np.zeros(init.m)
     residuals = np.full(init.m, np.inf)
+    prev_x = prev_d = None
 
     for iterations in range(max_iters + 1):
         if not np.isfinite(state.total):
             raise EnergyNanError(f"non-finite energy at iteration {iterations}")
-        grad = state.gradient(ws)
-        overlap = ws.cell * np.sum((np.conj(grad) * state.x).real, axis=ws.axes)
-        lambdas = -overlap / state.masses
-        shifted = grad + lambdas.reshape((-1,) + (1,) * g.space_dim) * state.x
+        shifted, lambdas = _tangent_projection(state.gradient(ws), state.x, ws.cell, state.masses)
         residuals = np.sqrt(ws.cell * np.sum(shifted.real**2 + shifted.imag**2, axis=ws.axes))
         h1 = np.sqrt(state.masses + 2.0 * state.kinetic)
         if np.max(residuals / h1) <= tol:
-            converged = True
+            stop_reason = "converged"
             break
         if iterations == max_iters:
             break
 
-        tau = ws.tau0
+        d = ws.direction(shifted, state, lambdas)
+        tau = _STEP_MAX
+        if prev_x is not None:
+            # Elementwise sums rather than np.vdot, whose BLAS call allocates
+            # buffers that raise the peak memory of small solves.
+            s = state.x - prev_x
+            sy = abs(np.sum((np.conj(s) * (d - prev_d)).real))
+            if sy > 0:
+                tau = min(max(np.sum(s.real**2 + s.imag**2) / sy, _STEP_MIN), _STEP_MAX)
+        prev_x, prev_d = state.x, d
+
         accepted = None
         for _ in range(_BACKTRACK_LIMIT):
-            trial = _FlowState(ws, ws.project(state.x - tau * grad))
+            trial = _FlowState(ws, ws.project(state.x - tau * d))
             if np.isfinite(trial.total) and trial.total < state.total:
                 accepted = trial
                 break
@@ -267,6 +307,7 @@ def ground_state(
         if accepted is None:
             # No decrease at any step length: the flow has stalled at the
             # resolution of floating point; report the current residuals.
+            stop_reason = "stalled"
             break
         state = accepted
 
@@ -280,7 +321,7 @@ def ground_state(
         energy=energy,
         residuals=np.asarray(residuals, dtype=float),
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
         seed=seed,
     )
 
@@ -325,6 +366,7 @@ def save_ground_state(prefix, gs: GroundState, params: SystemParams) -> tuple[st
         "residuals": [float(v) for v in gs.residuals],
         "iterations": gs.iterations,
         "converged": gs.converged,
+        "stop_reason": gs.stop_reason,
         "seed": gs.seed,
         "params": {
             "space_dim": params.space_dim,

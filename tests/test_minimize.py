@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,7 @@ class TestProjectMasses:
 class TestGroundState:
     def test_reference_converges_negative_energy_positive_multipliers(self, gs_m2):
         assert gs_m2.converged
+        assert gs_m2.stop_reason == "converged"
         assert gs_m2.energy.total < 0
         assert np.all(gs_m2.multipliers > 0)
         assert np.all(gs_m2.residuals >= 0)
@@ -90,7 +93,27 @@ class TestGroundState:
         params, _, kernel = small_setup
         gs = hf.ground_state(params, kernel, tol=1e-12, max_iters=5, seed=0)
         assert not gs.converged
+        assert gs.stop_reason == "max_iters"
         assert gs.iterations == 5
+
+    def test_stall_flagged_distinct_from_max_iters(self, desk_params, desk_kernel, gs_m2):
+        # tol far below the floating-point floor of the residual: backtracking
+        # finds no decreasing step long before the budget runs out
+        gs = hf.ground_state(desk_params, desk_kernel, init=gs_m2.fields, tol=1e-14, max_iters=10_000)
+        assert not gs.converged
+        assert gs.stop_reason == "stalled"
+        assert gs.iterations < 10_000
+
+    def test_iterations_independent_of_resolution(self, desk_params):
+        counts = []
+        for n in (128, 256, 512):
+            params = replace(desk_params, points_per_dim=n)
+            kernel = hf.build_kernel(hf.grid_for(params), params.kernel_exponent)
+            gs = hf.ground_state(params, kernel, tol=TOL, seed=1)
+            assert gs.converged
+            counts.append(gs.iterations)
+        assert max(counts) <= 100, counts
+        assert max(counts) <= 2 * min(counts), counts
 
     def test_peak_centered(self, gs_m2):
         density = np.sum(np.abs(gs_m2.fields.data) ** 2, axis=0)
@@ -209,4 +232,5 @@ class TestPersistence:
         assert sidecar["masses"] == pytest.approx([1.0, 1.0])
         assert sidecar["lambda"] == pytest.approx(list(gs_m2.multipliers))
         assert sidecar["converged"] is True
+        assert sidecar["stop_reason"] == "converged"
         assert sidecar["params"]["points_per_dim"] == 256
