@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import hartreeflow as hf
-from hartreeflow.evolve import NanAbortError
+from hartreeflow.evolve import NanAbortError, Propagator
+from hartreeflow.hartree import abs_power
 from conftest import gaussian_field, trig_field
 
 
@@ -62,7 +63,101 @@ class TestStep:
         assert hf.multifield_masses(out)[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def reference_strang_step(x, dt, kernel, p):
+    """Textbook Strang step: two independent half-kicks around a kinetic step."""
+
+    def half_kick(y):
+        potential = np.fft.ifftn(kernel.multiplier * np.fft.fftn(abs_power(y, p).sum(axis=0))).real
+        return y * np.exp(-0.5j * dt * potential * np.abs(y) ** (p - 2))
+
+    kinetic = np.exp(1j * kernel.grid.k_squared * dt)
+    return half_kick(np.fft.ifft(kinetic * np.fft.fft(half_kick(x), axis=-1), axis=-1))
+
+
+@pytest.fixture()
+def perturbed_m2(gs_m2):
+    grid = gs_m2.fields.grid
+    pert = hf.analysis.random_h1_perturbation(grid, 2, 11)
+    return hf.project_masses(hf.MultiField(grid, gs_m2.fields.data + 1e-2 * pert.data), [1.0, 1.0])
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_matches_textbook_strang(self, desk_kernel, perturbed_m2, p):
+        dt = 1e-3
+        prop = Propagator(perturbed_m2.grid, desk_kernel, p, dt)
+        fused = ref = perturbed_m2.data
+        for _ in range(1000):
+            fused = prop.step_array(fused)
+            ref = reference_strang_step(ref, dt, desk_kernel, p)
+        assert np.linalg.norm(fused - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_cold_copy_matches_warm_step(self, desk_kernel, perturbed_m2):
+        prop = Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3)
+        out = prop.step_array(perturbed_m2.data)
+        warm = prop.step_array(out)
+        cold = prop.step_array(out.copy())
+        assert np.linalg.norm(cold - warm) <= 1e-14 * np.linalg.norm(warm)
+
+    def test_outputs_are_read_only(self, desk_kernel, perturbed_m2):
+        prop = Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3)
+        out = prop.step_array(perturbed_m2.data)
+        with pytest.raises(ValueError):
+            out[0, 0] = 0.0
+        assert perturbed_m2.data.flags.writeable
+
+    def test_observer_cannot_corrupt_trajectory(self, setup128):
+        _, grid, kernel = setup128
+        mf = hf.project_masses(trig_field(grid, seed=8, m=2), [1.0, 1.0])
+
+        def vandal(t, snapshot):
+            snapshot.data[0, 0] = 0.0
+
+        with pytest.raises(ValueError):
+            hf.evolve(mf, 5e-3, 1e-3, kernel, 2.0, observers={"vandal": vandal})
+
+    def test_transform_count_per_step(self, monkeypatch, desk_kernel, perturbed_m2):
+        # the benchmark's evolve.fft_per_step counts the same two functions
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        prop = Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3)
+        out = prop.step_array(perturbed_m2.data)
+        assert len(calls) == 6
+        prop.step_array(out)
+        assert len(calls) == 10
+
+
 class TestEvolve:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(record_every=0),
+            dict(record_every=-2),
+            dict(record_every=2.0),
+            dict(dt=0.0),
+            dict(dt=float("nan")),
+            dict(dt=-1e-3),
+            dict(T=float("inf")),
+            dict(T=0.0),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_invalid_inputs_rejected(self, setup128, kwargs):
+        _, grid, kernel = setup128
+        mf = hf.project_masses(trig_field(grid, seed=9, m=2), [1.0, 1.0])
+        args = dict(T=5e-3, dt=1e-3) | kwargs
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            hf.evolve(mf, kernel=kernel, p=2.0, **args)
+
     def test_short_free_run_sample_count_and_mass(self, setup128):
         _, grid, _ = setup128
         mf = hf.project_masses(trig_field(grid, seed=5, m=2), [1.0, 1.0])
@@ -155,8 +250,6 @@ class TestStandingWave:
         moduli = np.abs(phi.data)
         cell = phi.grid.cell_volume
         x = phi.data.copy()
-        from hartreeflow.evolve import Propagator
-
         prop = Propagator(phi.grid, desk_kernel, desk_params.power, 1e-3)
         worst = 0.0
         for _ in range(1000):
