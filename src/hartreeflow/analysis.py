@@ -21,15 +21,14 @@ minimisation problem into a computation with an explicit margin:
 * stability_experiment perturbs a minimiser, propagates, and reports the
   worst-case distance to the gauge orbit per perturbation size.
 
-Scan entries are independent jobs executed by a work pool; results are merged
-deterministically in input order, and every randomised sub-run derives its
-seed from the entry key, so reports do not depend on worker count.
+The scan solves its entries serially, in input order; every randomised
+sub-run derives its seed from the entry key, so a report is deterministic
+given its inputs.
 """
 
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,11 +83,11 @@ def concentration_profile(mf: MultiField, radii) -> ConcentrationProfile:
     if np.any(radii > 0.5 * g.box_length):
         raise ValueError("radii must not exceed L/2")
     density = np.sum(mf.data.real**2 + mf.data.imag**2, axis=0)
-    rho_hat = np.fft.fftn(density)
+    rho_hat = gridmod.fftn_grid(g, density)
     values = np.empty_like(radii)
     for i, r in enumerate(radii):
         ball = (g.radius <= r).astype(float)
-        conv = np.fft.ifftn(np.fft.fftn(ball) * rho_hat).real
+        conv = gridmod.ifftn_grid(g, gridmod.fftn_grid(g, ball) * rho_hat).real
         values[i] = g.cell_volume * conv.max()
     return ConcentrationProfile(radii=radii, q_values=values)
 
@@ -334,7 +333,6 @@ def subadditivity_scan(
     max_iters: int = DEFAULT_MAX_ITERS,
     seeds_per_value: int = 2,
     base_seed: int = 0,
-    workers: int = 1,
 ) -> ScanResult:
     """Margins I(M) + I(T) - I(M + T) over a list of mass splittings.
 
@@ -344,8 +342,6 @@ def subadditivity_scan(
     record whose sub-runs did not all converge is excluded and reported
     separately.
     """
-    jobs: list[tuple[float, ...]] = []
-    seen = set()
     pair_list = []
     for mv, tv in mass_pairs:
         mv = tuple(float(v) for v in mv)
@@ -356,14 +352,9 @@ def subadditivity_scan(
         if any(v <= 0 for v in sv):
             raise ValueError(f"combined masses must be strictly positive, got {sv}")
         pair_list.append((mv, tv, sv))
-        for vec in (mv, tv, sv):
-            key = _infimum_key(vec)
-            if key not in seen:
-                seen.add(key)
-                jobs.append(key)
-
-    def solve(key):
-        return infimum_value(
+    keys = dict.fromkeys(_infimum_key(vec) for triple in pair_list for vec in triple)
+    cache = {
+        key: infimum_value(
             key,
             params,
             kernel,
@@ -372,13 +363,8 @@ def subadditivity_scan(
             seeds_per_value=seeds_per_value,
             base_seed=base_seed,
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, jobs))
-    else:
-        results = [solve(key) for key in jobs]
-    cache = dict(zip(jobs, results))
+        for key in keys
+    }
 
     records, excluded = [], []
     for mv, tv, sv in pair_list:
@@ -430,8 +416,7 @@ def random_h1_perturbation(grid, m: int, seed: int) -> MultiField:
     coeffs = rng.standard_normal((m, int(mask.sum()))) + 1j * rng.standard_normal((m, int(mask.sum())))
     for j in range(m):
         spec[j][mask] = coeffs[j]
-    data = np.fft.ifftn(spec, axes=tuple(range(1, 1 + grid.space_dim)))
-    mf = MultiField(grid, data)
+    mf = MultiField(grid, gridmod.ifftn_grid(grid, spec))
     h1 = np.sqrt(sum(gridmod.h1_norm_sq(c) for c in mf.components))
     return MultiField(grid, mf.data / h1)
 

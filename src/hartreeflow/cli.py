@@ -17,9 +17,8 @@ versions, and content hashes.
     }
 
 Subcommands: validate | minimize | evolve | scan | stability | check-lemmas,
-each taking --config PATH and optional --out DIR, --seed N, --workers N (the
-HARTREEFLOW_WORKERS environment variable is the lowest-precedence override).
-check-lemmas exits nonzero if any assertion fails.
+each taking --config PATH and optional --out DIR, --seed N.  check-lemmas
+exits nonzero if any assertion fails.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .minimize import ground_state, phase_factorize, save_ground_state
 from .params import InvalidParameterError, SystemParams, validate_assumptions
 
 EXPERIMENTS = ("minimize", "evolve", "scan-subadditivity", "stability", "validate", "lemma-checks")
-WORKERS_ENV = "HARTREEFLOW_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -151,16 +149,16 @@ def parse_config(raw: dict) -> RunConfig:
         max_iters=sraw.get("max_iters", SolverConfig.max_iters),
         seeds=sraw.get("seeds", SolverConfig.seeds),
     )
-    if solver.tol <= 0 or solver.max_iters <= 0 or solver.seeds <= 0:
-        raise ConfigError("config.solver values must be positive")
+    if not (np.isfinite(solver.tol) and solver.tol > 0) or solver.max_iters <= 0 or solver.seeds <= 0:
+        raise ConfigError("config.solver values must be finite and positive")
 
     eraw = raw.get("evolution", {})
     _require_keys(eraw, {"T": (int, float), "dt": (int, float)}, "config.evolution")
     evolution = EvolutionConfig(
         T=float(eraw.get("T", EvolutionConfig.T)), dt=float(eraw.get("dt", EvolutionConfig.dt))
     )
-    if evolution.T <= 0 or evolution.dt <= 0:
-        raise ConfigError("config.evolution values must be positive")
+    if not all(np.isfinite(v) and v > 0 for v in (evolution.T, evolution.dt)):
+        raise ConfigError("config.evolution values must be finite and positive")
 
     experiment = raw.get("experiment", "validate")
     if experiment not in EXPERIMENTS:
@@ -311,7 +309,7 @@ def _scan_pairs_for(config: RunConfig):
     return [((0.5,), (0.5,)), ((1.0,), (1.0,)), ((0.5,), (1.0,))]
 
 
-def _run_scan(config: RunConfig, kernel, out_dir: str, outputs: list, workers: int) -> int:
+def _run_scan(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
     pairs = _scan_pairs_for(config)
     result = subadditivity_scan(
         pairs,
@@ -321,7 +319,6 @@ def _run_scan(config: RunConfig, kernel, out_dir: str, outputs: list, workers: i
         max_iters=config.solver.max_iters,
         seeds_per_value=config.solver.seeds,
         base_seed=config.seed,
-        workers=workers,
     )
     path = os.path.join(out_dir, "subadditivity.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -383,7 +380,7 @@ def _run_stability(config: RunConfig, kernel, out_dir: str, outputs: list) -> in
     return 0
 
 
-def _run_lemma_checks(config: RunConfig, kernel, out_dir: str, outputs: list, workers: int) -> int:
+def _run_lemma_checks(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
     """Battery of the analytically guaranteed facts at the configured scale."""
     params = config.params
     p = params.power
@@ -433,7 +430,6 @@ def _run_lemma_checks(config: RunConfig, kernel, out_dir: str, outputs: list, wo
         max_iters=config.solver.max_iters,
         seeds_per_value=config.solver.seeds,
         base_seed=config.seed,
-        workers=workers,
     )
     margin = scan.records[0].margin if scan.records else float("nan")
     record(
@@ -462,7 +458,7 @@ def _run_lemma_checks(config: RunConfig, kernel, out_dir: str, outputs: list, wo
     return 0 if passed else 1
 
 
-def run(config: RunConfig, workers: int = 1, config_path: str | None = None) -> int:
+def run(config: RunConfig, config_path: str | None = None) -> int:
     """Execute one experiment; writes artifacts plus a manifest, returns exit status."""
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -480,11 +476,11 @@ def run(config: RunConfig, workers: int = 1, config_path: str | None = None) -> 
         elif config.experiment == "evolve":
             status = _run_evolve(config, kernel, out_dir, outputs)
         elif config.experiment == "scan-subadditivity":
-            status = _run_scan(config, kernel, out_dir, outputs, workers)
+            status = _run_scan(config, kernel, out_dir, outputs)
         elif config.experiment == "stability":
             status = _run_stability(config, kernel, out_dir, outputs)
         elif config.experiment == "lemma-checks":
-            status = _run_lemma_checks(config, kernel, out_dir, outputs, workers)
+            status = _run_lemma_checks(config, kernel, out_dir, outputs)
         else:  # pragma: no cover - parse_config guards this
             raise ConfigError(f"unknown experiment {config.experiment!r}")
 
@@ -502,18 +498,6 @@ _SUBCOMMAND_EXPERIMENTS = {
 }
 
 
-def _resolve_workers(cli_value) -> int:
-    if cli_value is not None:
-        return max(1, cli_value)
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}")
-    return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hartreeflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -522,7 +506,6 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
-        cmd.add_argument("--workers", type=int, default=None, help="work-pool size for scans")
     args = parser.parse_args(argv)
 
     from dataclasses import replace
@@ -534,8 +517,7 @@ def main(argv=None) -> int:
             config = replace(config, output_dir=args.out)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        workers = _resolve_workers(args.workers)
-        return run(config, workers=workers, config_path=args.config)
+        return run(config, config_path=args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

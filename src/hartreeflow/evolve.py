@@ -129,17 +129,16 @@ def orbit_distance(mf: MultiField, gs: GroundState) -> float:
     if mf.grid != phi.grid:
         raise ValueError("fields live on different grids")
     g = mf.grid
-    axes = tuple(range(g.space_dim))
+    comp_axes = tuple(range(1, 1 + g.space_dim))
     rho_psi = np.sum(mf.data.real**2 + mf.data.imag**2, axis=0)
     rho_phi = np.sum(phi.data.real**2 + phi.data.imag**2, axis=0)
-    corr = np.fft.ifftn(np.fft.fftn(rho_psi) * np.conj(np.fft.fftn(rho_phi)), axes=axes).real
+    corr = gridmod.ifftn_grid(g, gridmod.fftn_grid(g, rho_psi) * np.conj(gridmod.fftn_grid(g, rho_phi))).real
     shift = np.unravel_index(int(np.argmax(corr)), g.shape)
-    shifted = np.roll(phi.data, shift, axis=tuple(range(1, 1 + g.space_dim)))
-    comp_axes = tuple(range(1, 1 + g.space_dim))
+    shifted = np.roll(phi.data, shift, axis=comp_axes)
     overlaps = g.cell_volume * np.sum(np.conj(shifted) * mf.data, axis=comp_axes)
     phases = np.exp(1j * np.angle(overlaps)).reshape((-1,) + (1,) * g.space_dim)
     diff = mf.data - phases * shifted
-    diff_hat = np.fft.fftn(diff, axes=comp_axes)
+    diff_hat = gridmod.fftn_grid(g, diff)
     power = diff_hat.real**2 + diff_hat.imag**2
     h1_sq = g.spectral_weight * np.sum((1.0 + g.k_squared) * power)
     return float(np.sqrt(max(h1_sq, 0.0)))

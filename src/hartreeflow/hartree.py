@@ -16,8 +16,9 @@ E(u1) + E(u2) - F_p(u1, u2), and so on with one F_p cross term per pair.
 The kernel is periodised by real-space truncation at radius L/2 with the
 singular origin cell replaced by its cell average, and transformed
 numerically; interaction terms then cost one convolution per component
-density.  Energies and gradients are pure functions of (fields, kernel) and
-may be evaluated concurrently.
+density.  _EnergyState is the one implementation of the energy and its L^2
+gradient: total_energy, single_energy, energy_gradient and the minimiser all
+evaluate it.  Energies and gradients are pure functions of (fields, kernel).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .grid import (
     SizeMismatchError,
     fftn_grid,
     ifftn_grid,
-    grad_norm_sq,
 )
 
 
@@ -175,20 +175,47 @@ class EnergyBreakdown:
         return cls(kinetic=kinetic, interaction=interaction, total=kinetic - interaction)
 
 
-def total_energy(mf: MultiField, kernel: Kernel, p: float) -> EnergyBreakdown:
-    """Full m-component energy; for m = 1 it coincides with single_energy."""
+class _EnergyState:
+    """Energy of one (m, *grid.shape) array, keeping the pieces its gradient reuses.
+
+    One evaluation costs three batched FFT calls (fields, summed density,
+    potential); the gradient reuses the field spectra and the potential for
+    one more.  kinetic holds the per-component 1/2 ||grad phi_j||^2.
+    """
+
+    __slots__ = ("kernel", "p", "x", "xhat", "kinetic", "potential", "energy")
+
+    def __init__(self, kernel: Kernel, p: float, x: np.ndarray):
+        g = kernel.grid
+        self.kernel, self.p, self.x = kernel, p, x
+        self.xhat = fftn_grid(g, x)
+        power = self.xhat.real**2 + self.xhat.imag**2
+        self.kinetic = 0.5 * g.spectral_weight * np.sum(g.k_squared * power, axis=tuple(range(1, x.ndim)))
+        rho_tot = abs_power(x, p).sum(axis=0)
+        self.potential = _convolve_array(kernel, rho_tot)
+        interaction = g.cell_volume * np.sum(rho_tot * self.potential) / (2 * p)
+        self.energy = EnergyBreakdown.make(float(self.kinetic.sum()), float(interaction))
+
+    def gradient(self) -> np.ndarray:
+        """grad_j = -lap(phi_j) - (sum_k W * |phi_k|^p) |phi_j|^(p-2) phi_j."""
+        g = self.kernel.grid
+        return ifftn_grid(g, g.k_squared * self.xhat) - self.potential * _nonlinear_factor(self.x, self.p)
+
+
+def _state(mf: MultiField, kernel: Kernel, p: float) -> _EnergyState:
     if mf.grid != kernel.grid:
         raise SizeMismatchError("fields and kernel must share one grid")
-    g = mf.grid
-    kinetic = 0.5 * sum(grad_norm_sq(c) for c in mf.components)
-    rho_tot = abs_power(mf.data, p).sum(axis=0)
-    interaction = g.cell_volume * np.sum(rho_tot * _convolve_array(kernel, rho_tot)) / (2 * p)
-    return EnergyBreakdown.make(float(kinetic), float(interaction))
+    return _EnergyState(kernel, p, mf.data)
+
+
+def total_energy(mf: MultiField, kernel: Kernel, p: float) -> EnergyBreakdown:
+    """Full m-component energy; for m = 1 it coincides with single_energy."""
+    return _state(mf, kernel, p).energy
 
 
 def single_energy(h: Field, kernel: Kernel, p: float) -> float:
-    """E(h) = 1/2 ||grad h||^2 - F_{2p}(h, h)."""
-    return 0.5 * grad_norm_sq(h) - pair_interaction(2 * p, h, h, kernel, p)
+    """E(h) = 1/2 ||grad h||^2 - F_{2p}(h, h), the energy of the 1-component stack."""
+    return total_energy(MultiField(h.grid, h.data[None]), kernel, p).total
 
 
 def energy_gradient(mf: MultiField, kernel: Kernel, p: float) -> MultiField:
@@ -197,13 +224,7 @@ def energy_gradient(mf: MultiField, kernel: Kernel, p: float) -> MultiField:
     Satisfies the directional-derivative identity
     d/de I(mf + e v) = Re<grad, v> for every direction v.
     """
-    if mf.grid != kernel.grid:
-        raise SizeMismatchError("fields and kernel must share one grid")
-    g = mf.grid
-    rho_tot = abs_power(mf.data, p).sum(axis=0)
-    potential = _convolve_array(kernel, rho_tot)
-    minus_lap = ifftn_grid(g, g.k_squared * fftn_grid(g, mf.data))
-    return MultiField(g, minus_lap - potential * _nonlinear_factor(mf.data, p))
+    return MultiField(mf.grid, _state(mf, kernel, p).gradient())
 
 
 def el_residual(mf: MultiField, lambdas, kernel: Kernel, p: float) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .grid import Field, Grid, MultiField
-from .hartree import Kernel, EnergyBreakdown, abs_power, _nonlinear_factor
+from .hartree import Kernel, EnergyBreakdown, _EnergyState, energy_gradient
 from .params import SystemParams
 
 DEFAULT_TOL = 1e-6
@@ -140,8 +140,6 @@ def extract_multipliers(mf: MultiField, kernel: Kernel, p: float) -> np.ndarray:
     masses = gridmod.multifield_masses(mf)
     if np.any(masses <= 0):
         raise ZeroMassError("multipliers are undefined for zero-mass components")
-    from .hartree import energy_gradient
-
     grad = energy_gradient(mf, kernel, p)
     return _tangent_projection(grad.data, mf.data, mf.grid.cell_volume, masses)[1]
 
@@ -177,55 +175,32 @@ def phase_factorize(f: Field):
     return PhaseFactorization(theta=theta, positive_part=Field(f.grid, aligned.real.astype(complex)), deviation=deviation)
 
 
-class _FlowState:
-    """Energy pieces of one iterate, sharing transforms between the pieces.
-
-    One evaluation costs three batched FFT calls (fields, summed density,
-    potential); the gradient reuses the cached spectra for one more.
-    """
-
-    __slots__ = ("x", "xhat", "rho_tot", "potential", "kinetic", "interaction", "total", "masses")
-
-    def __init__(self, ws: "_Workspace", x: np.ndarray):
-        self.x = x
-        self.xhat = np.fft.fftn(x, axes=ws.axes)
-        power = self.xhat.real**2 + self.xhat.imag**2
-        self.kinetic = 0.5 * ws.w_spec * np.sum(ws.k2 * power, axis=ws.axes)
-        self.rho_tot = abs_power(x, ws.p).sum(axis=0)
-        self.potential = np.fft.ifftn(ws.mult * np.fft.fftn(self.rho_tot), axes=ws.axes0).real
-        self.interaction = float(ws.cell * np.sum(self.rho_tot * self.potential) / (2 * ws.p))
-        self.total = float(self.kinetic.sum()) - self.interaction
-        self.masses = ws.cell * np.sum(x.real**2 + x.imag**2, axis=ws.axes)
-
-    def gradient(self, ws: "_Workspace") -> np.ndarray:
-        minus_lap = np.fft.ifftn(ws.k2 * self.xhat, axes=ws.axes)
-        return minus_lap - self.potential * _nonlinear_factor(self.x, ws.p)
-
-
 class _Workspace:
-    __slots__ = ("grid", "p", "k2", "mult", "cell", "w_spec", "axes", "axes0", "masses")
+    """Mass projection and preconditioned direction on a fixed grid."""
 
-    def __init__(self, grid: Grid, kernel: Kernel, p: float, masses: np.ndarray):
+    __slots__ = ("grid", "k2", "cell", "axes", "masses")
+
+    def __init__(self, grid: Grid, masses: np.ndarray):
         self.grid = grid
-        self.p = p
         self.k2 = grid.k_squared
-        self.mult = kernel.multiplier
         self.cell = grid.cell_volume
-        self.w_spec = grid.spectral_weight
         self.axes = tuple(range(1, 1 + grid.space_dim))
-        self.axes0 = tuple(range(grid.space_dim))
         self.masses = masses
 
+    def mass_of(self, x: np.ndarray) -> np.ndarray:
+        return self.cell * np.sum(x.real**2 + x.imag**2, axis=self.axes)
+
     def project(self, x: np.ndarray) -> np.ndarray:
-        current = self.cell * np.sum(x.real**2 + x.imag**2, axis=self.axes)
-        factors = np.sqrt(self.masses / current)
+        factors = np.sqrt(self.masses / self.mass_of(x))
         return x * factors.reshape((-1,) + (1,) * self.grid.space_dim)
 
-    def direction(self, residual: np.ndarray, state: _FlowState, lambdas: np.ndarray) -> np.ndarray:
+    def direction(
+        self, residual: np.ndarray, x: np.ndarray, x_masses: np.ndarray, lambdas: np.ndarray
+    ) -> np.ndarray:
         """Sobolev direction: (c_j - lap)^(-1) residual_j, projected onto the tangent space."""
         c = np.maximum(lambdas, _SHIFT_FLOOR).reshape((-1,) + (1,) * self.grid.space_dim)
-        smoothed = np.fft.ifftn(np.fft.fftn(residual, axes=self.axes) / (c + self.k2), axes=self.axes)
-        return _tangent_projection(smoothed, state.x, self.cell, state.masses)[0]
+        smoothed = gridmod.ifftn_grid(self.grid, gridmod.fftn_grid(self.grid, residual) / (c + self.k2))
+        return _tangent_projection(smoothed, x, self.cell, x_masses)[0]
 
 
 def _center_peak(mf: MultiField) -> MultiField:
@@ -264,9 +239,9 @@ def ground_state(
     elif init.m != params.component_count or init.grid != g:
         raise ValueError("init does not match params (component count or grid)")
 
-    ws = _Workspace(g, kernel, params.power, masses)
-    x = ws.project(init.data.astype(np.complex128, copy=True))
-    state = _FlowState(ws, x)
+    p = params.power
+    ws = _Workspace(g, masses)
+    state = _EnergyState(kernel, p, ws.project(init.data.astype(np.complex128, copy=True)))
 
     stop_reason = "max_iters"
     iterations = 0
@@ -275,18 +250,19 @@ def ground_state(
     prev_x = prev_d = None
 
     for iterations in range(max_iters + 1):
-        if not np.isfinite(state.total):
+        if not np.isfinite(state.energy.total):
             raise EnergyNanError(f"non-finite energy at iteration {iterations}")
-        shifted, lambdas = _tangent_projection(state.gradient(ws), state.x, ws.cell, state.masses)
-        residuals = np.sqrt(ws.cell * np.sum(shifted.real**2 + shifted.imag**2, axis=ws.axes))
-        h1 = np.sqrt(state.masses + 2.0 * state.kinetic)
+        x_masses = ws.mass_of(state.x)
+        shifted, lambdas = _tangent_projection(state.gradient(), state.x, ws.cell, x_masses)
+        residuals = np.sqrt(ws.mass_of(shifted))
+        h1 = np.sqrt(x_masses + 2.0 * state.kinetic)
         if np.max(residuals / h1) <= tol:
             stop_reason = "converged"
             break
         if iterations == max_iters:
             break
 
-        d = ws.direction(shifted, state, lambdas)
+        d = ws.direction(shifted, state.x, x_masses, lambdas)
         tau = _STEP_MAX
         if prev_x is not None:
             # Elementwise sums rather than np.vdot, whose BLAS call allocates
@@ -299,8 +275,8 @@ def ground_state(
 
         accepted = None
         for _ in range(_BACKTRACK_LIMIT):
-            trial = _FlowState(ws, ws.project(state.x - tau * d))
-            if np.isfinite(trial.total) and trial.total < state.total:
+            trial = _EnergyState(kernel, p, ws.project(state.x - tau * d))
+            if np.isfinite(trial.energy.total) and trial.energy.total < state.energy.total:
                 accepted = trial
                 break
             tau *= 0.5
@@ -314,11 +290,10 @@ def ground_state(
     mf = MultiField(g, state.x)
     if center:
         mf = _center_peak(mf)
-    energy = EnergyBreakdown.make(float(state.kinetic.sum()), state.interaction)
     return GroundState(
         fields=mf,
         multipliers=np.asarray(lambdas, dtype=float),
-        energy=energy,
+        energy=state.energy,
         residuals=np.asarray(residuals, dtype=float),
         iterations=iterations,
         stop_reason=stop_reason,

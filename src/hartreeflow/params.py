@@ -137,14 +137,6 @@ class DerivedExponents:
         return 2.0 - 2.0 * self.gn_exponent * p
 
 
-def _check_inputs(params: SystemParams) -> None:
-    for v in (params.power, params.kernel_exponent, params.box_length, *params.masses):
-        if not math.isfinite(v):
-            raise InvalidParameterError(f"non-finite parameter value {v!r}")
-    if params.kernel_exponent <= 0:
-        raise InvalidParameterError(f"kernel_exponent must be positive, got {params.kernel_exponent}")
-
-
 def validate_assumptions(params: SystemParams) -> ValidationReport:
     """Evaluate every admissibility inequality with its numeric margin.
 
@@ -157,7 +149,6 @@ def validate_assumptions(params: SystemParams) -> ValidationReport:
                      automatic for the power kernel, reported with the decay
                      exponent as its margin
     """
-    _check_inputs(params)
     n_dim = params.space_dim
     p = params.power
     alpha = params.kernel_exponent

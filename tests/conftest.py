@@ -95,7 +95,7 @@ def gs_m1(desk_params, desk_kernel):
 def scan_m2(desk_params, desk_kernel):
     pairs = hf.default_mass_pairs_m2()
     return hf.subadditivity_scan(
-        pairs, desk_params, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0, workers=2
+        pairs, desk_params, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0
     )
 
 
@@ -107,7 +107,7 @@ def scan_m3(desk_params, desk_kernel):
     cases = hf.default_cases_m3(seed=0, extra_random=2)
     pairs = [(m, t) for _, m, t in cases]
     return hf.subadditivity_scan(
-        pairs, params3, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0, workers=2
+        pairs, params3, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0
     )
 
 

@@ -168,7 +168,7 @@ class TestSubadditivityScan:
     def test_small_scan_positive_margins(self, setup128):
         params, _, kernel = setup128
         pairs = [((0.5, 0.5), (0.5, 0.5)), ((0.0, 1.0), (1.0, 0.0))]
-        scan = hf.subadditivity_scan(pairs, params, kernel, tol=1e-5, seeds_per_value=1, workers=2)
+        scan = hf.subadditivity_scan(pairs, params, kernel, tol=1e-5, seeds_per_value=1)
         assert len(scan.records) == 2 and not scan.excluded
         for rec in scan.records:
             assert rec.converged
@@ -219,14 +219,6 @@ class TestSubadditivityScan:
         assert names[:5] == ["A9", "A3", "B3", "B5", "B2"]
         for _, mv, tv in cases:
             assert all(a + b > 0 for a, b in zip(mv, tv))
-
-    def test_workers_do_not_change_results(self, setup128):
-        params, _, kernel = setup128
-        pairs = [((0.5, 0.5), (0.5, 0.5)), ((0.0, 0.5), (0.5, 0.5))]
-        one = hf.subadditivity_scan(pairs, params, kernel, tol=1e-4, seeds_per_value=1, workers=1)
-        four = hf.subadditivity_scan(pairs, params, kernel, tol=1e-4, seeds_per_value=1, workers=4)
-        for a, b in zip(one.records, four.records):
-            assert a.margin == b.margin
 
 
 class TestMassScalingOfSingleEnergy:

@@ -167,12 +167,12 @@ class TestRun:
         assert main(["validate", "--config", path]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_workers_env_used_when_flag_absent(self, tmp_path, monkeypatch):
-        from hartreeflow.cli import _resolve_workers
-
-        monkeypatch.setenv("HARTREEFLOW_WORKERS", "3")
-        assert _resolve_workers(None) == 3
-        assert _resolve_workers(2) == 2  # flag takes precedence
-        monkeypatch.setenv("HARTREEFLOW_WORKERS", "zebra")
-        with pytest.raises(ConfigError):
-            _resolve_workers(None)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("section,key", [("evolution", "T"), ("evolution", "dt"), ("solver", "tol")])
+    def test_non_finite_value_exit_two(self, tmp_path, capsys, section, key, value):
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg[section][key] = value
+        path = write_config(tmp_path, cfg)
+        command = "evolve" if section == "evolution" else "minimize"
+        assert main([command, "--config", path]) == 2
+        assert "finite" in capsys.readouterr().err

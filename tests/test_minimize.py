@@ -115,6 +115,12 @@ class TestGroundState:
         assert max(counts) <= 100, counts
         assert max(counts) <= 2 * min(counts), counts
 
+    def test_energy_is_the_public_energy(self, desk_params, desk_kernel):
+        # the minimiser and total_energy evaluate one implementation: equal bits
+        gs = hf.ground_state(desk_params, desk_kernel, tol=TOL, seed=0, center=False)
+        assert gs.converged
+        assert gs.energy == hf.total_energy(gs.fields, desk_kernel, desk_params.power)
+
     def test_peak_centered(self, gs_m2):
         density = np.sum(np.abs(gs_m2.fields.data) ** 2, axis=0)
         assert int(np.argmax(density)) == gs_m2.fields.grid.points_per_dim // 2
