@@ -66,7 +66,6 @@ from .evolve import (
     NanAbortError,
     evolve,
     orbit_distance,
-    step,
     write_trace_csv,
 )
 from .analysis import (

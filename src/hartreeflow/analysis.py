@@ -435,26 +435,29 @@ def stability_experiment(
     """Perturb, propagate, and report sup_t of the orbit distance per epsilon.
 
     Perturbations are H^1-normalised random fields scaled by epsilon, added to
-    the minimiser and projected back onto the mass spheres.  Integrator
-    instability flags propagate into the entries.
+    the minimiser and projected back onto the mass spheres.  Every start is
+    built (and every epsilon checked) before the ensemble is evolved as one
+    stack.  Integrator instability flags propagate into the entries.
     """
     if not gs.converged:
         raise ValueError("stability experiment requires a converged minimiser")
+    eps_list = list(eps_list)
+    if any(eps < 0 for eps in eps_list):
+        raise ValueError("perturbation sizes must be nonnegative")
     masses = gridmod.multifield_masses(gs.fields)
-    entries = []
+    starts = []
     for i, eps in enumerate(eps_list):
-        if eps < 0:
-            raise ValueError("perturbation sizes must be nonnegative")
         if eps == 0:
-            start = gs.fields.copy()
+            starts.append(gs.fields)
         else:
             pert = random_h1_perturbation(gs.fields.grid, gs.fields.m, _stable_seed("stab", seed, i))
-            start = project_masses(
-                MultiField(gs.fields.grid, gs.fields.data + eps * pert.data), masses
+            starts.append(
+                project_masses(MultiField(gs.fields.grid, gs.fields.data + eps * pert.data), masses)
             )
-        trace = evolve(
-            start, T, dt, kernel, p, ground_state=gs, record_every=record_every
-        )
+    ensemble = evolve(starts, T, dt, kernel, p, ground_state=gs, record_every=record_every)
+    entries = []
+    for i, eps in enumerate(eps_list):
+        trace = ensemble.member(i)
         max_distance = float(np.nanmax(trace.orbit_distance))
         entries.append(
             StabilityEntry(

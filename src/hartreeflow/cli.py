@@ -45,7 +45,7 @@ from .analysis import (
     strict_scaling_check,
     subadditivity_scan,
 )
-from .evolve import evolve, write_trace_csv
+from .evolve import evolve, step_count, write_trace_csv
 from .hartree import build_kernel
 from .minimize import ground_state, phase_factorize, save_ground_state
 from .params import InvalidParameterError, SystemParams, validate_assumptions
@@ -157,8 +157,10 @@ def parse_config(raw: dict) -> RunConfig:
     evolution = EvolutionConfig(
         T=float(eraw.get("T", EvolutionConfig.T)), dt=float(eraw.get("dt", EvolutionConfig.dt))
     )
-    if not all(np.isfinite(v) and v > 0 for v in (evolution.T, evolution.dt)):
-        raise ConfigError("config.evolution values must be finite and positive")
+    try:
+        step_count(evolution.T, evolution.dt)
+    except ValueError as exc:
+        raise ConfigError(f"config.evolution: {exc}") from None
 
     experiment = raw.get("experiment", "validate")
     if experiment not in EXPERIMENTS:
@@ -281,7 +283,6 @@ def _run_minimize(config: RunConfig, kernel, out_dir: str, outputs: list) -> int
 
 def _run_evolve(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
     gs = _solve_reference(config, kernel)
-    steps = max(1, int(round(config.evolution.T / config.evolution.dt)))
     trace = evolve(
         gs.fields,
         config.evolution.T,
@@ -289,7 +290,7 @@ def _run_evolve(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
         kernel,
         config.params.power,
         ground_state=gs,
-        record_every=max(1, steps // 200),
+        record_every=max(1, step_count(config.evolution.T, config.evolution.dt) // 200),
     )
     path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(path, trace)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import hartreeflow as hf
 from hartreeflow.analysis import BoxOverflowError, NoNegativeEnergyError
+from hartreeflow.evolve import Propagator
 from conftest import gaussian_field
 
 
@@ -249,3 +250,11 @@ class TestStabilityExperiment:
     def test_negative_epsilon_rejected(self, gs_m2, desk_params, desk_kernel):
         with pytest.raises(ValueError):
             hf.stability_experiment(gs_m2, [-1e-3], 0.1, 1e-2, desk_kernel, desk_params.power)
+
+    def test_negative_epsilon_rejected_before_any_step(self, monkeypatch, gs_m2, desk_params, desk_kernel):
+        steps = []
+        step_array = Propagator.step_array
+        monkeypatch.setattr(Propagator, "step_array", lambda prop, x: steps.append(1) or step_array(prop, x))
+        with pytest.raises(ValueError):
+            hf.stability_experiment(gs_m2, [0.0, -1e-3], 0.1, 1e-2, desk_kernel, desk_params.power)
+        assert steps == []

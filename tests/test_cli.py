@@ -176,3 +176,12 @@ class TestRun:
         command = "evolve" if section == "evolution" else "minimize"
         assert main([command, "--config", path]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_step_count_exit_two(self, tmp_path, capsys):
+        # T and dt are finite, but T/dt is not: rejected before the solve
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["evolution"] = {"T": 1e300, "dt": 1e-10}
+        path = write_config(tmp_path, cfg)
+        assert main(["evolve", "--config", path]) == 2
+        assert "T/dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -21,7 +21,7 @@ class TestStep:
     def test_zero_field(self, setup128):
         _, grid, kernel = setup128
         mf = hf.MultiField(grid, np.zeros((2,) + grid.shape, dtype=complex))
-        out = hf.step(mf, 1e-2, kernel, 2.0)
+        out = hf.MultiField(grid, Propagator(grid, kernel, 2.0, 1e-2).step_array(mf.data))
         assert np.abs(out.data).max() == 0.0
 
     def test_free_plane_wave_exact(self, setup128):
@@ -32,14 +32,14 @@ class TestStep:
         k_wave = 2 * np.pi * 3 / grid.box_length
         pw = np.exp(1j * k_wave * grid.axis_coords)
         dt = 1e-3
-        out = hf.step(hf.MultiField(grid, pw[None]), dt, zero_kernel, 2.0)
+        out = hf.MultiField(grid, Propagator(grid, zero_kernel, 2.0, dt).step_array(pw[None]))
         expected = pw * np.exp(1j * k_wave**2 * dt)
         assert np.abs(out.data[0] - expected).max() <= 1e-13
 
     def test_mass_conserved_per_step(self, setup128):
         _, grid, kernel = setup128
         mf = hf.project_masses(trig_field(grid, seed=2, m=2), [1.0, 1.0])
-        out = hf.step(mf, 1e-2, kernel, 2.0)
+        out = hf.MultiField(grid, Propagator(grid, kernel, 2.0, 1e-2).step_array(mf.data))
         masses = hf.multifield_masses(out)
         assert np.abs(masses - 1.0).max() <= 1e-12
 
@@ -48,18 +48,18 @@ class TestStep:
         data = np.ones((2,) + grid.shape, dtype=complex)
         data[0, 0] = np.nan
         with pytest.raises(NanAbortError):
-            hf.step(hf.MultiField(grid, data), 1e-2, kernel, 2.0)
+            Propagator(grid, kernel, 2.0, 1e-2).step_array(data)
 
     def test_rejects_nonpositive_dt(self, setup128):
         _, grid, kernel = setup128
         mf = trig_field(grid, seed=3, m=2)
         with pytest.raises(ValueError):
-            hf.step(mf, 0.0, kernel, 2.0)
+            Propagator(grid, kernel, 2.0, 0.0).step_array(mf.data)
 
     def test_noninteger_power_step_isometry(self, setup128):
         _, grid, kernel = setup128
         mf = hf.project_masses(trig_field(grid, seed=4, m=1), [1.0])
-        out = hf.step(mf, 1e-2, kernel, 2.5)
+        out = hf.MultiField(grid, Propagator(grid, kernel, 2.5, 1e-2).step_array(mf.data))
         assert hf.multifield_masses(out)[0] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -134,6 +134,16 @@ class TestFusedStep:
         assert len(calls) == 6
         prop.step_array(out)
         assert len(calls) == 10
+        stack = prop.step_array(np.stack([out, perturbed_m2.data, out]))
+        assert len(calls) == 16
+        prop.step_array(stack)
+        assert len(calls) == 20
+
+    def test_nan_in_one_member_aborts(self, desk_kernel, perturbed_m2):
+        stack = np.stack([perturbed_m2.data] * 3)
+        stack[1, 0, 5] = np.nan
+        with pytest.raises(NanAbortError):
+            Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3).step_array(stack)
 
 
 class TestEvolve:
@@ -214,6 +224,92 @@ class TestEvolve:
         assert rows[0] == ["t", "mass_1", "mass_2", "energy", "orbit_distance"]
         assert len(rows) == 1 + len(trace.times)
         assert float(rows[1][1]) == pytest.approx(1.0, rel=1e-12)
+
+
+def small_ground_state(space_dim, m, n, p):
+    params = hf.SystemParams(
+        space_dim=space_dim, component_count=m, power=p, kernel_exponent=0.5,
+        masses=(1.0,) * m, box_length=20.0, points_per_dim=n,
+    )
+    kernel = hf.build_kernel(hf.grid_for(params), 0.5)
+    gs = hf.ground_state(params, kernel, tol=1e-6, seed=1)
+    assert gs.converged
+    return gs, kernel
+
+
+def perturbed_starts(gs, eps_list, masses):
+    grid = gs.fields.grid
+    return [
+        hf.project_masses(
+            hf.MultiField(grid, gs.fields.data + eps * hf.analysis.random_h1_perturbation(grid, gs.fields.m, i).data),
+            masses,
+        )
+        for i, eps in enumerate(eps_list)
+    ]
+
+
+def assert_members_match_single_runs(trace, starts, *args, **kwargs):
+    for b, start in enumerate(starts):
+        member, alone = trace.member(b), hf.evolve(start, *args, **kwargs)
+        for name in ("times", "masses", "energy", "orbit_distance"):
+            assert np.array_equal(getattr(member, name), getattr(alone, name)), name
+        assert member.extras.keys() == alone.extras.keys()
+        for name in alone.extras:
+            assert np.array_equal(member.extras[name], alone.extras[name]), name
+        assert member.flags == alone.flags
+        assert (member.T, member.dt) == (alone.T, alone.dt)
+
+
+class TestStackedEvolve:
+    @pytest.mark.parametrize(
+        "space_dim,m,n,p",
+        [(1, 2, 64, 2.0), (1, 2, 64, 2.5), (1, 3, 64, 2.0), (2, 2, 32, 2.0)],
+        ids=["N1-m2-p2", "N1-m2-p2.5", "N1-m3", "N2-m2"],
+    )
+    def test_members_bit_equal_to_single_runs(self, space_dim, m, n, p):
+        gs, kernel = small_ground_state(space_dim, m, n, p)
+        starts = perturbed_starts(gs, [0.0, 1e-3, 1e-2], [1.0] * m)
+        peak = lambda t, mf: np.abs(mf.data).reshape(mf.m, -1).max(axis=1)
+        args = (0.1, 1e-2, kernel, p)
+        kwargs = dict(ground_state=gs, record_every=3, observers={"peak": peak})
+        trace = hf.evolve(starts, *args, **kwargs)
+        assert trace.masses.shape == (5, 3, m)
+        assert trace.energy.shape == trace.orbit_distance.shape == (5, 3)
+        assert trace.extras["peak"].shape == (5, 3, m)
+        assert_members_match_single_runs(trace, starts, *args, **kwargs)
+
+    def test_flags_are_per_member(self, desk_params, desk_kernel, gs_m2):
+        # five times the mass makes the step far too coarse for the second start only
+        starts = [gs_m2.fields, hf.project_masses(gs_m2.fields, [5.0, 5.0])]
+        args = (10.0, 0.1, desk_kernel, desk_params.power)
+        kwargs = dict(ground_state=gs_m2, record_every=1)
+        trace = hf.evolve(starts, *args, **kwargs)
+        assert trace.member(0).flags == {}
+        assert trace.member(1).flags == {"unstable": True}
+        assert trace.flags == {"unstable": True}
+        assert_members_match_single_runs(trace, starts, *args, **kwargs)
+
+    def test_drifts_are_the_largest_over_members(self, setup128):
+        _, grid, kernel = setup128
+        starts = [hf.project_masses(trig_field(grid, seed=s, m=2), [1.0, 1.0]) for s in (5, 6)]
+        trace = hf.evolve(starts, 5e-3, 1e-3, kernel, 2.0)
+        members = [trace.member(b) for b in range(2)]
+        assert trace.energy_drift == max(t.energy_drift for t in members)
+        assert trace.mass_drift == max(t.mass_drift for t in members)
+
+    def test_mismatched_or_empty_starts_rejected(self, setup128):
+        _, grid, kernel = setup128
+        mf = trig_field(grid, seed=1, m=2)
+        other_box = hf.Grid(1, grid.points_per_dim, 2 * grid.box_length)
+        for starts in ([], [mf, trig_field(other_box, seed=1, m=2)], [mf, trig_field(grid, seed=1, m=3)]):
+            with pytest.raises(ValueError):
+                hf.evolve(starts, 5e-3, 1e-3, kernel, 2.0)
+
+    def test_overflowing_step_count_rejected(self, setup128):
+        _, grid, kernel = setup128
+        mf = trig_field(grid, seed=1, m=2)
+        with pytest.raises(ValueError, match="T/dt"):
+            hf.evolve(mf, 1e300, 1e-10, kernel, 2.0)
 
 
 class TestOrbitDistance:
