@@ -35,7 +35,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .grid import Field, MultiField
-from .hartree import Kernel, abs_power, pair_interaction, single_energy, total_energy
+from .hartree import Kernel, pair_interaction, single_energy, total_density, total_energy
 from .minimize import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -82,8 +82,7 @@ def concentration_profile(mf: MultiField, radii) -> ConcentrationProfile:
     g = mf.grid
     if np.any(radii > 0.5 * g.box_length):
         raise ValueError("radii must not exceed L/2")
-    density = np.sum(mf.data.real**2 + mf.data.imag**2, axis=0)
-    rho_hat = gridmod.fftn_grid(g, density)
+    rho_hat = gridmod.fftn_grid(g, total_density(g, mf.data))
     values = np.empty_like(radii)
     for i, r in enumerate(radii):
         ball = (g.radius <= r).astype(float)
@@ -151,7 +150,7 @@ def scaling_negativity_test(
                 f"dilated support overflows the box at theta={theta:g}; "
                 "use larger theta values or a larger box"
             )
-        mf = MultiField(u1.grid, ratios.reshape((-1,) + (1,) * u1.grid.space_dim) * dilated.data)
+        mf = MultiField(u1.grid, gridmod.per_component(u1.grid, ratios) * dilated.data)
         br = total_energy(mf, kernel, params.power)
         energies[i], kinetics[i], interactions[i] = br.total, br.kinetic, br.interaction
 
@@ -442,8 +441,8 @@ def stability_experiment(
     if not gs.converged:
         raise ValueError("stability experiment requires a converged minimiser")
     eps_list = list(eps_list)
-    if any(eps < 0 for eps in eps_list):
-        raise ValueError("perturbation sizes must be nonnegative")
+    if not all(np.isfinite(eps) and eps >= 0 for eps in eps_list):
+        raise ValueError(f"perturbation sizes must be finite and nonnegative, got {eps_list}")
     masses = gridmod.multifield_masses(gs.fields)
     starts = []
     for i, eps in enumerate(eps_list):

@@ -29,7 +29,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -81,12 +81,14 @@ class RunConfig:
 
 
 def _require_keys(section: dict, allowed: dict, where: str) -> None:
+    """Reject unknown keys and values of the wrong type; JSON true/false is never a number."""
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
     for key, kind in allowed.items():
-        if key in section and not isinstance(section[key], kind):
-            raise ConfigError(f"{where}.{key} has wrong type: expected {kind}, got {type(section[key]).__name__}")
+        value = section.get(key)
+        if key in section and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ConfigError(f"{where}.{key} has wrong type: expected {kind}, got {type(value).__name__}")
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -121,6 +123,9 @@ def parse_config(raw: dict) -> RunConfig:
         },
         "config.params",
     )
+    for value in praw.get("masses", ()):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"config.params.masses entries must be numbers, got {value!r}")
     missing = {"space_dim", "component_count", "power", "kernel_exponent", "masses", "box_length", "points_per_dim"} - set(praw)
     if missing:
         raise ConfigError(f"config.params missing key(s): {', '.join(sorted(missing))}")
@@ -205,28 +210,9 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _config_dict(config: RunConfig) -> dict:
-    return {
-        "params": {
-            "space_dim": config.params.space_dim,
-            "component_count": config.params.component_count,
-            "power": config.params.power,
-            "kernel_exponent": config.params.kernel_exponent,
-            "masses": list(config.params.masses),
-            "box_length": config.params.box_length,
-            "points_per_dim": config.params.points_per_dim,
-        },
-        "solver": {"tol": config.solver.tol, "max_iters": config.solver.max_iters, "seeds": config.solver.seeds},
-        "evolution": {"T": config.evolution.T, "dt": config.evolution.dt},
-        "experiment": config.experiment,
-        "output_dir": config.output_dir,
-        "seed": config.seed,
-    }
-
-
 def _write_manifest(out_dir, config: RunConfig, inputs: dict, outputs: list) -> None:
     manifest = {
-        "config": _config_dict(config),
+        "config": asdict(config),
         "inputs": inputs,
         "versions": {
             "hartreeflow": __version__,
@@ -508,9 +494,6 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
-
-    from dataclasses import replace
-
     try:
         config = load_config(args.config)
         config = replace(config, experiment=_SUBCOMMAND_EXPERIMENTS[args.command])

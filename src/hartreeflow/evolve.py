@@ -26,11 +26,12 @@ The identity test is sound because step outputs, and the snapshots evolve
 hands to observers, are read-only; copy one to modify it.
 
 step_array also steps a stack of fields, shape (..., m, *grid.shape): the
-component sum runs over the axis before the spatial ones, so every member sees
-only its own potential.  evolve hands it the starts it is given as one stack
-and advances them all with one call per time step, which pays numpy's
-per-call overhead once per step instead of once per start; each member's
-arrays are the same bits as evolving it alone.
+total density sums the component axis, so every member sees only its own
+potential.  evolve steps its starts as one stack, one call per time step, and
+records them alike: one total_energy and one orbit_distance call per sample
+cover every member, paying numpy's per-call overhead once; only observers see
+the members one at a time.  A single start is a 1-member stack on the same
+path, so each member's arrays are the same bits as evolving it alone.
 
 Well-posedness of the initial-value problem is assumed; blow-up detection is
 heuristic (NaN aborts, a >10% energy drift flags the trace).
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .grid import Grid, MultiField
-from .hartree import Kernel, _convolve_array, abs_power, total_energy
+from .hartree import Kernel, _convolve_array, total_density, total_energy
 from .minimize import GroundState
 
 ENERGY_DRIFT_FLAG = 0.10
@@ -131,14 +132,12 @@ class Propagator:
         self.dt = dt
         self.kernel = kernel
         self.kinetic_phase = np.exp(1j * grid.k_squared * dt)
-        self.component_axis = -1 - grid.space_dim
         # (last returned array, the phase of its closing half-kick)
         self._last = (None, None)
 
     def _half_kick_phase(self, x: np.ndarray) -> np.ndarray:
         """exp(-i dt/2 V), the pointwise rotation of a half potential step."""
-        rho = abs_power(x, self.p).sum(axis=self.component_axis)
-        potential = np.expand_dims(_convolve_array(self.kernel, rho), self.component_axis)
+        potential = _convolve_array(self.kernel, total_density(self.grid, x, self.p))
         u = potential if self.p == 2 else potential * np.abs(x) ** (self.p - 2)
         return np.exp(-0.5j * self.dt * u)
 
@@ -158,31 +157,36 @@ class Propagator:
         return x
 
 
-def orbit_distance(mf: MultiField, gs: GroundState) -> float:
+def orbit_distance(fields, gs: GroundState):
     """H^1 distance to the gauge orbit of a minimiser.
 
     Minimises sum_j ||psi_j - e^{i theta_j} phi_j(. - tau)||_{H^1}^2 over grid
     translations tau (top-1 shift of the total-density cross-correlation) and
     per-component phases theta_j = arg <phi_j(. - tau), psi_j>, and returns the
-    square root.
+    square root.  fields is a MultiField, giving a float, or a stack
+    (..., m, *grid.shape), giving one distance per leading index.
     """
     phi = gs.fields
-    if mf.grid != phi.grid:
-        raise ValueError("fields live on different grids")
-    g = mf.grid
-    comp_axes = tuple(range(1, 1 + g.space_dim))
-    rho_psi = np.sum(mf.data.real**2 + mf.data.imag**2, axis=0)
-    rho_phi = np.sum(phi.data.real**2 + phi.data.imag**2, axis=0)
-    corr = gridmod.ifftn_grid(g, gridmod.fftn_grid(g, rho_psi) * np.conj(gridmod.fftn_grid(g, rho_phi))).real
-    shift = np.unravel_index(int(np.argmax(corr)), g.shape)
-    shifted = np.roll(phi.data, shift, axis=comp_axes)
-    overlaps = g.cell_volume * np.sum(np.conj(shifted) * mf.data, axis=comp_axes)
-    phases = np.exp(1j * np.angle(overlaps)).reshape((-1,) + (1,) * g.space_dim)
-    diff = mf.data - phases * shifted
+    g = phi.grid
+    x = gridmod.stack_of(g, fields)
+    if x.shape[-1 - g.space_dim] != phi.m:
+        raise gridmod.SizeMismatchError(f"stack shape {x.shape} does not hold {phi.m} components")
+    corr_hat = gridmod.fftn_grid(g, total_density(g, x)) * np.conj(gridmod.fftn_grid(g, total_density(g, phi.data)))
+    corr = gridmod.ifftn_grid(g, corr_hat).real
+    peak = np.argmax(corr.reshape(corr.shape[: -1 - g.space_dim] + (-1,)), axis=-1)
+    # phi rolled by each member's peak shift: index i of axis a reads (i - shift_a) mod n
+    n = g.points_per_dim
+    index = [gridmod.per_component(g, np.arange(phi.m))]
+    for a, shift in enumerate(np.unravel_index(peak, g.shape)):
+        rows = np.arange(n).reshape((n,) + (1,) * (g.space_dim - 1 - a))
+        index.append((rows - gridmod.per_component(g, shift[..., None])) % n)
+    shifted = phi.data[tuple(index)]
+    overlaps = g.cell_volume * np.sum(np.conj(shifted) * x, axis=g.spatial_axes)
+    diff = x - gridmod.per_component(g, np.exp(1j * np.angle(overlaps))) * shifted
     diff_hat = gridmod.fftn_grid(g, diff)
     power = diff_hat.real**2 + diff_hat.imag**2
-    h1_sq = g.spectral_weight * np.sum((1.0 + g.k_squared) * power)
-    return float(np.sqrt(max(h1_sq, 0.0)))
+    h1_sq = g.spectral_weight * np.sum((1.0 + g.k_squared) * power, axis=g.field_axes)
+    return gridmod.scalar_or_array(np.sqrt(np.maximum(h1_sq, 0.0)))
 
 
 def evolve(
@@ -221,15 +225,12 @@ def evolve(
     extras = {name: [] for name in observers}
 
     def record(t: float, x: np.ndarray) -> None:
-        snapshots = [MultiField(grid, member) for member in x]
         times.append(t)
-        masses.append([gridmod.multifield_masses(s) for s in snapshots])
-        energies.append([total_energy(s, kernel, p).total for s in snapshots])
-        distances.append(
-            [orbit_distance(s, ground_state) if ground_state is not None else np.nan for s in snapshots]
-        )
+        masses.append(gridmod.norms_sq(grid, x))
+        energies.append(total_energy(x, kernel, p).total)
+        distances.append(orbit_distance(x, ground_state) if ground_state is not None else np.full(len(x), np.nan))
         for name, fn in observers.items():
-            extras[name].append([fn(t, s) for s in snapshots])
+            extras[name].append([fn(t, MultiField(grid, member)) for member in x])
 
     x = np.stack([s.data for s in starts])  # a ValueError unless all have one m
     x.setflags(write=False)

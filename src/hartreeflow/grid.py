@@ -64,6 +64,15 @@ class Grid:
         return self.spacing**self.space_dim
 
     @cached_property
+    def spatial_axes(self) -> tuple[int, ...]:
+        return tuple(range(-self.space_dim, 0))
+
+    @cached_property
+    def field_axes(self) -> tuple[int, ...]:
+        """The component axis and the spatial axes of a stack."""
+        return tuple(range(-1 - self.space_dim, 0))
+
+    @cached_property
     def axis_coords(self) -> np.ndarray:
         """Per-axis sample coordinates, x_j = -L/2 + j h."""
         n = self.points_per_dim
@@ -164,6 +173,38 @@ class MultiField:
         return MultiField(self.grid, self.data.copy())
 
 
+# -- stacks -------------------------------------------------------------------
+# A stack (..., m, *shape) holds fields of m components: space on the trailing
+# space_dim axes, components on axis -1 - space_dim, members on the leading axes.
+
+
+def stack_of(grid: Grid, fields) -> np.ndarray:
+    """The data of a MultiField on grid, or a (..., m, *grid.shape) array checked against it."""
+    if isinstance(fields, MultiField):
+        if fields.grid != grid:
+            raise SizeMismatchError("fields live on a different grid")
+        return fields.data
+    arr = np.asarray(fields)
+    if arr.ndim <= grid.space_dim or arr.shape[-grid.space_dim :] != grid.shape:
+        raise SizeMismatchError(f"stack shape {arr.shape} incompatible with grid {grid.shape}")
+    return arr
+
+
+def norms_sq(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """cell_volume * sum |x|^2 over the spatial axes: the component masses of a stack."""
+    return grid.cell_volume * np.sum(x.real**2 + x.imag**2, axis=grid.spatial_axes)
+
+
+def per_component(grid: Grid, values) -> np.ndarray:
+    """Values indexed (..., m), shaped to broadcast over the spatial axes of a stack."""
+    return np.asarray(values)[(...,) + (None,) * grid.space_dim]
+
+
+def scalar_or_array(values: np.ndarray):
+    """A Python float for a reduction with no leading axes left, else the array."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 # -- transforms ---------------------------------------------------------------
 
 
@@ -211,14 +252,11 @@ def inner(f: Field, g: Field) -> complex:
 
 def mass(field: Field) -> float:
     """Squared L^2 norm, cell_volume * sum |f|^2."""
-    d = field.data
-    return float(field.grid.cell_volume * np.sum(d.real**2 + d.imag**2))
+    return float(norms_sq(field.grid, field.data))
 
 
 def multifield_masses(mf: MultiField) -> np.ndarray:
-    d = mf.data
-    axes = tuple(range(1, d.ndim))
-    return mf.grid.cell_volume * np.sum(d.real**2 + d.imag**2, axis=axes)
+    return norms_sq(mf.grid, mf.data)
 
 
 def grad_norm_sq(field: Field) -> float:
@@ -281,7 +319,7 @@ def dilate(field: Field, theta: float) -> Field:
 
 def roll(field: Field, shifts) -> Field:
     """Integer circular shift; rolled(x) = f(x - shift*h) per axis."""
-    return Field(field.grid, np.roll(field.data, shifts, axis=tuple(range(field.grid.space_dim))))
+    return Field(field.grid, np.roll(field.data, shifts, axis=field.grid.spatial_axes))
 
 
 def fractional_shift(field: Field, deltas) -> Field:

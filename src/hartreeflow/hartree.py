@@ -15,10 +15,13 @@ E(u1) + E(u2) - F_p(u1, u2), and so on with one F_p cross term per pair.
 
 The kernel is periodised by real-space truncation at radius L/2 with the
 singular origin cell replaced by its cell average, and transformed
-numerically; interaction terms then cost one convolution per component
-density.  _EnergyState is the one implementation of the energy and its L^2
-gradient: total_energy, single_energy, energy_gradient and the minimiser all
-evaluate it.  Energies and gradients are pure functions of (fields, kernel).
+numerically; the interaction then costs one convolution of the total density
+sum_j |phi_j|^p (total_density).  _EnergyState is the one implementation of
+the energy and its L^2 gradient: total_energy, single_energy, energy_gradient
+and the minimiser all evaluate it.  It reads the stack layout of the grid
+module, (..., m, *grid.shape): total_energy of a MultiField gives Python
+floats, of a stack arrays over its leading axes, each member the same bits as
+alone.  Energies and gradients are pure functions of (fields, kernel).
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ from .grid import (
     SizeMismatchError,
     fftn_grid,
     ifftn_grid,
+    norms_sq,
+    per_component,
+    scalar_or_array,
+    stack_of,
 )
 
 
@@ -146,6 +153,11 @@ def abs_power(data: np.ndarray, p: float) -> np.ndarray:
     return np.abs(data) ** p
 
 
+def total_density(grid: Grid, x: np.ndarray, p: float = 2) -> np.ndarray:
+    """sum_j |x_j|^p over the component axis of a stack, kept as a length-1 axis."""
+    return abs_power(x, p).sum(axis=-1 - grid.space_dim, keepdims=True)
+
+
 def _nonlinear_factor(data: np.ndarray, p: float) -> np.ndarray:
     """|z|^(p-2) z, the derivative direction of |z|^p / p; equals z for p = 2."""
     if p == 2:
@@ -176,25 +188,31 @@ class EnergyBreakdown:
 
 
 class _EnergyState:
-    """Energy of one (m, *grid.shape) array, keeping the pieces its gradient reuses.
+    """Energy of a stack (..., m, *grid.shape), keeping the pieces its gradient reuses.
 
     One evaluation costs three batched FFT calls (fields, summed density,
     potential); the gradient reuses the field spectra and the potential for
-    one more.  kinetic holds the per-component 1/2 ||grad phi_j||^2.
+    one more.  kinetic holds the per-component 1/2 ||grad phi_j||^2, shape
+    (..., m); interaction and total hold one value per leading index.
     """
 
-    __slots__ = ("kernel", "p", "x", "xhat", "kinetic", "potential", "energy")
+    __slots__ = ("kernel", "p", "x", "xhat", "kinetic", "potential", "interaction", "total")
 
     def __init__(self, kernel: Kernel, p: float, x: np.ndarray):
         g = kernel.grid
         self.kernel, self.p, self.x = kernel, p, x
         self.xhat = fftn_grid(g, x)
         power = self.xhat.real**2 + self.xhat.imag**2
-        self.kinetic = 0.5 * g.spectral_weight * np.sum(g.k_squared * power, axis=tuple(range(1, x.ndim)))
-        rho_tot = abs_power(x, p).sum(axis=0)
-        self.potential = _convolve_array(kernel, rho_tot)
-        interaction = g.cell_volume * np.sum(rho_tot * self.potential) / (2 * p)
-        self.energy = EnergyBreakdown.make(float(self.kinetic.sum()), float(interaction))
+        self.kinetic = 0.5 * g.spectral_weight * np.sum(g.k_squared * power, axis=g.spatial_axes)
+        rho = total_density(g, x, p)
+        self.potential = _convolve_array(kernel, rho)
+        self.interaction = g.cell_volume * np.sum(rho * self.potential, axis=g.field_axes) / (2 * p)
+        self.total = self.kinetic.sum(axis=-1) - self.interaction
+
+    @property
+    def energy(self) -> EnergyBreakdown:
+        """Python floats for an unstacked array, else arrays over the leading axes."""
+        return EnergyBreakdown.make(scalar_or_array(self.kinetic.sum(axis=-1)), scalar_or_array(self.interaction))
 
     def gradient(self) -> np.ndarray:
         """grad_j = -lap(phi_j) - (sum_k W * |phi_k|^p) |phi_j|^(p-2) phi_j."""
@@ -202,15 +220,9 @@ class _EnergyState:
         return ifftn_grid(g, g.k_squared * self.xhat) - self.potential * _nonlinear_factor(self.x, self.p)
 
 
-def _state(mf: MultiField, kernel: Kernel, p: float) -> _EnergyState:
-    if mf.grid != kernel.grid:
-        raise SizeMismatchError("fields and kernel must share one grid")
-    return _EnergyState(kernel, p, mf.data)
-
-
-def total_energy(mf: MultiField, kernel: Kernel, p: float) -> EnergyBreakdown:
-    """Full m-component energy; for m = 1 it coincides with single_energy."""
-    return _state(mf, kernel, p).energy
+def total_energy(fields, kernel: Kernel, p: float) -> EnergyBreakdown:
+    """Energy of a MultiField, or of each member of a stack; for m = 1 it is single_energy."""
+    return _EnergyState(kernel, p, stack_of(kernel.grid, fields)).energy
 
 
 def single_energy(h: Field, kernel: Kernel, p: float) -> float:
@@ -224,7 +236,7 @@ def energy_gradient(mf: MultiField, kernel: Kernel, p: float) -> MultiField:
     Satisfies the directional-derivative identity
     d/de I(mf + e v) = Re<grad, v> for every direction v.
     """
-    return MultiField(mf.grid, _state(mf, kernel, p).gradient())
+    return MultiField(kernel.grid, _EnergyState(kernel, p, stack_of(kernel.grid, mf)).gradient())
 
 
 def el_residual(mf: MultiField, lambdas, kernel: Kernel, p: float) -> np.ndarray:
@@ -239,6 +251,4 @@ def el_residual(mf: MultiField, lambdas, kernel: Kernel, p: float) -> np.ndarray
     if not np.all(np.isfinite(lambdas)):
         raise ValueError("multipliers must be finite")
     grad = energy_gradient(mf, kernel, p)
-    res = grad.data + lambdas.reshape((-1,) + (1,) * mf.grid.space_dim) * mf.data
-    axes = tuple(range(1, res.ndim))
-    return np.sqrt(mf.grid.cell_volume * np.sum(res.real**2 + res.imag**2, axis=axes))
+    return np.sqrt(norms_sq(mf.grid, grad.data + per_component(mf.grid, lambdas) * mf.data))

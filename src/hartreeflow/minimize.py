@@ -29,13 +29,13 @@ One run mutates only its own state; independent runs may execute concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import grid as gridmod
 from .grid import Field, Grid, MultiField
-from .hartree import Kernel, EnergyBreakdown, _EnergyState, energy_gradient
+from .hartree import Kernel, EnergyBreakdown, _EnergyState, energy_gradient, total_density
 from .params import SystemParams
 
 DEFAULT_TOL = 1e-6
@@ -92,8 +92,12 @@ def project_masses(mf: MultiField, masses) -> MultiField:
     current = gridmod.multifield_masses(mf)
     if np.any(current <= 0):
         raise ZeroMassError(f"cannot project components with zero mass (masses={current})")
-    factors = np.sqrt(masses / current)
-    return MultiField(mf.grid, mf.data * factors.reshape((-1,) + (1,) * mf.grid.space_dim))
+    return MultiField(mf.grid, _project(mf.grid, mf.data, masses))
+
+
+def _project(grid: Grid, x: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """x_j * sqrt(M_j / mass_j): every component rescaled onto its mass sphere."""
+    return x * gridmod.per_component(grid, np.sqrt(masses / gridmod.norms_sq(grid, x)))
 
 
 def gaussian_init(
@@ -141,19 +145,18 @@ def extract_multipliers(mf: MultiField, kernel: Kernel, p: float) -> np.ndarray:
     if np.any(masses <= 0):
         raise ZeroMassError("multipliers are undefined for zero-mass components")
     grad = energy_gradient(mf, kernel, p)
-    return _tangent_projection(grad.data, mf.data, mf.grid.cell_volume, masses)[1]
+    return _tangent_projection(mf.grid, grad.data, mf.data, masses)[1]
 
 
-def _tangent_projection(v: np.ndarray, x: np.ndarray, cell: float, masses: np.ndarray):
+def _tangent_projection(grid: Grid, v: np.ndarray, x: np.ndarray, masses: np.ndarray):
     """Remove from each v_j its L^2 component along x_j.
 
     Returns (v + mu x, mu) with mu_j = -Re<v_j, x_j> / M_j.  For v the energy
     gradient, mu are the Lagrange multipliers (they minimise
     ||grad_j + mu_j x_j||) and v + mu x is the Euler-Lagrange residual.
     """
-    axes = tuple(range(1, x.ndim))
-    mu = -cell * np.sum((np.conj(v) * x).real, axis=axes) / masses
-    return v + mu.reshape((-1,) + (1,) * len(axes)) * x, mu
+    mu = -grid.cell_volume * np.sum((np.conj(v) * x).real, axis=grid.spatial_axes) / masses
+    return v + gridmod.per_component(grid, mu) * x, mu
 
 
 def phase_factorize(f: Field):
@@ -175,41 +178,19 @@ def phase_factorize(f: Field):
     return PhaseFactorization(theta=theta, positive_part=Field(f.grid, aligned.real.astype(complex)), deviation=deviation)
 
 
-class _Workspace:
-    """Mass projection and preconditioned direction on a fixed grid."""
-
-    __slots__ = ("grid", "k2", "cell", "axes", "masses")
-
-    def __init__(self, grid: Grid, masses: np.ndarray):
-        self.grid = grid
-        self.k2 = grid.k_squared
-        self.cell = grid.cell_volume
-        self.axes = tuple(range(1, 1 + grid.space_dim))
-        self.masses = masses
-
-    def mass_of(self, x: np.ndarray) -> np.ndarray:
-        return self.cell * np.sum(x.real**2 + x.imag**2, axis=self.axes)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        factors = np.sqrt(self.masses / self.mass_of(x))
-        return x * factors.reshape((-1,) + (1,) * self.grid.space_dim)
-
-    def direction(
-        self, residual: np.ndarray, x: np.ndarray, x_masses: np.ndarray, lambdas: np.ndarray
-    ) -> np.ndarray:
-        """Sobolev direction: (c_j - lap)^(-1) residual_j, projected onto the tangent space."""
-        c = np.maximum(lambdas, _SHIFT_FLOOR).reshape((-1,) + (1,) * self.grid.space_dim)
-        smoothed = gridmod.ifftn_grid(self.grid, gridmod.fftn_grid(self.grid, residual) / (c + self.k2))
-        return _tangent_projection(smoothed, x, self.cell, x_masses)[0]
+def _sobolev_direction(grid: Grid, residual: np.ndarray, x: np.ndarray, x_masses, lambdas) -> np.ndarray:
+    """(c_j - lap)^(-1) residual_j, projected onto the tangent space of the mass spheres."""
+    c = gridmod.per_component(grid, np.maximum(lambdas, _SHIFT_FLOOR))
+    smoothed = gridmod.ifftn_grid(grid, gridmod.fftn_grid(grid, residual) / (c + grid.k_squared))
+    return _tangent_projection(grid, smoothed, x, x_masses)[0]
 
 
 def _center_peak(mf: MultiField) -> MultiField:
     """Deterministic translation gauge: roll the total density peak to x = 0."""
     g = mf.grid
-    density = np.sum(mf.data.real**2 + mf.data.imag**2, axis=0)
-    peak = np.unravel_index(int(np.argmax(density)), g.shape)
+    peak = np.unravel_index(int(np.argmax(total_density(g, mf.data))), g.shape)
     shifts = tuple(g.points_per_dim // 2 - idx for idx in peak)
-    return MultiField(g, np.roll(mf.data, shifts, axis=tuple(range(1, 1 + g.space_dim))))
+    return MultiField(g, np.roll(mf.data, shifts, axis=g.spatial_axes))
 
 
 def ground_state(
@@ -240,8 +221,7 @@ def ground_state(
         raise ValueError("init does not match params (component count or grid)")
 
     p = params.power
-    ws = _Workspace(g, masses)
-    state = _EnergyState(kernel, p, ws.project(init.data.astype(np.complex128, copy=True)))
+    state = _EnergyState(kernel, p, _project(g, init.data.astype(np.complex128, copy=True), masses))
 
     stop_reason = "max_iters"
     iterations = 0
@@ -250,11 +230,11 @@ def ground_state(
     prev_x = prev_d = None
 
     for iterations in range(max_iters + 1):
-        if not np.isfinite(state.energy.total):
+        if not np.isfinite(state.total):
             raise EnergyNanError(f"non-finite energy at iteration {iterations}")
-        x_masses = ws.mass_of(state.x)
-        shifted, lambdas = _tangent_projection(state.gradient(), state.x, ws.cell, x_masses)
-        residuals = np.sqrt(ws.mass_of(shifted))
+        x_masses = gridmod.norms_sq(g, state.x)
+        shifted, lambdas = _tangent_projection(g, state.gradient(), state.x, x_masses)
+        residuals = np.sqrt(gridmod.norms_sq(g, shifted))
         h1 = np.sqrt(x_masses + 2.0 * state.kinetic)
         if np.max(residuals / h1) <= tol:
             stop_reason = "converged"
@@ -262,7 +242,7 @@ def ground_state(
         if iterations == max_iters:
             break
 
-        d = ws.direction(shifted, state.x, x_masses, lambdas)
+        d = _sobolev_direction(g, shifted, state.x, x_masses, lambdas)
         tau = _STEP_MAX
         if prev_x is not None:
             # Elementwise sums rather than np.vdot, whose BLAS call allocates
@@ -275,8 +255,8 @@ def ground_state(
 
         accepted = None
         for _ in range(_BACKTRACK_LIMIT):
-            trial = _EnergyState(kernel, p, ws.project(state.x - tau * d))
-            if np.isfinite(trial.energy.total) and trial.energy.total < state.energy.total:
+            trial = _EnergyState(kernel, p, _project(g, state.x - tau * d, masses))
+            if np.isfinite(trial.total) and trial.total < state.total:
                 accepted = trial
                 break
             tau *= 0.5
@@ -312,8 +292,6 @@ def single_component_ground(
     complex_ramp_cycles: int = 0,
 ) -> GroundState:
     """Single-component minimiser at the given mass (remaining params reused)."""
-    from dataclasses import replace
-
     single = replace(params, component_count=1, masses=(float(mass_value),))
     return ground_state(
         single,
@@ -333,25 +311,13 @@ def save_ground_state(prefix, gs: GroundState, params: SystemParams) -> tuple[st
     sidecar = {
         "masses": [float(v) for v in gridmod.multifield_masses(gs.fields)],
         "lambda": [float(v) for v in gs.multipliers],
-        "energy": {
-            "kinetic": gs.energy.kinetic,
-            "interaction": gs.energy.interaction,
-            "total": gs.energy.total,
-        },
+        "energy": asdict(gs.energy),
         "residuals": [float(v) for v in gs.residuals],
         "iterations": gs.iterations,
         "converged": gs.converged,
         "stop_reason": gs.stop_reason,
         "seed": gs.seed,
-        "params": {
-            "space_dim": params.space_dim,
-            "component_count": params.component_count,
-            "power": params.power,
-            "kernel_exponent": params.kernel_exponent,
-            "masses": list(params.masses),
-            "box_length": params.box_length,
-            "points_per_dim": params.points_per_dim,
-        },
+        "params": asdict(params),
     }
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

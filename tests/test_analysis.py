@@ -255,6 +255,7 @@ class TestStabilityExperiment:
         steps = []
         step_array = Propagator.step_array
         monkeypatch.setattr(Propagator, "step_array", lambda prop, x: steps.append(1) or step_array(prop, x))
-        with pytest.raises(ValueError):
-            hf.stability_experiment(gs_m2, [0.0, -1e-3], 0.1, 1e-2, desk_kernel, desk_params.power)
+        for bad in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                hf.stability_experiment(gs_m2, [0.0, bad], 0.1, 1e-2, desk_kernel, desk_params.power)
         assert steps == []

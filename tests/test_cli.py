@@ -185,3 +185,31 @@ class TestRun:
         assert main(["evolve", "--config", path]) == 2
         assert "T/dt" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value,masses",
+        [
+            ("params", "masses", [None, 1.0], None),
+            ("params", "masses", ["abc", 1.0], None),
+            ("params", "masses", [[1.0], 1.0], None),
+            ("params", "masses", ["1.0", 1.0], None),
+            ("params", "masses", [True, 1.0], None),
+            (None, "seed", True, None),
+            ("params", "component_count", True, [1.0]),
+            ("params", "space_dim", True, None),
+            ("solver", "seeds", True, None),
+            ("solver", "max_iters", True, None),
+        ],
+        ids=["mass-null", "mass-string", "mass-list", "mass-numeric-string", "mass-true",
+             "seed-true", "component-count-true", "space-dim-true", "seeds-true", "max-iters-true"],
+    )
+    def test_non_numeric_or_boolean_value_exit_two(self, tmp_path, capsys, section, key, value, masses):
+        # JSON true/false is not a number, and neither is a string that spells one
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        (cfg if section is None else cfg[section])[key] = value
+        if masses is not None:
+            cfg["params"]["masses"] = masses
+        path = write_config(tmp_path, cfg)
+        assert main(["minimize", "--config", path]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,65 @@ class TestStackedEvolve:
         mf = trig_field(grid, seed=1, m=2)
         with pytest.raises(ValueError, match="T/dt"):
             hf.evolve(mf, 1e300, 1e-10, kernel, 2.0)
+
+
+class TestStackedQuantities:
+    @pytest.mark.parametrize(
+        "space_dim,m,n,p",
+        [(1, 1, 64, 2.0), (1, 2, 64, 2.0), (1, 2, 64, 2.5), (1, 3, 64, 2.0), (2, 2, 32, 2.0)],
+        ids=["N1-m1", "N1-m2-p2", "N1-m2-p2.5", "N1-m3", "N2-m2"],
+    )
+    def test_stack_equals_members(self, space_dim, m, n, p):
+        gs, kernel = small_ground_state(space_dim, m, n, p)
+        starts = perturbed_starts(gs, [0.0, 1e-3, 1e-2, 5e-2], [1.0] * m)
+        stack = np.stack([s.data for s in starts])
+        energy = hf.total_energy(stack, kernel, p)
+        distance = hf.orbit_distance(stack, gs)
+        masses = hf.grid.norms_sq(gs.fields.grid, stack)
+        assert energy.total.shape == distance.shape == (4,)
+        for b, start in enumerate(starts):
+            alone = hf.total_energy(start, kernel, p)
+            assert (energy.kinetic[b], energy.interaction[b], energy.total[b]) == (
+                alone.kinetic, alone.interaction, alone.total
+            )
+            assert distance[b] == hf.orbit_distance(start, gs)
+            assert np.array_equal(masses[b], hf.multifield_masses(start))
+        # any number of leading axes
+        square = stack.reshape((2, 2) + stack.shape[1:])
+        assert np.array_equal(hf.total_energy(square, kernel, p).total, energy.total.reshape(2, 2))
+        assert np.array_equal(hf.orbit_distance(square, gs), distance.reshape(2, 2))
+
+    def test_unstacked_results_are_python_floats(self, gs_m2, desk_kernel):
+        energy = hf.total_energy(gs_m2.fields, desk_kernel, 2.0)
+        assert all(type(v) is float for v in (energy.kinetic, energy.interaction, energy.total))
+        assert type(hf.orbit_distance(gs_m2.fields, gs_m2)) is float
+        assert hf.total_energy(gs_m2.fields.data, desk_kernel, 2.0) == energy
+
+    def test_trailing_shape_checked_against_grid(self, gs_m2, desk_kernel):
+        n = gs_m2.fields.grid.points_per_dim
+        for bad in (np.zeros((3, 2, n // 2), complex), np.zeros((n,), complex)):
+            with pytest.raises(hf.SizeMismatchError):
+                hf.total_energy(bad, desk_kernel, 2.0)
+            with pytest.raises(hf.SizeMismatchError):
+                hf.orbit_distance(bad, gs_m2)
+        with pytest.raises(hf.SizeMismatchError):
+            hf.orbit_distance(np.zeros((3, 3, n), complex), gs_m2)
+
+    def test_recording_makes_one_call_per_sample(self, monkeypatch, desk_kernel, gs_m2):
+        evolve_module = importlib.import_module("hartreeflow.evolve")
+        calls = {"total_energy": 0, "orbit_distance": 0}
+        for name in calls:
+            original = getattr(evolve_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(evolve_module, name, counted)
+        starts = perturbed_starts(gs_m2, [0.0, 1e-3, 1e-2], [1.0, 1.0])
+        trace = hf.evolve(starts, 0.1, 1e-2, desk_kernel, 2.0, ground_state=gs_m2, record_every=2)
+        assert len(trace.times) == 6
+        assert calls == {"total_energy": 6, "orbit_distance": 6}
 
 
 class TestOrbitDistance:
