@@ -43,7 +43,7 @@ from .minimize import (
     ground_state,
     project_masses,
 )
-from .evolve import evolve, orbit_distance
+from .evolve import evolve
 from .params import SystemParams
 
 

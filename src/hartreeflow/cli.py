@@ -1,9 +1,16 @@
 """Run configuration, persistence, and command-line entry points.
 
-A run is fully described by a JSON config (schema below, unknown keys
-rejected) plus a seed; outputs are deterministic given (config, seed) and are
-written under the output directory together with a manifest listing inputs,
-versions, and content hashes.
+A run is fully described by a JSON config plus a seed; outputs are
+deterministic given (config, seed) and are written under the output directory
+together with a manifest listing inputs, versions, and content hashes.
+
+The config schema is the fields of four dataclasses: RunConfig at the top,
+SystemParams under "params", SolverConfig under "solver" and EvolutionConfig
+under "evolution".  Their field names are the allowed keys (unknown keys are
+rejected), their types the accepted values (an int field takes a JSON
+integer, a float field any JSON number, neither takes true/false), and a
+field without a default is required: "params" and each of its keys.  An
+example, with every optional key at its default:
 
     {
       "params": {"space_dim": 1, "component_count": 2, "power": 2.0,
@@ -25,11 +32,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -40,7 +49,6 @@ from .analysis import (
     cross_term_check,
     default_cases_m3,
     default_mass_pairs_m2,
-    scaling_negativity_test,
     stability_experiment,
     strict_scaling_check,
     subadditivity_scan,
@@ -49,8 +57,6 @@ from .evolve import evolve, step_count, write_trace_csv
 from .hartree import build_kernel
 from .minimize import ground_state, phase_factorize, save_ground_state
 from .params import InvalidParameterError, SystemParams, validate_assumptions
-
-EXPERIMENTS = ("minimize", "evolve", "scan-subadditivity", "stability", "validate", "lemma-checks")
 
 
 class ConfigError(ValueError):
@@ -80,105 +86,58 @@ class RunConfig:
     seed: int = 0
 
 
-def _require_keys(section: dict, allowed: dict, where: str) -> None:
-    """Reject unknown keys and values of the wrong type; JSON true/false is never a number."""
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    for key, kind in allowed.items():
-        value = section.get(key)
-        if key in section and (isinstance(value, bool) or not isinstance(value, kind)):
-            raise ConfigError(f"{where}.{key} has wrong type: expected {kind}, got {type(value).__name__}")
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _from_json(kind, value, where: str):
+    """Check one JSON value against a field type and convert it; a dataclass recurses over its fields."""
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} has wrong type: expected object, got {type(value).__name__}")
+        known = fields(kind)
+        unknown = set(value) - {f.name for f in known}
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+        required = [f.name for f in known if f.default is MISSING and f.default_factory is MISSING]
+        missing = [name for name in required if name not in value]
+        if missing:
+            raise ConfigError(f"{where} missing key(s): {', '.join(missing)}")
+        hints = _type_hints(kind)
+        try:
+            return kind(**{key: _from_json(hints[key], v, f"{where}.{key}") for key, v in value.items()})
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{where} invalid: {exc}") from exc
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} has wrong type: expected list, got {type(value).__name__}")
+        return tuple(_from_json(typing.get_args(kind)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{where} has wrong type: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for a float") from None
+    return value
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a parsed JSON object against the schema, filling defaults."""
-    if not isinstance(raw, dict):
-        raise ConfigError("top-level config must be an object")
-    _require_keys(
-        raw,
-        {
-            "params": dict,
-            "solver": dict,
-            "evolution": dict,
-            "experiment": str,
-            "output_dir": str,
-            "seed": int,
-        },
-        "config",
-    )
-    if "params" not in raw:
-        raise ConfigError("config.params is required")
-    praw = raw["params"]
-    _require_keys(
-        praw,
-        {
-            "space_dim": int,
-            "component_count": int,
-            "power": (int, float),
-            "kernel_exponent": (int, float),
-            "masses": list,
-            "box_length": (int, float),
-            "points_per_dim": int,
-        },
-        "config.params",
-    )
-    for value in praw.get("masses", ()):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config.params.masses entries must be numbers, got {value!r}")
-    missing = {"space_dim", "component_count", "power", "kernel_exponent", "masses", "box_length", "points_per_dim"} - set(praw)
-    if missing:
-        raise ConfigError(f"config.params missing key(s): {', '.join(sorted(missing))}")
-    try:
-        params = SystemParams(
-            space_dim=praw["space_dim"],
-            component_count=praw["component_count"],
-            power=float(praw["power"]),
-            kernel_exponent=float(praw["kernel_exponent"]),
-            masses=tuple(float(v) for v in praw["masses"]),
-            box_length=float(praw["box_length"]),
-            points_per_dim=praw["points_per_dim"],
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"config.params invalid: {exc}") from exc
-
-    report = validate_assumptions(params)
+    """Build a RunConfig from a parsed JSON object, then apply the checks that span fields."""
+    config = _from_json(RunConfig, raw, "config")
+    report = validate_assumptions(config.params)
     if not report.passed:
         names = ", ".join(c.name for c in report.failing())
         raise ConfigError(f"parameter assumptions violated: {names}")
-
-    sraw = raw.get("solver", {})
-    _require_keys(sraw, {"tol": (int, float), "max_iters": int, "seeds": int}, "config.solver")
-    solver = SolverConfig(
-        tol=float(sraw.get("tol", SolverConfig.tol)),
-        max_iters=sraw.get("max_iters", SolverConfig.max_iters),
-        seeds=sraw.get("seeds", SolverConfig.seeds),
-    )
+    solver = config.solver
     if not (np.isfinite(solver.tol) and solver.tol > 0) or solver.max_iters <= 0 or solver.seeds <= 0:
         raise ConfigError("config.solver values must be finite and positive")
-
-    eraw = raw.get("evolution", {})
-    _require_keys(eraw, {"T": (int, float), "dt": (int, float)}, "config.evolution")
-    evolution = EvolutionConfig(
-        T=float(eraw.get("T", EvolutionConfig.T)), dt=float(eraw.get("dt", EvolutionConfig.dt))
-    )
     try:
-        step_count(evolution.T, evolution.dt)
+        step_count(config.evolution.T, config.evolution.dt)
     except ValueError as exc:
         raise ConfigError(f"config.evolution: {exc}") from None
-
-    experiment = raw.get("experiment", "validate")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}")
-
-    return RunConfig(
-        params=params,
-        solver=solver,
-        evolution=evolution,
-        experiment=experiment,
-        output_dir=raw.get("output_dir", "out"),
-        seed=raw.get("seed", 0),
-    )
+    if config.experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {config.experiment!r}; expected one of {', '.join(EXPERIMENTS)}")
+    return config
 
 
 def load_config(path) -> RunConfig:
@@ -190,6 +149,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(raw)
 
 
@@ -227,6 +188,10 @@ def _write_manifest(out_dir, config: RunConfig, inputs: dict, outputs: list) -> 
 # -- experiments ----------------------------------------------------------------
 
 
+def _kernel(config: RunConfig):
+    return build_kernel(gridmod.grid_for(config.params), config.params.kernel_exponent)
+
+
 def _solve_reference(config: RunConfig, kernel):
     return ground_state(
         config.params,
@@ -255,8 +220,8 @@ def _run_validate(config: RunConfig, out_dir: str, outputs: list) -> int:
     return 0
 
 
-def _run_minimize(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
-    gs = _solve_reference(config, kernel)
+def _run_minimize(config: RunConfig, out_dir: str, outputs: list) -> int:
+    gs = _solve_reference(config, _kernel(config))
     snap, meta = save_ground_state(os.path.join(out_dir, "ground_state"), gs, config.params)
     outputs.extend([snap, meta])
     status = "converged" if gs.converged else "NOT converged"
@@ -267,7 +232,8 @@ def _run_minimize(config: RunConfig, kernel, out_dir: str, outputs: list) -> int
     return 0
 
 
-def _run_evolve(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
+def _run_evolve(config: RunConfig, out_dir: str, outputs: list) -> int:
+    kernel = _kernel(config)
     gs = _solve_reference(config, kernel)
     trace = evolve(
         gs.fields,
@@ -296,7 +262,8 @@ def _scan_pairs_for(config: RunConfig):
     return [((0.5,), (0.5,)), ((1.0,), (1.0,)), ((0.5,), (1.0,))]
 
 
-def _run_scan(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
+def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
+    kernel = _kernel(config)
     pairs = _scan_pairs_for(config)
     result = subadditivity_scan(
         pairs,
@@ -344,7 +311,8 @@ def _run_scan(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
     return 0
 
 
-def _run_stability(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
+def _run_stability(config: RunConfig, out_dir: str, outputs: list) -> int:
+    kernel = _kernel(config)
     gs = _solve_reference(config, kernel)
     report = stability_experiment(
         gs,
@@ -367,8 +335,9 @@ def _run_stability(config: RunConfig, kernel, out_dir: str, outputs: list) -> in
     return 0
 
 
-def _run_lemma_checks(config: RunConfig, kernel, out_dir: str, outputs: list) -> int:
+def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
     """Battery of the analytically guaranteed facts at the configured scale."""
+    kernel = _kernel(config)
     params = config.params
     p = params.power
     checks = []
@@ -445,6 +414,18 @@ def _run_lemma_checks(config: RunConfig, kernel, out_dir: str, outputs: list) ->
     return 0 if passed else 1
 
 
+# Each experiment's runner; the subcommand is the experiment's name unless renamed below.
+EXPERIMENTS = {
+    "validate": _run_validate,
+    "minimize": _run_minimize,
+    "evolve": _run_evolve,
+    "scan-subadditivity": _run_scan,
+    "stability": _run_stability,
+    "lemma-checks": _run_lemma_checks,
+}
+_SUBCOMMAND_NAMES = {"scan-subadditivity": "scan", "lemma-checks": "check-lemmas"}
+
+
 def run(config: RunConfig, config_path: str | None = None) -> int:
     """Execute one experiment; writes artifacts plus a manifest, returns exit status."""
     out_dir = config.output_dir
@@ -453,50 +434,23 @@ def run(config: RunConfig, config_path: str | None = None) -> int:
     inputs = {"config_path": config_path or "<inline>"}
     if config_path and os.path.exists(config_path):
         inputs["config_sha256"] = _sha256(config_path)
-
-    if config.experiment == "validate":
-        status = _run_validate(config, out_dir, outputs)
-    else:
-        kernel = build_kernel(gridmod.grid_for(config.params), config.params.kernel_exponent)
-        if config.experiment == "minimize":
-            status = _run_minimize(config, kernel, out_dir, outputs)
-        elif config.experiment == "evolve":
-            status = _run_evolve(config, kernel, out_dir, outputs)
-        elif config.experiment == "scan-subadditivity":
-            status = _run_scan(config, kernel, out_dir, outputs)
-        elif config.experiment == "stability":
-            status = _run_stability(config, kernel, out_dir, outputs)
-        elif config.experiment == "lemma-checks":
-            status = _run_lemma_checks(config, kernel, out_dir, outputs)
-        else:  # pragma: no cover - parse_config guards this
-            raise ConfigError(f"unknown experiment {config.experiment!r}")
-
+    status = EXPERIMENTS[config.experiment](config, out_dir, outputs)
     _write_manifest(out_dir, config, inputs, outputs)
     return status
-
-
-_SUBCOMMAND_EXPERIMENTS = {
-    "validate": "validate",
-    "minimize": "minimize",
-    "evolve": "evolve",
-    "scan": "scan-subadditivity",
-    "stability": "stability",
-    "check-lemmas": "lemma-checks",
-}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hartreeflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_EXPERIMENTS:
-        cmd = sub.add_parser(name)
+    for experiment in EXPERIMENTS:
+        cmd = sub.add_parser(_SUBCOMMAND_NAMES.get(experiment, experiment))
+        cmd.set_defaults(experiment=experiment)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = replace(config, experiment=_SUBCOMMAND_EXPERIMENTS[args.command])
+        config = replace(load_config(args.config), experiment=args.experiment)
         if args.out is not None:
             config = replace(config, output_dir=args.out)
         if args.seed is not None:

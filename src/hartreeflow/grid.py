@@ -317,11 +317,6 @@ def dilate(field: Field, theta: float) -> Field:
     return Field(g, theta ** (g.space_dim / 2.0) * out)
 
 
-def roll(field: Field, shifts) -> Field:
-    """Integer circular shift; rolled(x) = f(x - shift*h) per axis."""
-    return Field(field.grid, np.roll(field.data, shifts, axis=field.grid.spatial_axes))
-
-
 def fractional_shift(field: Field, deltas) -> Field:
     """Shift by arbitrary offsets via spectral phases; result(x) = f(x - delta)."""
     g = field.grid

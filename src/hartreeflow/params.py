@@ -130,12 +130,6 @@ class DerivedExponents:
     growth_exponent: float
     interp_index: float
 
-    @property
-    def two_mu_p_margin(self) -> float:
-        """Positive iff 2*mu*p < 2, which makes the energy bounded below."""
-        p = self.interp_index * (2 * self.weak_lr_index - 1) / (2 * self.weak_lr_index)
-        return 2.0 - 2.0 * self.gn_exponent * p
-
 
 def validate_assumptions(params: SystemParams) -> ValidationReport:
     """Evaluate every admissibility inequality with its numeric margin.

@@ -1,10 +1,15 @@
 import json
 import os
+from dataclasses import asdict, fields
 
 import pytest
 
 import hartreeflow as hf
-from hartreeflow.cli import ConfigError, main, parse_config
+from hartreeflow import cli
+from hartreeflow.cli import ConfigError, EvolutionConfig, RunConfig, SolverConfig, main, parse_config
+
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.json")
+PARAM_KEYS = ("space_dim", "component_count", "power", "kernel_exponent", "masses", "box_length", "points_per_dim")
 
 
 def base_config(**overrides):
@@ -78,6 +83,35 @@ class TestLoadConfig:
         cfg["params"]["points_per_dim"] = "many"
         with pytest.raises(ConfigError, match="wrong type"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("key", PARAM_KEYS)
+    def test_missing_params_key_named(self, key):
+        cfg = base_config()
+        del cfg["params"][key]
+        with pytest.raises(ConfigError, match=f"missing key.*{key}"):
+            parse_config(cfg)
+
+    def test_missing_params_named(self):
+        with pytest.raises(ConfigError, match="missing key.*params"):
+            parse_config({"seed": 1})
+
+    def test_reference_round_trips_through_asdict(self):
+        config = hf.load_config(REFERENCE)
+        raw = json.loads(json.dumps(asdict(config)))
+        assert parse_config(raw) == config
+        assert type(parse_config(raw).params.masses) is tuple
+
+    def test_docstring_example_shows_the_defaults(self):
+        doc = cli.__doc__
+        config = parse_config(json.loads(doc[doc.index("{") : doc.rindex("}") + 1]))
+        assert config.solver == SolverConfig()
+        assert config.evolution == EvolutionConfig()
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        assert (config.experiment, config.output_dir, config.seed) == (
+            defaults["experiment"],
+            defaults["output_dir"],
+            defaults["seed"],
+        )
 
 
 class TestRun:
@@ -213,3 +247,43 @@ class TestRun:
         assert main(["minimize", "--config", path]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [("params", "power"), ("params", "kernel_exponent"), ("params", "box_length"), ("params", "masses"),
+         ("solver", "tol"), ("evolution", "T"), ("evolution", "dt")],
+    )
+    def test_integer_too_large_for_float_exit_two(self, tmp_path, capsys, section, key):
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg[section][key] = [10**400, 1.0] if key == "masses" else 10**400
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "utf-16"])
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,experiment",
+        [("validate", "validate"), ("minimize", "minimize"), ("evolve", "evolve"),
+         ("scan", "scan-subadditivity"), ("stability", "stability"), ("check-lemmas", "lemma-checks")],
+    )
+    def test_subcommand_runs_its_experiment(self, tmp_path, capsys, command, experiment):
+        cfg = base_config()
+        cfg["params"]["points_per_dim"] = 16
+        cfg["solver"] = {"tol": 1e-4, "max_iters": 200, "seeds": 1}
+        cfg["evolution"] = {"T": 0.01, "dt": 1e-3}
+        out = tmp_path / "out"
+        status = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert status in ((0, 1) if command == "check-lemmas" else (0,))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["experiment"] == experiment
+        capsys.readouterr()

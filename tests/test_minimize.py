@@ -234,7 +234,8 @@ class TestPersistence:
         assert np.array_equal(back.data, gs_m2.fields.data)
         import json
 
-        sidecar = json.loads(open(meta).read())
+        with open(meta) as fh:
+            sidecar = json.load(fh)
         assert sidecar["masses"] == pytest.approx([1.0, 1.0])
         assert sidecar["lambda"] == pytest.approx(list(gs_m2.multipliers))
         assert sidecar["converged"] is True
