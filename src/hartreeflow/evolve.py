@@ -136,25 +136,37 @@ class Propagator:
         self._last = (None, None)
 
     def _half_kick_phase(self, x: np.ndarray) -> np.ndarray:
-        """exp(-i dt/2 V), the pointwise rotation of a half potential step."""
+        """exp(-i dt/2 V), the pointwise rotation of a half potential step.
+
+        The finiteness check sits on the potential: a NaN or inf anywhere in
+        a member spreads through that member's density transform.
+        """
         potential = _convolve_array(self.kernel, total_density(self.grid, x, self.p))
+        if not np.all(np.isfinite(potential)):
+            raise NanAbortError("non-finite field during propagation")
         u = potential if self.p == 2 else potential * np.abs(x) ** (self.p - 2)
-        return np.exp(-0.5j * self.dt * u)
+        u = np.multiply(-0.5j * self.dt, u)
+        return np.exp(u, out=u)
 
     def step_array(self, x: np.ndarray) -> np.ndarray:
-        """One step of x, shape (..., m, *grid.shape); leading axes stack independent fields."""
+        """One step of x, shape (..., m, *grid.shape); leading axes stack independent fields.
+
+        The step allocates one array, the output, and runs the kinetic
+        sub-step and the closing half-kick in place on it; x is never written.
+        """
         last, phase = self._last
         if x is not last:
             phase = self._half_kick_phase(x)
         g = self.grid
-        x = gridmod.ifftn_grid(g, self.kinetic_phase * gridmod.fftn_grid(g, x * phase))
-        phase = self._half_kick_phase(x)
-        x *= phase
-        if not np.all(np.isfinite(x)):
-            raise NanAbortError("non-finite field during propagation")
-        x.setflags(write=False)
-        self._last = (x, phase)
-        return x
+        y = x * phase
+        gridmod.fftn_grid(g, y, out=y)
+        np.multiply(self.kinetic_phase, y, out=y)
+        gridmod.ifftn_grid(g, y, out=y)
+        phase = self._half_kick_phase(y)
+        y *= phase
+        y.setflags(write=False)
+        self._last = (y, phase)
+        return y
 
 
 def orbit_distance(fields, gs: GroundState):

@@ -219,13 +219,13 @@ def _spatial(grid: Grid, arr: np.ndarray) -> dict:
     return {"s": arr.shape[-nd:], "axes": tuple(range(arr.ndim - nd, arr.ndim))}
 
 
-def fftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    """Raw FFT over the trailing spatial axes (batched over leading axes)."""
-    return np.fft.fftn(arr, **_spatial(grid, arr))
+def fftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Raw FFT over the trailing spatial axes (batched over leading axes); out may be arr."""
+    return np.fft.fftn(arr, **_spatial(grid, arr), out=out)
 
 
-def ifftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(arr, **_spatial(grid, arr))
+def ifftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.fft.ifftn(arr, **_spatial(grid, arr), out=out)
 
 
 def transform(field: Field) -> np.ndarray:
