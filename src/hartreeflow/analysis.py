@@ -82,11 +82,11 @@ def concentration_profile(mf: MultiField, radii) -> ConcentrationProfile:
     g = mf.grid
     if np.any(radii > 0.5 * g.box_length):
         raise ValueError("radii must not exceed L/2")
-    rho_hat = gridmod.fftn_grid(g, total_density(g, mf.data))
+    rho_hat = gridmod.rfftn_grid(g, total_density(g, mf.data))
     values = np.empty_like(radii)
     for i, r in enumerate(radii):
         ball = (g.radius <= r).astype(float)
-        conv = gridmod.ifftn_grid(g, gridmod.fftn_grid(g, ball) * rho_hat).real
+        conv = gridmod.irfftn_grid(g, gridmod.rfftn_grid(g, ball) * rho_hat)
         values[i] = g.cell_volume * conv.max()
     return ConcentrationProfile(radii=radii, q_values=values)
 

@@ -21,9 +21,15 @@ Since the potential sub-flow preserves every |psi_j|, the closing half-kick of
 one step and the opening half-kick of the next rotate by the same phase.
 Propagator.step_array keeps the closing phase beside the array it returns and
 reuses it when the next call receives that very array (any other input is a
-cold start), so a step costs one density->potential convolution, not two.
-The identity test is sound because step outputs, and the snapshots evolve
-hands to observers, are read-only; copy one to modify it.
+cold start), so a step costs one density->potential convolution, not two:
+two real transforms of the density, and the complex transform pair of the
+kinetic sub-step.  The identity test is sound because step outputs, and the
+snapshots evolve hands to observers, are read-only; copy one to modify it.
+A step allocates one array, its output x * phase, and runs the kinetic
+sub-step and the closing half-kick in place on it, so the caller's array is
+never written.  A non-finite field aborts (NanAbortError) at the total
+density of a half-kick, before any transform: the density has 1/m of the
+field's points.
 
 step_array also steps a stack of fields, shape (..., m, *grid.shape): the
 total density sums the component axis, so every member sees only its own
@@ -138,12 +144,13 @@ class Propagator:
     def _half_kick_phase(self, x: np.ndarray) -> np.ndarray:
         """exp(-i dt/2 V), the pointwise rotation of a half potential step.
 
-        The finiteness check sits on the potential: a NaN or inf anywhere in
-        a member spreads through that member's density transform.
+        NaN or inf anywhere in x makes the total density, which has 1/m of
+        its points, non-finite there; it is checked before any transform.
         """
-        potential = _convolve_array(self.kernel, total_density(self.grid, x, self.p))
-        if not np.all(np.isfinite(potential)):
+        rho = total_density(self.grid, x, self.p)
+        if not np.all(np.isfinite(rho)):
             raise NanAbortError("non-finite field during propagation")
+        potential = _convolve_array(self.kernel, rho)
         u = potential if self.p == 2 else potential * np.abs(x) ** (self.p - 2)
         u = np.multiply(-0.5j * self.dt, u)
         return np.exp(u, out=u)
@@ -151,8 +158,7 @@ class Propagator:
     def step_array(self, x: np.ndarray) -> np.ndarray:
         """One step of x, shape (..., m, *grid.shape); leading axes stack independent fields.
 
-        The step allocates one array, the output, and runs the kinetic
-        sub-step and the closing half-kick in place on it; x is never written.
+        Returns a new read-only array; x is never written.
         """
         last, phase = self._last
         if x is not last:
@@ -183,8 +189,8 @@ def orbit_distance(fields, gs: GroundState):
     x = gridmod.stack_of(g, fields)
     if x.shape[-1 - g.space_dim] != phi.m:
         raise gridmod.SizeMismatchError(f"stack shape {x.shape} does not hold {phi.m} components")
-    corr_hat = gridmod.fftn_grid(g, total_density(g, x)) * np.conj(gridmod.fftn_grid(g, total_density(g, phi.data)))
-    corr = gridmod.ifftn_grid(g, corr_hat).real
+    corr_hat = gridmod.rfftn_grid(g, total_density(g, x)) * np.conj(gridmod.rfftn_grid(g, total_density(g, phi.data)))
+    corr = gridmod.irfftn_grid(g, corr_hat)
     peak = np.argmax(corr.reshape(corr.shape[: -1 - g.space_dim] + (-1,)), axis=-1)
     # phi rolled by each member's peak shift: index i of axis a reads (i - shift_a) mod n
     n = g.points_per_dim

@@ -12,9 +12,12 @@ convolution.  Under this convention Parseval reads
 
     cell_volume * sum |f|^2  =  (1/L^N) * sum_k |transform(f)[k]|^2.
 
+A real array (a density) goes through rfftn_grid / irfftn_grid, whose half
+spectrum holds the first n // 2 + 1 bins of the last spatial axis.
+
 Fields are immutable values for all public operations; transforms allocate
-their own scratch per call, so concurrent use only requires one call per
-worker at a time.
+their own scratch per call unless handed out=, so concurrent use only
+requires one call per worker at a time.
 """
 
 from __future__ import annotations
@@ -226,6 +229,20 @@ def fftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.
 
 def ifftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.ifftn(arr, **_spatial(grid, arr), out=out)
+
+
+def rfftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
+    """FFT of a real array over the trailing spatial axes.
+
+    The half spectrum lies along the last axis: n // 2 + 1 bins, the same
+    bins as the first n // 2 + 1 of fftn_grid.
+    """
+    return np.fft.rfftn(arr, **_spatial(grid, arr))
+
+
+def irfftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
+    """Real inverse of a half spectrum from rfftn_grid, of grid shape on the trailing axes."""
+    return np.fft.irfftn(arr, s=grid.shape, axes=_spatial(grid, arr)["axes"])
 
 
 def transform(field: Field) -> np.ndarray:

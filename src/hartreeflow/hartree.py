@@ -16,17 +16,22 @@ E(u1) + E(u2) - F_p(u1, u2), and so on with one F_p cross term per pair.
 The kernel is periodised by real-space truncation at radius L/2 with the
 singular origin cell replaced by its cell average, and transformed
 numerically; the interaction then costs one convolution of the total density
-sum_j |phi_j|^p (total_density).  _EnergyState is the one implementation of
-the energy and its L^2 gradient: total_energy, single_energy, energy_gradient
-and the minimiser all evaluate it.  It reads the stack layout of the grid
-module, (..., m, *grid.shape): total_energy of a MultiField gives Python
-floats, of a stack arrays over its leading axes, each member the same bits as
-alone.  Energies and gradients are pure functions of (fields, kernel).
+sum_j |phi_j|^p (total_density).  _convolve_array is the one
+density->potential convolution; the energy, the propagator, pair_interaction
+and convolve_density all call it.  The density is real, so it takes real
+transforms and multiplies the half spectrum by Kernel.half_multiplier, the
+symbol on the first n // 2 + 1 bins of the last axis, built once per kernel.
+_EnergyState is the one implementation of the energy and its L^2 gradient:
+total_energy, single_energy, energy_gradient and the minimiser all evaluate
+it.  It reads the stack layout of the grid module, (..., m, *grid.shape):
+total_energy of a MultiField gives Python floats, of a stack arrays over its
+leading axes, each member the same bits as alone.  Energies and gradients are
+pure functions of (fields, kernel).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +42,10 @@ from .grid import (
     SizeMismatchError,
     fftn_grid,
     ifftn_grid,
+    irfftn_grid,
     norms_sq,
     per_component,
+    rfftn_grid,
     scalar_or_array,
     stack_of,
 )
@@ -50,11 +57,20 @@ class SingularKernelError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Interaction potential as real-space samples plus its spectral symbol."""
+    """Interaction potential as real-space samples plus its spectral symbol.
+
+    half_multiplier is the symbol on the half spectrum of rfftn_grid,
+    multiplier[..., : n // 2 + 1], kept contiguous.
+    """
 
     grid: Grid
     real_samples: np.ndarray
     multiplier: np.ndarray
+    half_multiplier: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        half = np.ascontiguousarray(self.multiplier[..., : self.grid.points_per_dim // 2 + 1])
+        object.__setattr__(self, "half_multiplier", half)
 
     @classmethod
     def from_samples(cls, grid: Grid, samples: np.ndarray) -> "Kernel":
@@ -135,8 +151,13 @@ def build_kernel(grid: Grid, alpha: float) -> Kernel:
 
 
 def _convolve_array(kernel: Kernel, rho: np.ndarray) -> np.ndarray:
-    """W * rho for a real density array; quadrature weight is folded into the symbol."""
-    return ifftn_grid(kernel.grid, kernel.multiplier * fftn_grid(kernel.grid, rho)).real
+    """W * rho for a real density array; quadrature weight is folded into the symbol.
+
+    Real transforms: the half spectrum of rho times the kernel's half symbol.
+    """
+    spectrum = rfftn_grid(kernel.grid, rho)
+    np.multiply(kernel.half_multiplier, spectrum, out=spectrum)
+    return irfftn_grid(kernel.grid, spectrum)
 
 
 def convolve_density(kernel: Kernel, density: Field) -> Field:
@@ -190,10 +211,11 @@ class EnergyBreakdown:
 class _EnergyState:
     """Energy of a stack (..., m, *grid.shape), keeping the pieces its gradient reuses.
 
-    One evaluation costs three batched FFT calls (fields, summed density,
-    potential); the gradient reuses the field spectra and the potential for
-    one more.  kinetic holds the per-component 1/2 ||grad phi_j||^2, shape
-    (..., m); interaction and total hold one value per leading index.
+    One evaluation costs three batched transforms (the fields' FFT and the
+    real pair of the density convolution); the gradient reuses the field
+    spectra and the potential for one more.  kinetic holds the per-component
+    1/2 ||grad phi_j||^2, shape (..., m); interaction and total hold one
+    value per leading index.
     """
 
     __slots__ = ("kernel", "p", "x", "xhat", "kinetic", "potential", "interaction", "total")

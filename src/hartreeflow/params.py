@@ -41,6 +41,11 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(v) for v in self.masses))
+        for name in ("space_dim", "points_per_dim"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise InvalidParameterError(f"{name} is too large for a float") from None
         if self.space_dim < 1 or int(self.space_dim) != self.space_dim:
             raise InvalidParameterError(f"space_dim must be a positive integer, got {self.space_dim}")
         if self.component_count not in (1, 2, 3):

@@ -261,6 +261,15 @@ class TestRun:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["space_dim", "points_per_dim"])
+    def test_int_field_too_large_for_float_exit_two(self, tmp_path, capsys, key):
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["params"][key] = 10**400
+        path = write_config(tmp_path, cfg)
+        assert main(["minimize", "--config", path]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["directory", "utf-16"])
     def test_unreadable_config_exit_two(self, tmp_path, capsys, kind):
         path = tmp_path / "run.json"

@@ -119,7 +119,8 @@ class TestFusedStep:
             hf.evolve(mf, 5e-3, 1e-3, kernel, 2.0, observers={"vandal": vandal})
 
     def test_transform_count_per_step(self, monkeypatch, desk_kernel, perturbed_m2):
-        # the benchmark's evolve.fft_per_step counts the same two functions
+        # every transform counts, complex or real; the benchmark's
+        # evolve.fft_per_step counts only fftn and ifftn
         calls = []
 
         def counted(fn):
@@ -129,17 +130,46 @@ class TestFusedStep:
 
             return wrapper
 
-        for name in ("fftn", "ifftn"):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
         prop = Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3)
         out = prop.step_array(perturbed_m2.data)
         assert len(calls) == 6
         prop.step_array(out)
         assert len(calls) == 10
+        assert sorted(calls[6:]) == ["fftn", "ifftn", "irfftn", "rfftn"]
         stack = prop.step_array(np.stack([out, perturbed_m2.data, out]))
         assert len(calls) == 16
         prop.step_array(stack)
         assert len(calls) == 20
+        assert sorted(calls[16:]) == ["fftn", "ifftn", "irfftn", "rfftn"]
+
+    def test_input_never_written(self, desk_kernel, perturbed_m2):
+        prop = Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3)
+        a = perturbed_m2.data.copy()
+        before = a.tobytes()
+        out = prop.step_array(a)
+        assert a.tobytes() == before and a.flags.writeable
+        warm = out.tobytes()
+        prop.step_array(out)
+        assert out.tobytes() == warm
+
+    def test_earlier_outputs_unchanged_by_later_steps(self, desk_kernel, perturbed_m2):
+        prop = Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3)
+        outs = [prop.step_array(perturbed_m2.data)]
+        saved = [outs[0].tobytes()]
+        for _ in range(3):
+            outs.append(prop.step_array(outs[-1]))
+            saved.append(outs[-1].tobytes())
+        assert [o.tobytes() for o in outs] == saved
+        assert not any(o.flags.writeable for o in outs)
+        assert len({id(o) for o in outs}) == len(outs)
+
+    def test_inf_in_one_member_aborts(self, desk_kernel, perturbed_m2):
+        stack = np.stack([perturbed_m2.data] * 3)
+        stack[1, 0, 5] = np.inf
+        with pytest.raises(NanAbortError):
+            Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3).step_array(stack)
 
     def test_nan_in_one_member_aborts(self, desk_kernel, perturbed_m2):
         stack = np.stack([perturbed_m2.data] * 3)

@@ -51,6 +51,18 @@ class TestTransforms:
         with pytest.raises(hf.SizeMismatchError):
             hf.inverse_transform(grid1d, np.zeros(12, dtype=complex))
 
+    @pytest.mark.parametrize("space_dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_real_transforms_are_the_half_spectrum(self, space_dim, n):
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        rho = np.random.default_rng(space_dim).random((3, 2) + g.shape)
+        half = hf.grid.rfftn_grid(g, rho)
+        full = hf.grid.fftn_grid(g, rho)
+        assert half.shape == (3, 2) + g.shape[:-1] + (n // 2 + 1,)
+        assert np.abs(half - full[..., : n // 2 + 1]).max() <= 1e-13 * np.abs(full).max()
+        back = hf.grid.irfftn_grid(g, half)
+        assert back.shape == rho.shape and back.dtype == np.float64
+        assert np.abs(back - rho).max() <= 1e-13 * np.abs(rho).max()
+
 
 class TestNorms:
     def test_zero_field(self, grid1d):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hartreeflow as hf
-from hartreeflow.hartree import SingularKernelError
+from hartreeflow.hartree import SingularKernelError, _convolve_array
 from conftest import gaussian_field, trig_field
 
 
@@ -149,6 +149,27 @@ class TestConvolution:
         spectral = hf.convolve_density(k, hf.Field(g, rho.astype(complex))).data.real
         direct = direct_convolution(k, rho)
         assert np.abs(spectral - direct).max() <= 1e-10 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("space_dim,n,alpha", [(1, 64, 0.5), (2, 16, 1.0), (3, 8, 1.5)])
+    @pytest.mark.parametrize("zero", [False, True], ids=["shipped", "zero"])
+    def test_real_transforms_match_complex_oracle(self, space_dim, n, alpha, zero):
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        k = hf.Kernel.zero(g) if zero else hf.build_kernel(g, alpha)
+        rho = np.random.default_rng(space_dim).random((3, 2) + g.shape)
+        axes = g.spatial_axes
+        oracle = np.fft.ifftn(k.multiplier * np.fft.fftn(rho, axes=axes), axes=axes).real
+        out = _convolve_array(k, rho)
+        assert out.shape == rho.shape
+        assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("space_dim,n,alpha", [(1, 64, 0.5), (2, 16, 1.0), (3, 8, 1.5)])
+    def test_half_symbol_is_slice_of_full(self, space_dim, n, alpha):
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        for k in (hf.build_kernel(g, alpha), hf.Kernel.zero(g)):
+            half = k.half_multiplier
+            assert half.flags.c_contiguous
+            assert half.shape == g.shape[:-1] + (n // 2 + 1,)
+            assert half.tobytes() == np.ascontiguousarray(k.multiplier[..., : n // 2 + 1]).tobytes()
 
     def test_grid_mismatch(self):
         g = hf.Grid(space_dim=1, points_per_dim=16, box_length=10.0)
