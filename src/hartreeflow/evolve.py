@@ -27,7 +27,10 @@ kinetic sub-step.  The identity test is sound because step outputs, and the
 snapshots evolve hands to observers, are read-only; copy one to modify it.
 A step allocates one array, its output x * phase, and runs the kinetic
 sub-step and the closing half-kick in place on it, so the caller's array is
-never written.  A non-finite field aborts (NanAbortError) at the total
+never written.  A half-kick phase is cos + i sin of the real angle
+-(dt/2) V, written into the real and imaginary views of one complex array:
+the complex exp of an argument with zero real part, at two thirds of its
+cost.  A non-finite field aborts (NanAbortError) at the total
 density of a half-kick, before any transform: the density has 1/m of the
 field's points.
 
@@ -37,7 +40,10 @@ potential.  evolve steps its starts as one stack, one call per time step, and
 records them alike: one total_energy and one orbit_distance call per sample
 cover every member, paying numpy's per-call overhead once; only observers see
 the members one at a time.  A single start is a 1-member stack on the same
-path, so each member's arrays are the same bits as evolving it alone.
+path, so each member's arrays are the same bits as evolving it alone.  The
+trace arrays are allocated once, (samples, members, ...), and orbit_distance
+takes the minimiser's side of its cross-correlation from the GroundState,
+which computes it once.
 
 Well-posedness of the initial-value problem is assumed; blow-up detection is
 heuristic (NaN aborts, a >10% energy drift flags the trace).
@@ -148,12 +154,17 @@ class Propagator:
         its points, non-finite there; it is checked before any transform.
         """
         rho = total_density(self.grid, x, self.p)
-        if not np.all(np.isfinite(rho)):
+        if not np.isfinite(rho).all():
             raise NanAbortError("non-finite field during propagation")
         potential = _convolve_array(self.kernel, rho)
         u = potential if self.p == 2 else potential * np.abs(x) ** (self.p - 2)
-        u = np.multiply(-0.5j * self.dt, u)
-        return np.exp(u, out=u)
+        # 0 - (dt/2) u, not -(dt/2) u: the angle is the imaginary part of
+        # -0.5j * dt * u bit for bit, +0 where u is zero
+        theta = np.subtract(0.0, np.multiply(0.5 * self.dt, u, out=u), out=u)
+        phase = np.empty(theta.shape, dtype=np.complex128)
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        return phase
 
     def step_array(self, x: np.ndarray) -> np.ndarray:
         """One step of x, shape (..., m, *grid.shape); leading axes stack independent fields.
@@ -189,7 +200,7 @@ def orbit_distance(fields, gs: GroundState):
     x = gridmod.stack_of(g, fields)
     if x.shape[-1 - g.space_dim] != phi.m:
         raise gridmod.SizeMismatchError(f"stack shape {x.shape} does not hold {phi.m} components")
-    corr_hat = gridmod.rfftn_grid(g, total_density(g, x)) * np.conj(gridmod.rfftn_grid(g, total_density(g, phi.data)))
+    corr_hat = gridmod.rfftn_grid(g, total_density(g, x)) * gs.correlation_spectrum
     corr = gridmod.irfftn_grid(g, corr_hat)
     peak = np.argmax(corr.reshape(corr.shape[: -1 - g.space_dim] + (-1,)), axis=-1)
     # phi rolled by each member's peak shift: index i of axis a reads (i - shift_a) mod n
@@ -239,31 +250,38 @@ def evolve(
         raise ValueError("starts must share one grid")
     prop = Propagator(grid, kernel, p, dt)
     observers = observers or {}
-    times, masses, energies, distances = [], [], [], []
+    x = np.stack([s.data for s in starts])  # a ValueError unless all have one m
+    x.setflags(write=False)
+    # samples at steps 0, record_every, 2 record_every, ... and steps; step k
+    # lands in sample ceil(k / record_every)
+    samples = 1 + -(-steps // record_every)
+    times = np.empty(samples)
+    masses = np.empty((samples,) + x.shape[:2])
+    energy = np.empty((samples, len(x)))
+    distances = np.full((samples, len(x)), np.nan)
     extras = {name: [] for name in observers}
 
-    def record(t: float, x: np.ndarray) -> None:
-        times.append(t)
-        masses.append(gridmod.norms_sq(grid, x))
-        energies.append(total_energy(x, kernel, p).total)
-        distances.append(orbit_distance(x, ground_state) if ground_state is not None else np.full(len(x), np.nan))
+    def record(k: int, x: np.ndarray) -> None:
+        i, t = -(-k // record_every), k * dt
+        times[i] = t
+        masses[i] = gridmod.norms_sq(grid, x)
+        energy[i] = total_energy(x, kernel, p).total
+        if ground_state is not None:
+            distances[i] = orbit_distance(x, ground_state)
         for name, fn in observers.items():
             extras[name].append([fn(t, MultiField(grid, member)) for member in x])
 
-    x = np.stack([s.data for s in starts])  # a ValueError unless all have one m
-    x.setflags(write=False)
-    record(0.0, x)
+    record(0, x)
     for k in range(1, steps + 1):
         x = prop.step_array(x)
         if k % record_every == 0 or k == steps:
-            record(k * dt, x)
+            record(k, x)
 
-    energy = np.asarray(energies)
     trace = EvolutionTrace(
-        times=np.asarray(times),
-        masses=np.asarray(masses),
+        times=times,
+        masses=masses,
         energy=energy,
-        orbit_distance=np.asarray(distances),
+        orbit_distance=distances,
         dt=dt,
         T=steps * dt,
         flags=_drift_flags(energy),

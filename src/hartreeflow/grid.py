@@ -15,6 +15,14 @@ convolution.  Under this convention Parseval reads
 A real array (a density) goes through rfftn_grid / irfftn_grid, whose half
 spectrum holds the first n // 2 + 1 bins of the last spatial axis.
 
+On a 1D grid the four transforms call numpy's 1D entry points, np.fft.fft,
+ifft, rfft and irfft, with n = points_per_dim and axis = -1: the calls
+numpy's n-D functions make for one axis, so the bits are the same, without
+their argument handling, a large share of a 256-point transform.  For N >= 2
+they call np.fft.fftn, ifftn, rfftn and irfftn with the grid's fixed shape
+and spatial axes; given axes alone, numpy derives the shape through np.take,
+a few microseconds per call.
+
 Fields are immutable values for all public operations; transforms allocate
 their own scratch per call unless handed out=, so concurrent use only
 requires one call per worker at a time.
@@ -211,24 +219,17 @@ def scalar_or_array(values: np.ndarray):
 # -- transforms ---------------------------------------------------------------
 
 
-def _spatial(grid: Grid, arr: np.ndarray) -> dict:
-    """Transform arguments for the trailing spatial axes.
-
-    The shape is passed along with the axes: given axes alone, numpy.fft
-    derives it through np.take, which costs a few microseconds per call, a
-    large share of a 256-point transform.
-    """
-    nd = grid.space_dim
-    return {"s": arr.shape[-nd:], "axes": tuple(range(arr.ndim - nd, arr.ndim))}
-
-
 def fftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Raw FFT over the trailing spatial axes (batched over leading axes); out may be arr."""
-    return np.fft.fftn(arr, **_spatial(grid, arr), out=out)
+    if grid.space_dim == 1:
+        return np.fft.fft(arr, n=grid.points_per_dim, axis=-1, out=out)
+    return np.fft.fftn(arr, s=grid.shape, axes=grid.spatial_axes, out=out)
 
 
 def ifftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.fft.ifftn(arr, **_spatial(grid, arr), out=out)
+    if grid.space_dim == 1:
+        return np.fft.ifft(arr, n=grid.points_per_dim, axis=-1, out=out)
+    return np.fft.ifftn(arr, s=grid.shape, axes=grid.spatial_axes, out=out)
 
 
 def rfftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
@@ -237,12 +238,16 @@ def rfftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
     The half spectrum lies along the last axis: n // 2 + 1 bins, the same
     bins as the first n // 2 + 1 of fftn_grid.
     """
-    return np.fft.rfftn(arr, **_spatial(grid, arr))
+    if grid.space_dim == 1:
+        return np.fft.rfft(arr, n=grid.points_per_dim, axis=-1)
+    return np.fft.rfftn(arr, s=grid.shape, axes=grid.spatial_axes)
 
 
 def irfftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
     """Real inverse of a half spectrum from rfftn_grid, of grid shape on the trailing axes."""
-    return np.fft.irfftn(arr, s=grid.shape, axes=_spatial(grid, arr)["axes"])
+    if grid.space_dim == 1:
+        return np.fft.irfft(arr, n=grid.points_per_dim, axis=-1)
+    return np.fft.irfftn(arr, s=grid.shape, axes=grid.spatial_axes)
 
 
 def transform(field: Field) -> np.ndarray:

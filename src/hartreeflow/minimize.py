@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,15 @@ class GroundState:
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
+
+    @cached_property
+    def correlation_spectrum(self) -> np.ndarray:
+        """conj(rfftn_grid(total density)) of the fields, read-only: the fixed
+        factor of the cross-correlation in evolve.orbit_distance."""
+        g = self.fields.grid
+        spectrum = np.conj(gridmod.rfftn_grid(g, total_density(g, self.fields.data)))
+        spectrum.setflags(write=False)
+        return spectrum
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,12 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hartreeflow as hf
 from hartreeflow.evolve import NanAbortError, Propagator
-from hartreeflow.hartree import abs_power
+from hartreeflow.hartree import _convolve_array, abs_power, total_density
 from conftest import gaussian_field, trig_field
 
 
@@ -118,9 +119,9 @@ class TestFusedStep:
         with pytest.raises(ValueError):
             hf.evolve(mf, 5e-3, 1e-3, kernel, 2.0, observers={"vandal": vandal})
 
-    def test_transform_count_per_step(self, monkeypatch, desk_kernel, perturbed_m2):
-        # every transform counts, complex or real; the benchmark's
-        # evolve.fft_per_step counts only fftn and ifftn
+    @staticmethod
+    def count_transforms(monkeypatch) -> list:
+        """Names of the numpy.fft entry points called from now on, in call order."""
         calls = []
 
         def counted(fn):
@@ -130,19 +131,57 @@ class TestFusedStep:
 
             return wrapper
 
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        return calls
+
+    def test_transform_count_per_step(self, monkeypatch, desk_kernel, perturbed_m2):
+        # a 1D grid calls numpy's 1D entry points, complex and real alike; the
+        # benchmark's evolve.fft_per_step counts only fftn and ifftn
+        calls = self.count_transforms(monkeypatch)
         prop = Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3)
         out = prop.step_array(perturbed_m2.data)
-        assert len(calls) == 6
+        assert sorted(calls) == ["fft", "ifft", "irfft", "irfft", "rfft", "rfft"]
         prop.step_array(out)
         assert len(calls) == 10
-        assert sorted(calls[6:]) == ["fftn", "ifftn", "irfftn", "rfftn"]
+        assert sorted(calls[6:]) == ["fft", "ifft", "irfft", "rfft"]
         stack = prop.step_array(np.stack([out, perturbed_m2.data, out]))
         assert len(calls) == 16
         prop.step_array(stack)
         assert len(calls) == 20
-        assert sorted(calls[16:]) == ["fftn", "ifftn", "irfftn", "rfftn"]
+        assert sorted(calls[16:]) == ["fft", "ifft", "irfft", "rfft"]
+
+    def test_transform_count_per_step_2d(self, monkeypatch):
+        grid = hf.Grid(space_dim=2, points_per_dim=16, box_length=12.0)
+        kernel = hf.build_kernel(grid, 1.0)
+        x = hf.project_masses(trig_field(grid, seed=6, m=2), [1.0, 1.0]).data
+        calls = self.count_transforms(monkeypatch)
+        prop = Propagator(grid, kernel, 2.0, 1e-3)
+        out = prop.step_array(x)
+        assert sorted(calls) == ["fftn", "ifftn", "irfftn", "irfftn", "rfftn", "rfftn"]
+        prop.step_array(out)
+        assert sorted(calls[6:]) == ["fftn", "ifftn", "irfftn", "rfftn"]
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_half_kick_phase_is_the_complex_exp(self, desk_kernel, perturbed_m2, p):
+        # the former formula; cos/sin of the real angle and the complex exp
+        # may round differently in the last bits on another libm or CPU
+        dt, x = 1e-3, np.stack([perturbed_m2.data] * 2)
+        u = _convolve_array(desk_kernel, total_density(desk_kernel.grid, x, p))
+        expected = np.exp(-0.5j * dt * u * np.abs(x) ** (p - 2))
+        phase = Propagator(perturbed_m2.grid, desk_kernel, p, dt)._half_kick_phase(x)
+        assert phase.dtype == expected.dtype
+        # for p = 2 the phase has one component row, shared by every component
+        phase = np.broadcast_to(phase, expected.shape)
+        np.testing.assert_array_max_ulp(phase.real, expected.real, maxulp=2)
+        np.testing.assert_array_max_ulp(phase.imag, expected.imag, maxulp=2)
+
+    def test_zero_angle_phase_keeps_the_sign_of_zero(self, setup128):
+        _, grid, _ = setup128
+        x = trig_field(grid, seed=5, m=2).data
+        phase = Propagator(grid, hf.Kernel.zero(grid), 2.0, 1e-3)._half_kick_phase(x)
+        expected = np.exp(-0.5j * 1e-3 * np.zeros(phase.shape))
+        assert phase.tobytes() == expected.tobytes()
 
     def test_input_never_written(self, desk_kernel, perturbed_m2):
         prop = Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3)
@@ -211,6 +250,19 @@ class TestEvolve:
         assert trace.times[-1] == pytest.approx(10 * dt)
         assert np.all(np.diff(trace.times) > 0)
         assert trace.mass_drift <= 1e-12
+
+    def test_preallocated_samples_follow_the_record_rule(self, setup128):
+        # steps 0, 4, 8 and the last step 10 are recorded, with the values
+        # of a run that records every step
+        _, grid, kernel = setup128
+        mf = hf.project_masses(trig_field(grid, seed=10, m=2), [1.0, 1.0])
+        every = hf.evolve(mf, 10e-3, 1e-3, kernel, 2.0)
+        sparse = hf.evolve(mf, 10e-3, 1e-3, kernel, 2.0, record_every=4)
+        rows = [0, 4, 8, 10]
+        assert np.array_equal(sparse.times, every.times[rows])
+        assert np.array_equal(sparse.masses, every.masses[rows])
+        assert np.array_equal(sparse.energy, every.energy[rows])
+        assert np.all(np.isnan(sparse.orbit_distance)) and sparse.orbit_distance.shape == (4,)
 
     def test_energy_drift_second_order(self, desk_params, desk_kernel, gs_m2):
         grid = gs_m2.fields.grid
@@ -422,6 +474,21 @@ class TestOrbitDistance:
         mf = hf.MultiField(grid, gs_m2.fields.data + eps * pert.data)
         dist = hf.orbit_distance(mf, gs_m2)
         assert 0.0 <= dist <= 2 * eps
+
+    def test_cached_minimiser_spectrum(self, monkeypatch, gs_m2):
+        # the minimiser's density spectrum is taken once per GroundState
+        gs = replace(gs_m2)
+        grid = gs.fields.grid
+        pert = hf.analysis.random_h1_perturbation(grid, 2, 12)
+        stack = np.stack([gs.fields.data, gs.fields.data + 1e-3 * pert.data])
+        calls = TestFusedStep.count_transforms(monkeypatch)
+        first = hf.orbit_distance(stack, gs)
+        assert len(calls) == 4
+        second = hf.orbit_distance(stack, gs)
+        assert len(calls) == 7
+        assert np.array_equal(second, first)
+        assert np.array_equal(hf.orbit_distance(stack, replace(gs_m2)), first)
+        assert not gs.correlation_spectrum.flags.writeable
 
     def test_grid_mismatch_rejected(self, gs_m2):
         other = hf.Grid(1, 64, 40.0)

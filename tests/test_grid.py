@@ -64,6 +64,41 @@ class TestTransforms:
         assert np.abs(back - rho).max() <= 1e-13 * np.abs(rho).max()
 
 
+def nd_reference(name, grid, arr):
+    """numpy's n-D function over the trailing spatial axes, the transforms' former formula."""
+    nd = grid.space_dim
+    axes = tuple(range(arr.ndim - nd, arr.ndim))
+    s = grid.shape if name == "irfftn" else arr.shape[-nd:]
+    return getattr(np.fft, name)(arr, s=s, axes=axes)
+
+
+STACKS = [(space_dim, n, lead) for space_dim, n in [(1, 64), (2, 16), (3, 8)] for lead in [(), (3,), (2, 3)]]
+
+
+class TestTransformsBitIdentical:
+    """Every grid transform gives the bits of numpy's n-D function on the spatial axes."""
+
+    @pytest.mark.parametrize("space_dim,n,lead", STACKS)
+    def test_complex_pair(self, space_dim, n, lead):
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        rng = np.random.default_rng(len(lead) + 3 * space_dim)
+        x = rng.standard_normal(lead + g.shape) + 1j * rng.standard_normal(lead + g.shape)
+        for name, fn in (("fftn", hf.grid.fftn_grid), ("ifftn", hf.grid.ifftn_grid)):
+            expected = nd_reference(name, g, x)
+            assert np.array_equal(fn(g, x), expected)
+            aliased = x.copy()
+            assert fn(g, aliased, out=aliased) is aliased
+            assert np.array_equal(aliased, expected)
+
+    @pytest.mark.parametrize("space_dim,n,lead", STACKS)
+    def test_real_pair(self, space_dim, n, lead):
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        rho = np.random.default_rng(len(lead) + 3 * space_dim).random(lead + g.shape)
+        half = hf.grid.rfftn_grid(g, rho)
+        assert np.array_equal(half, nd_reference("rfftn", g, rho))
+        assert np.array_equal(hf.grid.irfftn_grid(g, half), nd_reference("irfftn", g, half))
+
+
 class TestNorms:
     def test_zero_field(self, grid1d):
         z = hf.Field(grid1d, np.zeros(grid1d.shape, dtype=complex))
