@@ -467,52 +467,3 @@ def stability_experiment(
             )
         )
     return StabilityReport(entries=tuple(entries), T=T, dt=dt)
-
-
-# -- diagnostics ----------------------------------------------------------------
-
-
-def evenness_deviation(f: Field) -> float:
-    """Relative L^2 asymmetry about the density peak (1D diagnostic).
-
-    The peak is located to sub-grid accuracy with a three-point parabola and
-    moved to x = 0 by a spectral shift before comparing f with its reflection.
-    """
-    g = f.grid
-    if g.space_dim != 1:
-        raise NotImplementedError("evenness diagnostic is implemented for 1D fields")
-    amp = np.abs(f.data)
-    i0 = int(np.argmax(amp))
-    n = g.points_per_dim
-    ym, y0, yp = amp[(i0 - 1) % n], amp[i0], amp[(i0 + 1) % n]
-    denom = ym - 2 * y0 + yp
-    frac = 0.0 if denom == 0 else 0.5 * (ym - yp) / denom
-    frac = float(np.clip(frac, -0.5, 0.5))
-    peak_x = g.axis_coords[i0] + frac * g.spacing
-    centered = gridmod.fractional_shift(f, [-peak_x])
-    rolled = np.roll(centered.data[::-1], 1)
-    num = np.sqrt(np.sum(np.abs(centered.data - rolled) ** 2))
-    den = np.sqrt(np.sum(np.abs(centered.data) ** 2))
-    return float(num / den)
-
-
-def symmetric_rearrangement_energy(f: Field, kernel: Kernel, p: float) -> float:
-    """Energy of the symmetric-decreasing rearrangement of |f| (1D proxy).
-
-    Sorting the moduli and laying them out alternately around the centre
-    preserves the mass exactly; comparing energies measures how far the
-    profile is from its own rearrangement.
-    """
-    g = f.grid
-    if g.space_dim != 1:
-        raise NotImplementedError("rearrangement proxy is implemented for 1D fields")
-    n = g.points_per_dim
-    values = np.sort(np.abs(f.data))[::-1]
-    out = np.zeros(n)
-    center = n // 2
-    out[center] = values[0]
-    for rank in range(1, n):
-        offset = (rank + 1) // 2
-        idx = center - offset if rank % 2 else center + offset
-        out[idx % n] = values[rank]
-    return single_energy(Field(g, out.astype(complex)), kernel, p)

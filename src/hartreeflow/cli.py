@@ -35,6 +35,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import typing
@@ -121,9 +122,37 @@ def _from_json(kind, value, where: str):
     return value
 
 
+# Stacks up to 2^30 bytes pass without asking the platform for its memory
+# size: the query (os.sysconf) raised the peak RSS of a 1D stability run by
+# about 0.2 MiB, more than the whole run's arrays.
+_UNCHECKED_STACK_LOG2 = 30
+
+
+def _check_grid_fits(params: SystemParams) -> None:
+    """Refuse a grid whose one complex field stack exceeds physical memory, before any array exists.
+
+    Every experiment holds at least one such stack, 16 m n^N bytes; the
+    size is compared in log2 so that no huge integer is formed.
+    """
+    needed_log2 = math.log2(16 * params.component_count) + params.space_dim * math.log2(params.points_per_dim)
+    if needed_log2 <= _UNCHECKED_STACK_LOG2:
+        return
+    try:
+        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return  # the platform does not report its memory size
+    if needed_log2 > math.log2(available):
+        raise ConfigError(
+            f"config.params.points_per_dim = {params.points_per_dim} with space_dim = {params.space_dim} "
+            f"is too large: one field stack needs 2^{needed_log2:.1f} bytes, more than the "
+            f"{available:.3g} bytes of memory on this machine"
+        )
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON object, then apply the checks that span fields."""
     config = _from_json(RunConfig, raw, "config")
+    _check_grid_fits(config.params)
     report = validate_assumptions(config.params)
     if not report.passed:
         names = ", ".join(c.name for c in report.failing())

@@ -213,8 +213,7 @@ def orbit_distance(fields, gs: GroundState):
     overlaps = g.cell_volume * np.sum(np.conj(shifted) * x, axis=g.spatial_axes)
     diff = x - gridmod.per_component(g, np.exp(1j * np.angle(overlaps))) * shifted
     diff_hat = gridmod.fftn_grid(g, diff)
-    power = diff_hat.real**2 + diff_hat.imag**2
-    h1_sq = g.spectral_weight * np.sum((1.0 + g.k_squared) * power, axis=g.field_axes)
+    h1_sq = g.spectral_weight * np.sum((1.0 + g.k_squared) * gridmod.abs_sq(diff_hat), axis=g.field_axes)
     return gridmod.scalar_or_array(np.sqrt(np.maximum(h1_sq, 0.0)))
 
 

@@ -12,8 +12,11 @@ convolution.  Under this convention Parseval reads
 
     cell_volume * sum |f|^2  =  (1/L^N) * sum_k |transform(f)[k]|^2.
 
-A real array (a density) goes through rfftn_grid / irfftn_grid, whose half
-spectrum holds the first n // 2 + 1 bins of the last spatial axis.
+A real array (a density, or a real field of the minimiser) goes through
+rfftn_grid / irfftn_grid, whose half spectrum holds the first n // 2 + 1 bins
+of the last spatial axis; Grid.half_k_squared is |k|^2 on those bins, and
+Grid.half_k_squared_weighted counts each bin as often as it stands in the full
+spectrum, so that kinetic sums over the half spectrum equal full ones.
 
 On a 1D grid the four transforms call numpy's 1D entry points, np.fft.fft,
 ifft, rfft and irfft, with n = points_per_dim and axis = -1: the calls
@@ -115,6 +118,24 @@ class Grid:
             k2 += mesh * mesh
         return k2
 
+    @cached_property
+    def half_k_squared(self) -> np.ndarray:
+        """|k|^2 on the half spectrum of rfftn_grid: the first n // 2 + 1 bins of the last axis."""
+        return np.ascontiguousarray(self.k_squared[..., : self.points_per_dim // 2 + 1])
+
+    @cached_property
+    def half_k_squared_weighted(self) -> np.ndarray:
+        """half_k_squared times how often each bin stands in the full spectrum.
+
+        The weight is 1 for bin 0 and the Nyquist bin of the last axis and 2
+        for the rest, so for a real f, sum(half_k_squared_weighted *
+        |rfftn_grid(f)|^2) is sum(k_squared * |fftn_grid(f)|^2).
+        """
+        weighted = 2.0 * self.half_k_squared
+        weighted[..., 0] = self.half_k_squared[..., 0]
+        weighted[..., -1] = self.half_k_squared[..., -1]
+        return weighted
+
     @property
     def max_k_squared(self) -> float:
         return self.space_dim * (np.pi / self.spacing) ** 2
@@ -201,9 +222,16 @@ def stack_of(grid: Grid, fields) -> np.ndarray:
     return arr
 
 
+def abs_sq(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise; a real array skips the zero imaginary part, with the same bits."""
+    if np.iscomplexobj(x):
+        return x.real**2 + x.imag**2
+    return x**2
+
+
 def norms_sq(grid: Grid, x: np.ndarray) -> np.ndarray:
     """cell_volume * sum |x|^2 over the spatial axes: the component masses of a stack."""
-    return grid.cell_volume * np.sum(x.real**2 + x.imag**2, axis=grid.spatial_axes)
+    return grid.cell_volume * np.sum(abs_sq(x), axis=grid.spatial_axes)
 
 
 def per_component(grid: Grid, values) -> np.ndarray:
@@ -285,7 +313,7 @@ def grad_norm_sq(field: Field) -> float:
     """Squared L^2 norm of the gradient, computed spectrally."""
     g = field.grid
     fh = fftn_grid(g, field.data)
-    return float(g.spectral_weight * np.sum(g.k_squared * (fh.real**2 + fh.imag**2)))
+    return float(g.spectral_weight * np.sum(g.k_squared * abs_sq(fh)))
 
 
 def h1_norm_sq(field: Field) -> float:
@@ -337,24 +365,6 @@ def dilate(field: Field, theta: float) -> Field:
     for ax in range(g.space_dim):
         out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, ax, 0), axes=(1, 0)), 0, ax)
     return Field(g, theta ** (g.space_dim / 2.0) * out)
-
-
-def fractional_shift(field: Field, deltas) -> Field:
-    """Shift by arbitrary offsets via spectral phases; result(x) = f(x - delta)."""
-    g = field.grid
-    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if deltas.shape != (g.space_dim,):
-        raise SizeMismatchError(f"expected {g.space_dim} offsets, got {deltas.shape}")
-    fh = fftn_grid(g, field.data)
-    n = g.points_per_dim
-    k = g.axis_wavenumbers
-    for ax, delta in enumerate(deltas):
-        phase = np.exp(-1j * k * delta)
-        phase[n // 2] = np.cos(k[n // 2] * delta)
-        shape = [1] * g.space_dim
-        shape[ax] = n
-        fh = fh * phase.reshape(shape)
-    return Field(g, ifftn_grid(g, fh))
 
 
 # -- snapshots ----------------------------------------------------------------

@@ -23,9 +23,13 @@ transforms and multiplies the half spectrum by Kernel.half_multiplier, the
 symbol on the first n // 2 + 1 bins of the last axis, built once per kernel.
 _EnergyState is the one implementation of the energy and its L^2 gradient:
 total_energy, single_energy, energy_gradient and the minimiser all evaluate
-it.  It reads the stack layout of the grid module, (..., m, *grid.shape):
-total_energy of a MultiField gives Python floats, of a stack arrays over its
-leading axes, each member the same bits as alone.  Energies and gradients are
+it.  The dtype of the stack picks its field transforms: a complex stack (every
+MultiField, every evolution) takes fftn_grid / ifftn_grid, a real one (the
+minimiser's real starts) rfftn_grid / irfftn_grid on the half spectrum, with
+the kinetic sum weighted by Grid.half_k_squared_weighted.  It reads the stack
+layout of the grid module, (..., m, *grid.shape): total_energy of a
+MultiField gives Python floats, of a stack arrays over its leading axes, each
+member the same bits as alone.  Energies and gradients are
 pure functions of (fields, kernel).
 """
 
@@ -40,6 +44,7 @@ from .grid import (
     Grid,
     MultiField,
     SizeMismatchError,
+    abs_sq,
     fftn_grid,
     ifftn_grid,
     irfftn_grid,
@@ -170,7 +175,7 @@ def convolve_density(kernel: Kernel, density: Field) -> Field:
 def abs_power(data: np.ndarray, p: float) -> np.ndarray:
     """|z|^p, exact for p = 2 and with |0|^p = 0 for non-integer p > 0."""
     if p == 2:
-        return data.real**2 + data.imag**2
+        return abs_sq(data)
     return np.abs(data) ** p
 
 
@@ -211,11 +216,15 @@ class EnergyBreakdown:
 class _EnergyState:
     """Energy of a stack (..., m, *grid.shape), keeping the pieces its gradient reuses.
 
-    One evaluation costs three batched transforms (the fields' FFT and the
-    real pair of the density convolution); the gradient reuses the field
-    spectra and the potential for one more.  kinetic holds the per-component
-    1/2 ||grad phi_j||^2, shape (..., m); interaction and total hold one
-    value per leading index.
+    One evaluation costs three batched transforms (the fields' spectrum and
+    the real pair of the density convolution); the gradient reuses the field
+    spectra and the potential for one more.  The dtype of x picks the field
+    transforms: a complex stack takes fftn_grid / ifftn_grid, a real one
+    rfftn_grid / irfftn_grid on the half spectrum, whose kinetic sum weighs
+    each bin by its multiplicity (Grid.half_k_squared_weighted).  A real
+    stack thus stays real, gradient included, at the cost of real
+    transforms.  kinetic holds the per-component 1/2 ||grad phi_j||^2, shape
+    (..., m); interaction and total hold one value per leading index.
     """
 
     __slots__ = ("kernel", "p", "x", "xhat", "kinetic", "potential", "interaction", "total")
@@ -223,9 +232,11 @@ class _EnergyState:
     def __init__(self, kernel: Kernel, p: float, x: np.ndarray):
         g = kernel.grid
         self.kernel, self.p, self.x = kernel, p, x
-        self.xhat = fftn_grid(g, x)
-        power = self.xhat.real**2 + self.xhat.imag**2
-        self.kinetic = 0.5 * g.spectral_weight * np.sum(g.k_squared * power, axis=g.spatial_axes)
+        if np.iscomplexobj(x):
+            self.xhat, k_squared = fftn_grid(g, x), g.k_squared
+        else:
+            self.xhat, k_squared = rfftn_grid(g, x), g.half_k_squared_weighted
+        self.kinetic = 0.5 * g.spectral_weight * np.sum(k_squared * abs_sq(self.xhat), axis=g.spatial_axes)
         rho = total_density(g, x, p)
         self.potential = _convolve_array(kernel, rho)
         self.interaction = g.cell_volume * np.sum(rho * self.potential, axis=g.field_axes) / (2 * p)
@@ -239,7 +250,11 @@ class _EnergyState:
     def gradient(self) -> np.ndarray:
         """grad_j = -lap(phi_j) - (sum_k W * |phi_k|^p) |phi_j|^(p-2) phi_j."""
         g = self.kernel.grid
-        return ifftn_grid(g, g.k_squared * self.xhat) - self.potential * _nonlinear_factor(self.x, self.p)
+        if np.iscomplexobj(self.x):
+            minus_laplacian = ifftn_grid(g, g.k_squared * self.xhat)
+        else:
+            minus_laplacian = irfftn_grid(g, g.half_k_squared * self.xhat)
+        return minus_laplacian - self.potential * _nonlinear_factor(self.x, self.p)
 
 
 def total_energy(fields, kernel: Kernel, p: float) -> EnergyBreakdown:

@@ -19,6 +19,16 @@ non-increasing across accepted steps.  Convergence is declared when
 max_j ||grad_j + lambda_j phi_j|| / ||phi_j||_{H^1} <= tol with the
 multipliers re-estimated at every check.
 
+A start whose imaginary part is zero (every Gaussian start with
+complex_ramp_cycles = 0) is solved in real float64 arithmetic from start to
+finish: the gradient of a real field is real, so are the search direction and
+the Barzilai-Borwein step, and the field transforms are the real pair
+rfftn_grid / irfftn_grid on the half spectrum.  The data picks the path:
+_EnergyState, _sobolev_direction and _tangent_projection take real or complex
+arithmetic from the dtype of their input, so one solver serves both.  The
+result is complex128 either way, and GroundState.energy is the public
+total_energy of its fields.
+
 Converged minimisers come out with strictly positive Lagrange multipliers and
 each component equal to a positive profile times a constant phase; both facts
 are verified by the experiment harness rather than assumed here.
@@ -36,7 +46,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .grid import Field, Grid, MultiField
-from .hartree import Kernel, EnergyBreakdown, _EnergyState, energy_gradient, total_density
+from .hartree import Kernel, EnergyBreakdown, _EnergyState, energy_gradient, total_density, total_energy
 from .params import SystemParams
 
 DEFAULT_TOL = 1e-6
@@ -165,8 +175,15 @@ def _tangent_projection(grid: Grid, v: np.ndarray, x: np.ndarray, masses: np.nda
     gradient, mu are the Lagrange multipliers (they minimise
     ||grad_j + mu_j x_j||) and v + mu x is the Euler-Lagrange residual.
     """
-    mu = -grid.cell_volume * np.sum((np.conj(v) * x).real, axis=grid.spatial_axes) / masses
+    mu = -grid.cell_volume * _real_inner(v, x, axis=grid.spatial_axes) / masses
     return v + gridmod.per_component(grid, mu) * x, mu
+
+
+def _real_inner(a: np.ndarray, b: np.ndarray, axis=None):
+    """sum Re(conj(a) b) over axis; a real pair skips the conjugate and the zero imaginary part."""
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return np.sum((np.conj(a) * b).real, axis=axis)
+    return np.sum(a * b, axis=axis)
 
 
 def phase_factorize(f: Field):
@@ -189,9 +206,15 @@ def phase_factorize(f: Field):
 
 
 def _sobolev_direction(grid: Grid, residual: np.ndarray, x: np.ndarray, x_masses, lambdas) -> np.ndarray:
-    """(c_j - lap)^(-1) residual_j, projected onto the tangent space of the mass spheres."""
+    """(c_j - lap)^(-1) residual_j, projected onto the tangent space of the mass spheres.
+
+    A real residual is smoothed on the half spectrum of the real transforms.
+    """
     c = gridmod.per_component(grid, np.maximum(lambdas, _SHIFT_FLOOR))
-    smoothed = gridmod.ifftn_grid(grid, gridmod.fftn_grid(grid, residual) / (c + grid.k_squared))
+    if np.iscomplexobj(residual):
+        smoothed = gridmod.ifftn_grid(grid, gridmod.fftn_grid(grid, residual) / (c + grid.k_squared))
+    else:
+        smoothed = gridmod.irfftn_grid(grid, gridmod.rfftn_grid(grid, residual) / (c + grid.half_k_squared))
     return _tangent_projection(grid, smoothed, x, x_masses)[0]
 
 
@@ -217,7 +240,9 @@ def ground_state(
     """Minimise the energy over the product of mass spheres.
 
     Exhausting max_iters returns an unconverged result (flagged, never an
-    exception); a non-finite energy aborts with EnergyNanError.
+    exception); a non-finite energy aborts with EnergyNanError.  A start
+    whose imaginary part is zero is solved in float64 arithmetic throughout;
+    the returned fields are complex128 either way.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -231,7 +256,8 @@ def ground_state(
         raise ValueError("init does not match params (component count or grid)")
 
     p = params.power
-    state = _EnergyState(kernel, p, _project(g, init.data.astype(np.complex128, copy=True), masses))
+    start = init.data if np.any(init.data.imag) else init.data.real
+    state = _EnergyState(kernel, p, _project(g, start, masses))
 
     stop_reason = "max_iters"
     iterations = 0
@@ -258,9 +284,9 @@ def ground_state(
             # Elementwise sums rather than np.vdot, whose BLAS call allocates
             # buffers that raise the peak memory of small solves.
             s = state.x - prev_x
-            sy = abs(np.sum((np.conj(s) * (d - prev_d)).real))
+            sy = abs(_real_inner(s, d - prev_d))
             if sy > 0:
-                tau = min(max(np.sum(s.real**2 + s.imag**2) / sy, _STEP_MIN), _STEP_MAX)
+                tau = min(max(np.sum(gridmod.abs_sq(s)) / sy, _STEP_MIN), _STEP_MAX)
         prev_x, prev_d = state.x, d
 
         accepted = None
@@ -278,12 +304,15 @@ def ground_state(
         state = accepted
 
     mf = MultiField(g, state.x)
+    # The public energy of the complex128 fields: state.energy to the bit for
+    # a complex solve, and at roundoff from it for a real one.
+    energy = total_energy(mf, kernel, p)
     if center:
         mf = _center_peak(mf)
     return GroundState(
         fields=mf,
         multipliers=np.asarray(lambdas, dtype=float),
-        energy=state.energy,
+        energy=energy,
         residuals=np.asarray(residuals, dtype=float),
         iterations=iterations,
         stop_reason=stop_reason,

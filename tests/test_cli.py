@@ -270,6 +270,18 @@ class TestRun:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("space_dim,n", [(1, 2**40), (3, 2**14), (10**18, 8)])
+    def test_grid_too_large_to_allocate_exit_two(self, tmp_path, capsys, space_dim, n):
+        # refused from the config alone: no grid array is allocated
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["params"]["space_dim"] = space_dim
+        cfg["params"]["points_per_dim"] = n
+        path = write_config(tmp_path, cfg)
+        assert main(["minimize", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "points_per_dim" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["directory", "utf-16"])
     def test_unreadable_config_exit_two(self, tmp_path, capsys, kind):
         path = tmp_path / "run.json"

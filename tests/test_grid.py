@@ -64,6 +64,35 @@ class TestTransforms:
         assert np.abs(back - rho).max() <= 1e-13 * np.abs(rho).max()
 
 
+class TestHalfSpectrum:
+    """The half spectrum of a real stack carries its kinetic sum and its mass."""
+
+    @pytest.mark.parametrize("space_dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_half_k_squared_is_slice_of_full(self, space_dim, n):
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        assert np.array_equal(g.half_k_squared, g.k_squared[..., : n // 2 + 1])
+        assert g.half_k_squared.flags.c_contiguous
+
+    @pytest.mark.parametrize("space_dim,n", [(1, 64), (1, 256), (2, 16), (2, 64), (3, 8)])
+    def test_weighted_half_sum_is_full_kinetic_sum(self, space_dim, n):
+        # bin 0 and the Nyquist bin stand once in the full spectrum, every
+        # other half-spectrum bin twice (with its mirror k -> -k)
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        x = np.random.default_rng(n + space_dim).standard_normal((3, 2) + g.shape)
+        half = hf.grid.rfftn_grid(g, x)
+        full = hf.grid.fftn_grid(g, x)
+        half_sum = np.sum(g.half_k_squared_weighted * np.abs(half) ** 2, axis=g.spatial_axes)
+        full_sum = np.sum(g.k_squared * np.abs(full) ** 2, axis=g.spatial_axes)
+        assert np.abs(half_sum - full_sum).max() <= 1e-14 * np.abs(full_sum).max()
+
+    @pytest.mark.parametrize("space_dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_norms_of_real_stack_match_complex(self, space_dim, n):
+        # |x|^2 of a real array skips a zero imaginary part: x^2 + 0 = x^2
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        x = np.random.default_rng(space_dim).standard_normal((2,) + g.shape)
+        assert np.array_equal(hf.grid.norms_sq(g, x), hf.grid.norms_sq(g, x.astype(complex)))
+
+
 def nd_reference(name, grid, arr):
     """numpy's n-D function over the trailing spatial axes, the transforms' former formula."""
     nd = grid.space_dim

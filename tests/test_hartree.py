@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hartreeflow as hf
-from hartreeflow.hartree import SingularKernelError, _convolve_array
+from hartreeflow.hartree import SingularKernelError, _convolve_array, _EnergyState
 from conftest import gaussian_field, trig_field
 
 
@@ -310,6 +310,26 @@ class TestGradient:
         fd = (e_plus - e_minus) / (2 * eps)
         analytic = sum(hf.inner(gc, vc).real for gc, vc in zip(grad.components, v.components))
         assert abs(fd - analytic) <= 1e-6 * abs(analytic)
+
+
+class TestRealStack:
+    """A real stack takes the real transforms and agrees with its complex128 twin at roundoff."""
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    @pytest.mark.parametrize("space_dim,n,alpha", [(1, 64, 0.5), (2, 16, 1.0), (3, 8, 1.0)])
+    def test_energy_and_gradient_match_complex(self, space_dim, n, alpha, p):
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        k = hf.build_kernel(g, alpha)
+        x = np.abs(trig_field(g, seed=31, m=2).data)
+        real = _EnergyState(k, p, x)
+        cplx = _EnergyState(k, p, x.astype(complex))
+        assert real.xhat.shape[-1] == n // 2 + 1
+        assert np.abs(real.kinetic - cplx.kinetic).max() <= 1e-14 * np.abs(cplx.kinetic).max()
+        assert abs(real.total - cplx.total) <= 1e-14 * abs(cplx.total)
+        grad = real.gradient()
+        assert grad.dtype == np.float64
+        reference = cplx.gradient()
+        assert np.abs(grad - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 class TestElResidual:

@@ -9,6 +9,70 @@ from hartreeflow.minimize import EnergyNanError, ZeroMassError
 from conftest import TOL, gaussian_field, trig_field
 
 
+def fractional_shift(field, deltas):
+    """Shift by arbitrary offsets via spectral phases; result(x) = f(x - delta)."""
+    g = field.grid
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    if deltas.shape != (g.space_dim,):
+        raise hf.SizeMismatchError(f"expected {g.space_dim} offsets, got {deltas.shape}")
+    fh = hf.grid.fftn_grid(g, field.data)
+    n = g.points_per_dim
+    k = g.axis_wavenumbers
+    for ax, delta in enumerate(deltas):
+        phase = np.exp(-1j * k * delta)
+        phase[n // 2] = np.cos(k[n // 2] * delta)
+        shape = [1] * g.space_dim
+        shape[ax] = n
+        fh = fh * phase.reshape(shape)
+    return hf.Field(g, hf.grid.ifftn_grid(g, fh))
+
+
+def evenness_deviation(f):
+    """Relative L^2 asymmetry about the density peak (1D diagnostic).
+
+    The peak is located to sub-grid accuracy with a three-point parabola and
+    moved to x = 0 by a spectral shift before comparing f with its reflection.
+    """
+    g = f.grid
+    if g.space_dim != 1:
+        raise NotImplementedError("evenness diagnostic is implemented for 1D fields")
+    amp = np.abs(f.data)
+    i0 = int(np.argmax(amp))
+    n = g.points_per_dim
+    ym, y0, yp = amp[(i0 - 1) % n], amp[i0], amp[(i0 + 1) % n]
+    denom = ym - 2 * y0 + yp
+    frac = 0.0 if denom == 0 else 0.5 * (ym - yp) / denom
+    frac = float(np.clip(frac, -0.5, 0.5))
+    peak_x = g.axis_coords[i0] + frac * g.spacing
+    centered = fractional_shift(f, [-peak_x])
+    rolled = np.roll(centered.data[::-1], 1)
+    num = np.sqrt(np.sum(np.abs(centered.data - rolled) ** 2))
+    den = np.sqrt(np.sum(np.abs(centered.data) ** 2))
+    return float(num / den)
+
+
+def symmetric_rearrangement_energy(f, kernel, p):
+    """Energy of the symmetric-decreasing rearrangement of |f| (1D proxy).
+
+    Sorting the moduli and laying them out alternately around the centre
+    preserves the mass exactly; comparing energies measures how far the
+    profile is from its own rearrangement.
+    """
+    g = f.grid
+    if g.space_dim != 1:
+        raise NotImplementedError("rearrangement proxy is implemented for 1D fields")
+    n = g.points_per_dim
+    values = np.sort(np.abs(f.data))[::-1]
+    out = np.zeros(n)
+    center = n // 2
+    out[center] = values[0]
+    for rank in range(1, n):
+        offset = (rank + 1) // 2
+        idx = center - offset if rank % 2 else center + offset
+        out[idx % n] = values[rank]
+    return hf.single_energy(hf.Field(g, out.astype(complex)), kernel, p)
+
+
 @pytest.fixture()
 def small_setup():
     params = hf.SystemParams(
@@ -141,6 +205,77 @@ class TestGroundState:
             hf.ground_state(params, kernel, init=bad)
 
 
+def _transform_guard(monkeypatch, raise_in_loop=True):
+    """Patch the complex grid transforms wherever the solver looks them up.
+
+    Inside the solver's loop, that is until it asks for the public energy of
+    its result, they raise (raise_in_loop) or count into state["complex"].
+    Returns state, whose "in_loop" turns False after the loop.
+    """
+    state = {"in_loop": True, "complex": 0}
+    for module in (hf.grid, hf.hartree):
+        for name in ("fftn_grid", "ifftn_grid"):
+            original = getattr(module, name)
+
+            def guarded(*args, _original=original, **kwargs):
+                if state["in_loop"]:
+                    if raise_in_loop:
+                        raise AssertionError("complex transform inside a real solve")
+                    state["complex"] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, guarded)
+    public_energy = hf.minimize.total_energy
+
+    def after_loop(*args, **kwargs):
+        state["in_loop"] = False
+        return public_energy(*args, **kwargs)
+
+    monkeypatch.setattr(hf.minimize, "total_energy", after_loop)
+    return state
+
+
+class TestRealArithmetic:
+    """A real start is solved in float64 with real transforms; a complex one as before."""
+
+    def test_real_start_keeps_float64_iterates(self, small_setup, monkeypatch):
+        params, _, kernel = small_setup
+        state = _transform_guard(monkeypatch)
+        gs = hf.ground_state(params, kernel, tol=TOL, seed=3)
+        assert not state["in_loop"]
+        assert gs.converged
+        assert gs.fields.data.dtype == np.complex128
+        assert not np.any(gs.fields.data.imag)
+
+    def test_complex_start_takes_complex_transforms(self, desk_params, desk_kernel, gs_m2_complex, monkeypatch):
+        state = _transform_guard(monkeypatch, raise_in_loop=False)
+        gs = hf.ground_state(desk_params, desk_kernel, tol=TOL, seed=7, complex_ramp_cycles=1)
+        assert state["complex"] >= 3 * gs.iterations
+        assert gs.iterations == gs_m2_complex.iterations
+        assert np.array_equal(gs.fields.data, gs_m2_complex.fields.data)
+        assert gs.energy == gs_m2_complex.energy
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(space_dim=2, kernel_exponent=1.0, points_per_dim=64)],
+        ids=["desk", "lemmas-2d"],
+    )
+    def test_real_solve_matches_phase_turned_complex_solve(self, desk_params, overrides, monkeypatch):
+        params = replace(desk_params, **overrides)
+        grid = hf.grid_for(params)
+        kernel = hf.build_kernel(grid, params.kernel_exponent)
+        start = hf.gaussian_init(grid, params.masses, seed=5)
+        _transform_guard(monkeypatch)
+        real = hf.ground_state(params, kernel, init=start, tol=TOL)
+        monkeypatch.undo()
+        turned = hf.ground_state(params, kernel, init=hf.MultiField(grid, np.exp(0.3j) * start.data), tol=TOL)
+        assert real.converged and turned.converged
+        assert real.iterations == turned.iterations
+        assert real.energy.total == pytest.approx(turned.energy.total, rel=1e-12, abs=0)
+        assert real.multipliers == pytest.approx(turned.multipliers, rel=1e-12, abs=0)
+        assert np.abs(np.abs(turned.fields.data) - np.abs(real.fields.data)).max() <= 1e-10
+
+
 class TestExtractMultipliers:
     def test_zero_kernel_gives_negative_multiplier(self, small_setup):
         _, grid, _ = small_setup
@@ -215,14 +350,14 @@ class TestSingleComponentGround:
 
     def test_evenness_about_peak(self, gs_m1):
         # diagnostic: sub-grid-centred reflection asymmetry should be tiny
-        dev = hf.analysis.evenness_deviation(gs_m1.fields.components[0])
+        dev = evenness_deviation(gs_m1.fields.components[0])
         assert dev <= 1e-4
 
     def test_rearrangement_energy_close(self, desk_params, desk_kernel, gs_m1):
         # diagnostic: the symmetric-decreasing rearrangement cannot see a much
         # lower energy than the minimiser itself
         comp = gs_m1.fields.components[0]
-        e_rearranged = hf.analysis.symmetric_rearrangement_energy(comp, desk_kernel, desk_params.power)
+        e_rearranged = symmetric_rearrangement_energy(comp, desk_kernel, desk_params.power)
         e_direct = hf.single_energy(comp, desk_kernel, desk_params.power)
         assert abs(e_rearranged - e_direct) <= 1e-5 * abs(e_direct)
 
