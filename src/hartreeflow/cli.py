@@ -122,12 +122,6 @@ def _from_json(kind, value, where: str):
     return value
 
 
-# Stacks up to 2^30 bytes pass without asking the platform for its memory
-# size: the query (os.sysconf) raised the peak RSS of a 1D stability run by
-# about 0.2 MiB, more than the whole run's arrays.
-_UNCHECKED_STACK_LOG2 = 30
-
-
 def _check_grid_fits(params: SystemParams) -> None:
     """Refuse a grid whose one complex field stack exceeds physical memory, before any array exists.
 
@@ -135,8 +129,6 @@ def _check_grid_fits(params: SystemParams) -> None:
     size is compared in log2 so that no huge integer is formed.
     """
     needed_log2 = math.log2(16 * params.component_count) + params.space_dim * math.log2(params.points_per_dim)
-    if needed_log2 <= _UNCHECKED_STACK_LOG2:
-        return
     try:
         available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):

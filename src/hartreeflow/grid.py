@@ -17,6 +17,9 @@ rfftn_grid / irfftn_grid, whose half spectrum holds the first n // 2 + 1 bins
 of the last spatial axis; Grid.half_k_squared is |k|^2 on those bins, and
 Grid.half_k_squared_weighted counts each bin as often as it stands in the full
 spectrum, so that kinetic sums over the half spectrum equal full ones.
+forward_spectrum / inverse_spectrum are the one place that picks real or
+complex transforms, and the |k|^2 to go with them, from the dtype of a field
+stack.
 
 On a 1D grid the four transforms call numpy's 1D entry points, np.fft.fft,
 ifft, rfft and irfft, with n = points_per_dim and axis = -1: the calls
@@ -276,6 +279,27 @@ def irfftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
     if grid.space_dim == 1:
         return np.fft.irfft(arr, n=grid.points_per_dim, axis=-1)
     return np.fft.irfftn(arr, s=grid.shape, axes=grid.spatial_axes)
+
+
+def forward_spectrum(grid: Grid, x: np.ndarray):
+    """(xhat, k2, k2_weighted): the spectrum of x and the |k|^2 that go with it.
+
+    A complex x takes fftn_grid, where k2 and k2_weighted are both
+    k_squared.  A real x takes rfftn_grid, whose half spectrum goes with
+    half_k_squared, and with half_k_squared_weighted for sums over it, so
+    that sum(k2_weighted * |xhat|^2) is the full-spectrum sum either way.
+    Pair with inverse_spectrum(grid, ..., x.dtype).
+    """
+    if np.iscomplexobj(x):
+        return fftn_grid(grid, x), grid.k_squared, grid.k_squared
+    return rfftn_grid(grid, x), grid.half_k_squared, grid.half_k_squared_weighted
+
+
+def inverse_spectrum(grid: Grid, xhat: np.ndarray, dtype) -> np.ndarray:
+    """Inverse of forward_spectrum(): back to a real array when dtype is real, else a complex one."""
+    if np.issubdtype(dtype, np.complexfloating):
+        return ifftn_grid(grid, xhat)
+    return irfftn_grid(grid, xhat)
 
 
 def transform(field: Field) -> np.ndarray:

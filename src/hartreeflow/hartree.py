@@ -23,10 +23,10 @@ transforms and multiplies the half spectrum by Kernel.half_multiplier, the
 symbol on the first n // 2 + 1 bins of the last axis, built once per kernel.
 _EnergyState is the one implementation of the energy and its L^2 gradient:
 total_energy, single_energy, energy_gradient and the minimiser all evaluate
-it.  The dtype of the stack picks its field transforms: a complex stack (every
-MultiField, every evolution) takes fftn_grid / ifftn_grid, a real one (the
-minimiser's real starts) rfftn_grid / irfftn_grid on the half spectrum, with
-the kinetic sum weighted by Grid.half_k_squared_weighted.  It reads the stack
+it.  The dtype of the stack picks its field transforms, through
+grid.forward_spectrum and grid.inverse_spectrum: a complex stack (every MultiField,
+every evolution) takes complex transforms, a real one (the minimiser's real
+starts) real transforms on the half spectrum.  It reads the stack
 layout of the grid module, (..., m, *grid.shape): total_energy of a
 MultiField gives Python floats, of a stack arrays over its leading axes, each
 member the same bits as alone.  Energies and gradients are
@@ -46,7 +46,8 @@ from .grid import (
     SizeMismatchError,
     abs_sq,
     fftn_grid,
-    ifftn_grid,
+    forward_spectrum,
+    inverse_spectrum,
     irfftn_grid,
     norms_sq,
     per_component,
@@ -219,24 +220,20 @@ class _EnergyState:
     One evaluation costs three batched transforms (the fields' spectrum and
     the real pair of the density convolution); the gradient reuses the field
     spectra and the potential for one more.  The dtype of x picks the field
-    transforms: a complex stack takes fftn_grid / ifftn_grid, a real one
-    rfftn_grid / irfftn_grid on the half spectrum, whose kinetic sum weighs
-    each bin by its multiplicity (Grid.half_k_squared_weighted).  A real
-    stack thus stays real, gradient included, at the cost of real
-    transforms.  kinetic holds the per-component 1/2 ||grad phi_j||^2, shape
+    transforms through grid.forward_spectrum / grid.inverse_spectrum: complex ones
+    for a complex stack, real ones on the half spectrum for a real stack,
+    which thus stays real, gradient included, at the cost of real
+    transforms.  k_squared is the |k|^2 that goes with xhat.  kinetic holds the per-component 1/2 ||grad phi_j||^2, shape
     (..., m); interaction and total hold one value per leading index.
     """
 
-    __slots__ = ("kernel", "p", "x", "xhat", "kinetic", "potential", "interaction", "total")
+    __slots__ = ("kernel", "p", "x", "xhat", "k_squared", "kinetic", "potential", "interaction", "total")
 
     def __init__(self, kernel: Kernel, p: float, x: np.ndarray):
         g = kernel.grid
         self.kernel, self.p, self.x = kernel, p, x
-        if np.iscomplexobj(x):
-            self.xhat, k_squared = fftn_grid(g, x), g.k_squared
-        else:
-            self.xhat, k_squared = rfftn_grid(g, x), g.half_k_squared_weighted
-        self.kinetic = 0.5 * g.spectral_weight * np.sum(k_squared * abs_sq(self.xhat), axis=g.spatial_axes)
+        self.xhat, self.k_squared, k_squared_weighted = forward_spectrum(g, x)
+        self.kinetic = 0.5 * g.spectral_weight * np.sum(k_squared_weighted * abs_sq(self.xhat), axis=g.spatial_axes)
         rho = total_density(g, x, p)
         self.potential = _convolve_array(kernel, rho)
         self.interaction = g.cell_volume * np.sum(rho * self.potential, axis=g.field_axes) / (2 * p)
@@ -249,11 +246,7 @@ class _EnergyState:
 
     def gradient(self) -> np.ndarray:
         """grad_j = -lap(phi_j) - (sum_k W * |phi_k|^p) |phi_j|^(p-2) phi_j."""
-        g = self.kernel.grid
-        if np.iscomplexobj(self.x):
-            minus_laplacian = ifftn_grid(g, g.k_squared * self.xhat)
-        else:
-            minus_laplacian = irfftn_grid(g, g.half_k_squared * self.xhat)
+        minus_laplacian = inverse_spectrum(self.kernel.grid, self.k_squared * self.xhat, self.x.dtype)
         return minus_laplacian - self.potential * _nonlinear_factor(self.x, self.p)
 
 

@@ -24,8 +24,10 @@ complex_ramp_cycles = 0) is solved in real float64 arithmetic from start to
 finish: the gradient of a real field is real, so are the search direction and
 the Barzilai-Borwein step, and the field transforms are the real pair
 rfftn_grid / irfftn_grid on the half spectrum.  The data picks the path:
-_EnergyState, _sobolev_direction and _tangent_projection take real or complex
-arithmetic from the dtype of their input, so one solver serves both.  The
+_EnergyState and _sobolev_direction take their transforms from
+grid.forward_spectrum / grid.inverse_spectrum, which choose by the dtype of
+their input, and _tangent_projection follows the dtype too, so one solver
+serves both.  The
 result is complex128 either way, and GroundState.energy is the public
 total_energy of its fields.
 
@@ -211,10 +213,8 @@ def _sobolev_direction(grid: Grid, residual: np.ndarray, x: np.ndarray, x_masses
     A real residual is smoothed on the half spectrum of the real transforms.
     """
     c = gridmod.per_component(grid, np.maximum(lambdas, _SHIFT_FLOOR))
-    if np.iscomplexobj(residual):
-        smoothed = gridmod.ifftn_grid(grid, gridmod.fftn_grid(grid, residual) / (c + grid.k_squared))
-    else:
-        smoothed = gridmod.irfftn_grid(grid, gridmod.rfftn_grid(grid, residual) / (c + grid.half_k_squared))
+    residual_hat, k_squared, _ = gridmod.forward_spectrum(grid, residual)
+    smoothed = gridmod.inverse_spectrum(grid, residual_hat / (c + k_squared), residual.dtype)
     return _tangent_projection(grid, smoothed, x, x_masses)[0]
 
 

@@ -86,6 +86,21 @@ class TestHalfSpectrum:
         assert np.abs(half_sum - full_sum).max() <= 1e-14 * np.abs(full_sum).max()
 
     @pytest.mark.parametrize("space_dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_forward_spectrum_picks_transforms_by_dtype(self, space_dim, n):
+        g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
+        x = np.random.default_rng(space_dim).standard_normal((2,) + g.shape)
+        z = x.astype(complex)
+        xhat, k2, k2_weighted = hf.grid.forward_spectrum(g, x)
+        assert np.array_equal(xhat, hf.grid.rfftn_grid(g, x))
+        assert k2 is g.half_k_squared and k2_weighted is g.half_k_squared_weighted
+        zhat, k2, k2_weighted = hf.grid.forward_spectrum(g, z)
+        assert np.array_equal(zhat, hf.grid.fftn_grid(g, z))
+        assert k2 is g.k_squared and k2_weighted is g.k_squared
+        back = hf.grid.inverse_spectrum(g, xhat, x.dtype)
+        assert back.dtype == np.float64 and np.allclose(back, x, rtol=0, atol=1e-13)
+        assert np.array_equal(hf.grid.inverse_spectrum(g, zhat, z.dtype), hf.grid.ifftn_grid(g, zhat))
+
+    @pytest.mark.parametrize("space_dim,n", [(1, 64), (2, 16), (3, 8)])
     def test_norms_of_real_stack_match_complex(self, space_dim, n):
         # |x|^2 of a real array skips a zero imaginary part: x^2 + 0 = x^2
         g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)

@@ -206,7 +206,7 @@ class TestGroundState:
 
 
 def _transform_guard(monkeypatch, raise_in_loop=True):
-    """Patch the complex grid transforms wherever the solver looks them up.
+    """Patch the complex grid transforms wherever the library looks them up.
 
     Inside the solver's loop, that is until it asks for the public energy of
     its result, they raise (raise_in_loop) or count into state["complex"].
@@ -215,6 +215,8 @@ def _transform_guard(monkeypatch, raise_in_loop=True):
     state = {"in_loop": True, "complex": 0}
     for module in (hf.grid, hf.hartree):
         for name in ("fftn_grid", "ifftn_grid"):
+            if not hasattr(module, name):
+                continue
             original = getattr(module, name)
 
             def guarded(*args, _original=original, **kwargs):
