@@ -51,6 +51,7 @@ from .hartree import (
 )
 from .minimize import (
     GroundState,
+    GroundStateStack,
     PhaseFactorization,
     ZeroMassError,
     extract_multipliers,

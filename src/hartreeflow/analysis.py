@@ -21,9 +21,11 @@ minimisation problem into a computation with an explicit margin:
 * stability_experiment perturbs a minimiser, propagates, and reports the
   worst-case distance to the gauge orbit per perturbation size.
 
-The scan solves its entries serially, in input order; every randomised
-sub-run derives its seed from the entry key, so a report is deterministic
-given its inputs.
+The scan solves the seeded runs of all infima with one component count in
+stacked ground_state calls of up to stack_capacity members; each member's
+iterates are the bits of its solo solve, so no result depends on the
+grouping.  Every randomised sub-run derives its seed from the entry key, so
+a report is deterministic given its inputs.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .minimize import (
     GroundState,
     ground_state,
     project_masses,
+    stack_capacity,
 )
 from .evolve import evolve
 from .params import SystemParams
@@ -276,20 +279,40 @@ def infimum_value(
     run to have converged.
     """
     key = _infimum_key(masses)
-    if len(key) == 0:
-        return 0.0, True, (), np.zeros(0)
-    sub_params = replace(params, component_count=len(key), masses=key)
-    best = None
-    seeds = []
-    all_converged = True
-    for i in range(seeds_per_value):
-        seed = _stable_seed(key, base_seed, i)
-        seeds.append(seed)
-        gs = ground_state(sub_params, kernel, tol=tol, max_iters=max_iters, seed=seed)
-        all_converged &= gs.converged
-        if best is None or gs.energy.total < best.energy.total:
-            best = gs
-    return best.energy.total, all_converged, tuple(seeds), best.multipliers
+    return _infima(
+        [key], params, kernel, tol=tol, max_iters=max_iters, seeds_per_value=seeds_per_value, base_seed=base_seed
+    )[key]
+
+
+def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds_per_value, base_seed) -> dict:
+    """infimum_value of every key (sorted positive masses), in the order of keys.
+
+    The seeded runs of all keys with one component count are solved in
+    stacked ground_state calls of stack_capacity members each; every member's
+    iterates are the bits of its solo solve, so no value depends on which
+    runs share a stack.  Only the lowest energy of each key is kept.
+    """
+    seeds = {key: tuple(_stable_seed(key, base_seed, i) for i in range(seeds_per_value)) for key in keys if key}
+    runs_by_count: dict[int, list] = {}  # component count -> (key, seed) of each run
+    for key, key_seeds in seeds.items():
+        runs_by_count.setdefault(len(key), []).extend((key, seed) for seed in key_seeds)
+    best = {(): (0.0, np.zeros(0))}  # key -> (energy, multipliers) of its lowest run so far
+    converged = dict.fromkeys(keys, True)
+    for count, runs in runs_by_count.items():
+        size = stack_capacity(replace(params, component_count=count, masses=runs[0][0]))
+        for chunk in (runs[lo : lo + size] for lo in range(0, len(runs), size)):
+            stack = ground_state(
+                [replace(params, component_count=count, masses=key) for key, _ in chunk],
+                kernel,
+                tol=tol,
+                max_iters=max_iters,
+                seed=[seed for _, seed in chunk],
+            )
+            for (key, _), gs in zip(chunk, stack.members):
+                converged[key] &= gs.converged
+                if key not in best or gs.energy.total < best[key][0]:
+                    best[key] = (gs.energy.total, gs.multipliers)
+    return {key: (best[key][0], converged[key], seeds.get(key, ()), best[key][1]) for key in keys}
 
 
 def default_mass_pairs_m2(values=(0.0, 0.5, 1.0)) -> list[tuple[tuple[float, float], tuple[float, float]]]:
@@ -351,19 +374,10 @@ def subadditivity_scan(
         if any(v <= 0 for v in sv):
             raise ValueError(f"combined masses must be strictly positive, got {sv}")
         pair_list.append((mv, tv, sv))
-    keys = dict.fromkeys(_infimum_key(vec) for triple in pair_list for vec in triple)
-    cache = {
-        key: infimum_value(
-            key,
-            params,
-            kernel,
-            tol=tol,
-            max_iters=max_iters,
-            seeds_per_value=seeds_per_value,
-            base_seed=base_seed,
-        )
-        for key in keys
-    }
+    keys = list(dict.fromkeys(_infimum_key(vec) for triple in pair_list for vec in triple))
+    cache = _infima(
+        keys, params, kernel, tol=tol, max_iters=max_iters, seeds_per_value=seeds_per_value, base_seed=base_seed
+    )
 
     records, excluded = [], []
     for mv, tv, sv in pair_list:

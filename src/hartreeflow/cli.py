@@ -313,15 +313,15 @@ def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
             )
     outputs.append(path)
     summary_path = os.path.join(out_dir, "subadditivity_summary.json")
-    all_positive = all(r.margin > 0 for r in result.records)
+    # With no converged record there is no margin to report, and no claim.
     _write_json(
         summary_path,
         {
             "pairs": len(pairs),
             "converged_records": len(result.records),
             "excluded_records": len(result.excluded),
-            "min_margin": result.min_margin,
-            "all_margins_positive": all_positive,
+            "min_margin": result.min_margin if result.records else None,
+            "all_margins_positive": bool(result.records) and all(r.margin > 0 for r in result.records),
         },
     )
     outputs.append(summary_path)

@@ -244,6 +244,14 @@ class _EnergyState:
         """Python floats for an unstacked array, else arrays over the leading axes."""
         return EnergyBreakdown.make(scalar_or_array(self.kinetic.sum(axis=-1)), scalar_or_array(self.interaction))
 
+    def take(self, rows) -> "_EnergyState":
+        """The state of the members at rows (an index or mask of the leading axis)."""
+        new = object.__new__(_EnergyState)
+        new.kernel, new.p, new.k_squared = self.kernel, self.p, self.k_squared
+        for name in ("x", "xhat", "kinetic", "potential", "interaction", "total"):
+            setattr(new, name, getattr(self, name)[rows])
+        return new
+
     def gradient(self) -> np.ndarray:
         """grad_j = -lap(phi_j) - (sum_k W * |phi_k|^p) |phi_j|^(p-2) phi_j."""
         minus_laplacian = inverse_spectrum(self.kernel.grid, self.k_squared * self.xhat, self.x.dtype)

@@ -259,3 +259,56 @@ class TestStabilityExperiment:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 hf.stability_experiment(gs_m2, [0.0, bad], 0.1, 1e-2, desk_kernel, desk_params.power)
         assert steps == []
+
+
+class TestStackedScan:
+    def test_scan_matches_solo_solves_per_key(self, setup128, monkeypatch):
+        params, _, kernel = setup128
+        calls = []
+        stacked = hf.analysis.ground_state
+
+        def spy(problems, *args, **kwargs):
+            calls.append(len(problems))
+            return stacked(problems, *args, **kwargs)
+
+        monkeypatch.setattr(hf.analysis, "ground_state", spy)
+        pairs = [((0.5, 0.5), (0.5, 0.5)), ((0.0, 1.0), (1.0, 0.0)), ((0.5, 0.0), (0.5, 1.0))]
+        scan = hf.subadditivity_scan(pairs, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)
+        assert calls == [6, 4]  # one call per component count: 3 keys of m=2, then 2 of m=1, 2 seeds each
+        monkeypatch.undo()
+
+        expected = {}
+        for key in scan.infimum_cache:
+            seeds = tuple(hf.analysis._stable_seed(key, 3, i) for i in range(2))
+            runs = [
+                hf.ground_state(replace(params, component_count=len(key), masses=key), kernel, tol=1e-5, seed=s)
+                for s in seeds
+            ]
+            best = min(runs, key=lambda gs: gs.energy.total)
+            expected[key] = (best.energy.total, all(gs.converged for gs in runs), seeds, best.multipliers)
+        assert list(scan.infimum_cache) == list(expected)
+        for key, (value, converged, seeds, lambdas) in expected.items():
+            got = scan.infimum_cache[key]
+            assert got[:3] == (value, converged, seeds)
+            assert np.array_equal(got[3], lambdas)
+            assert hf.infimum_value(key, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)[:3] == got[:3]
+        for rec in scan.records:
+            i_m, i_t, i_s = (expected[hf.analysis._infimum_key(v)][0] for v in (rec.masses_m, rec.masses_t,
+                             tuple(a + b for a, b in zip(rec.masses_m, rec.masses_t))))
+            assert rec.margin == i_m + i_t - i_s
+
+    def test_scan_calls_respect_the_stack_cap(self, setup128, monkeypatch):
+        params, grid, kernel = setup128
+        sizes = []
+        stacked = hf.analysis.ground_state
+
+        def spy(problems, *args, **kwargs):
+            sizes.append((len(problems), problems[0].component_count))
+            return stacked(problems, *args, **kwargs)
+
+        monkeypatch.setattr(hf.analysis, "ground_state", spy)
+        # the default m=2 grid: 2 keys of m=1 and 10 of m=2, at 3 seeds each
+        hf.subadditivity_scan(hf.default_mass_pairs_m2(), params, kernel, tol=1e-3, seeds_per_value=3)
+        cap = hf.minimize._STACK_POINTS
+        assert all(b * m * grid.total_points <= cap for b, m in sizes)
+        assert sizes == [(6, 1), (16, 2), (14, 2)]

@@ -1,0 +1,111 @@
+"""The benchmark's hooks still fit the program.
+
+hfbench/tracer.py patches module bindings by name and reads result fields
+(iterations, converged) of what it wraps; a program change that renames a
+binding or hides the work of a solve breaks the traced benchmark run
+without failing any other test.  These tests install hfbench's own Tracer
+and Counter, read-only, around in-process runs of tiny experiments.
+"""
+
+import json
+import os
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import hartreeflow as hf
+from hartreeflow import analysis, cli
+from hartreeflow.evolve import step_count
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "hfbench"))
+from tracer import Counter, Tracer, layer_metrics  # noqa: E402
+
+PARAMS = {
+    "space_dim": 1,
+    "component_count": 2,
+    "power": 2.0,
+    "kernel_exponent": 0.5,
+    "masses": [1.0, 1.0],
+    "box_length": 40.0,
+    "points_per_dim": 256,
+}
+
+
+def _config(tmp_path, experiment, tag):
+    return cli.parse_config(
+        {
+            "params": PARAMS,
+            "solver": {"tol": 1e-6, "max_iters": 5000, "seeds": 1},
+            "evolution": {"T": 0.1, "dt": 1e-3},
+            "experiment": experiment,
+            "output_dir": str(tmp_path / tag),
+            "seed": 5,
+        }
+    )
+
+
+def _traced(tmp_path, experiment) -> dict:
+    tracer = Tracer()
+    tracer.install()
+    try:
+        with tracer.span("setup"):
+            config = _config(tmp_path, experiment, "traced")
+        with tracer.span("cli.run", "hartreeflow.cli"):
+            assert cli.run(config) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.nesting_errors() == []
+    return layer_metrics(tracer.spans)
+
+
+def _counted(tmp_path, experiment) -> dict:
+    counter = Counter()
+    counter.install()
+    try:
+        assert cli.run(_config(tmp_path, experiment, "counted")) == 0
+    finally:
+        counter.uninstall()
+    counts = counter.counts()
+    assert json.loads(json.dumps(counts)) == counts
+    return counts
+
+
+@pytest.mark.parametrize("hooks", [Tracer, Counter])
+def test_every_patched_name_exists(hooks):
+    solve = analysis.ground_state
+    installed = hooks()
+    installed.install()
+    try:
+        assert analysis.ground_state is not solve
+    finally:
+        installed.uninstall()
+    assert analysis.ground_state is solve
+
+
+@pytest.mark.parametrize("experiment", ["scan-subadditivity", "stability"])
+def test_traced_and_counted_runs_agree(tmp_path, experiment):
+    layers = _traced(tmp_path, experiment)
+    counts = _counted(tmp_path, experiment)
+    for name in ("minimize.iters", "evolve.steps"):
+        assert layers[name] == counts[name], name
+    assert counts["minimize.iters"] > 0
+    if experiment == "stability":
+        assert counts["evolve.steps"] == step_count(0.1, 1e-3) > 0
+
+
+def test_scan_iterations_are_the_solo_iterations(tmp_path):
+    counts = _counted(tmp_path, "scan-subadditivity")
+    config = _config(tmp_path, "scan-subadditivity", "solo")
+    kernel = hf.build_kernel(hf.grid_for(config.params), config.params.kernel_exponent)
+    solver = config.solver
+    keys = dict.fromkeys(
+        analysis._infimum_key(v) for mv, tv in cli._scan_pairs_for(config) for v in (mv, tv, np.add(mv, tv))
+    )
+    solo = 0
+    for key in keys:
+        problem = replace(config.params, component_count=len(key), masses=key)
+        seed = analysis._stable_seed(key, config.seed, 0)
+        solo += hf.ground_state(problem, kernel, tol=solver.tol, max_iters=solver.max_iters, seed=seed).iterations
+    assert counts["minimize.iters"] == solo

@@ -170,6 +170,24 @@ class TestRun:
         assert summary["all_margins_positive"] is True
         assert summary["excluded_records"] == 0
 
+    def test_scan_without_converged_records_claims_nothing(self, tmp_path, capsys):
+        # a budget of 2 iterations converges no infimum: every record is excluded
+        cfg = base_config()
+        cfg["solver"]["max_iters"] = 2
+        out = tmp_path / "out"
+        cfg["output_dir"] = str(out)
+        path = write_config(tmp_path, cfg)
+        assert main(["scan", "--config", path]) == 0
+        assert "0 records, 56 excluded" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        summary = json.loads((out / "subadditivity_summary.json").read_text(), parse_constant=reject)
+        assert summary["converged_records"] == 0 and summary["excluded_records"] == 56
+        assert summary["min_margin"] is None
+        assert summary["all_margins_positive"] is False
+
     def test_check_lemmas_exit_zero(self, tmp_path):
         cfg = base_config()
         cfg["params"]["points_per_dim"] = 128

@@ -378,3 +378,115 @@ class TestPersistence:
         assert sidecar["converged"] is True
         assert sidecar["stop_reason"] == "converged"
         assert sidecar["params"]["points_per_dim"] == 256
+
+
+def _assert_same_solve(stacked, solo):
+    """A stack member and its solo solve: the same bits in every result field."""
+    assert np.array_equal(stacked.fields.data, solo.fields.data)
+    assert stacked.energy == solo.energy
+    assert np.array_equal(stacked.multipliers, solo.multipliers)
+    assert np.array_equal(stacked.residuals, solo.residuals)
+    assert stacked.iterations == solo.iterations
+    assert stacked.stop_reason == solo.stop_reason
+    assert stacked.seed == solo.seed
+
+
+@pytest.fixture()
+def stack_sizes(monkeypatch):
+    """The member count of every stack the minimiser loop runs."""
+    sizes = []
+    loop = hf.minimize._minimize
+
+    def spy(state, *args):
+        sizes.append(len(state.x))
+        return loop(state, *args)
+
+    monkeypatch.setattr(hf.minimize, "_minimize", spy)
+    return sizes
+
+
+class TestStackedSolve:
+    """ground_state on a list of problems: one loop, each member bit-equal to its solo solve."""
+
+    @pytest.mark.parametrize(
+        "overrides, masses",
+        [
+            (dict(component_count=1, masses=(1.0,)), [(0.5,), (1.0,), (1.5,), (2.0,)]),
+            ({}, [(0.5, 0.5), (1.0, 1.0), (0.5, 1.0), (1.0, 1.5)]),
+            (dict(space_dim=2, kernel_exponent=1.0, points_per_dim=16), [(0.5, 0.5), (1.0, 1.0), (0.5, 1.0)]),
+        ],
+        ids=["1d-m1", "1d-m2", "2d-m2"],
+    )
+    def test_members_equal_solo_solves(self, small_setup, overrides, masses, stack_sizes):
+        params = replace(small_setup[0], **overrides)
+        kernel = hf.build_kernel(hf.grid_for(params), params.kernel_exponent)
+        problems = [replace(params, masses=ms) for ms in masses]
+        seeds = [4 + b for b in range(len(problems))]
+        stack = hf.ground_state(problems, kernel, tol=TOL, seed=seeds)
+        assert stack_sizes == [len(problems)]
+        assert isinstance(stack, hf.GroundStateStack) and len(stack.members) == len(problems)
+        for problem, seed, member in zip(problems, seeds, stack.members):
+            _assert_same_solve(member, hf.ground_state(problem, kernel, tol=TOL, seed=seed))
+        assert len({gs.iterations for gs in stack.members}) > 1  # members left the stack at different iterations
+
+    def test_member_stopped_by_max_iters(self, small_setup):
+        params, _, kernel = small_setup
+        problems = [replace(params, masses=ms) for ms in [(0.3, 0.6), (1.0, 1.0), (1.5, 1.5)]]
+        stack = hf.ground_state(problems, kernel, tol=TOL, max_iters=40, seed=[4, 4, 4])
+        assert [gs.stop_reason for gs in stack.members] == ["converged", "converged", "max_iters"]
+        assert stack.members[2].iterations == 40 > stack.members[1].iterations > stack.members[0].iterations
+        assert not stack.converged
+        for problem, member in zip(problems, stack.members):
+            _assert_same_solve(member, hf.ground_state(problem, kernel, tol=TOL, max_iters=40, seed=4))
+
+    def test_stalled_member_leaves_the_others_unchanged(self, small_setup):
+        # tol below the floating-point floor: the converged start stalls at
+        # once, the Gaussian starts run into the budget
+        params, _, kernel = small_setup
+        converged = hf.ground_state(params, kernel, tol=1e-10, seed=1)
+        problems = [params, replace(params, masses=(0.5, 0.5)), params]
+        inits = [converged.fields, None, None]
+        seeds = [None, 4, 5]
+        stack = hf.ground_state(problems, kernel, init=inits, tol=1e-14, max_iters=20, seed=seeds)
+        assert [gs.stop_reason for gs in stack.members] == ["stalled", "max_iters", "max_iters"]
+        assert stack.members[0].iterations < 20
+        for problem, init, seed, member in zip(problems, inits, seeds, stack.members):
+            _assert_same_solve(member, hf.ground_state(problem, kernel, init=init, tol=1e-14, max_iters=20, seed=seed))
+
+    def test_iterations_is_the_python_int_sum(self, small_setup):
+        params, _, kernel = small_setup
+        problems = [replace(params, masses=ms) for ms in [(0.5, 0.5), (1.0, 1.5)]]
+        stack = hf.ground_state(problems, kernel, tol=TOL, seed=[1, 2])
+        assert type(stack.iterations) is int
+        assert stack.iterations == sum(gs.iterations for gs in stack.members) > 0
+        assert all(type(gs.iterations) is int for gs in stack.members)
+        assert stack.converged is True
+
+    def test_stack_capacity_counts_field_points(self, small_setup):
+        params = small_setup[0]
+        cap = hf.minimize._STACK_POINTS
+        assert hf.minimize.stack_capacity(params) == cap // (2 * 128)
+        assert hf.minimize.stack_capacity(replace(params, component_count=1, masses=(1.0,))) == cap // 128
+        # a member larger than the cap is a stack of its own
+        assert hf.minimize.stack_capacity(replace(params, points_per_dim=2 * cap)) == 1
+        assert hf.minimize.stack_capacity(replace(params, space_dim=2, kernel_exponent=1.0, points_per_dim=64)) == 1
+
+    def test_mixed_real_and_complex_starts(self, small_setup, stack_sizes):
+        # a complex start does not turn the real members complex: one stack per dtype
+        params, grid, kernel = small_setup
+        real = hf.gaussian_init(grid, params.masses, seed=2)
+        turned = hf.MultiField(grid, np.exp(0.3j) * real.data)
+        inits = [real, turned, real]
+        stack = hf.ground_state([params] * 3, kernel, init=inits, tol=TOL)
+        assert stack_sizes == [2, 1]
+        for init, member in zip(inits, stack.members):
+            _assert_same_solve(member, hf.ground_state(params, kernel, init=init, tol=TOL))
+
+    def test_problems_must_differ_only_in_masses(self, small_setup):
+        params, _, kernel = small_setup
+        with pytest.raises(ValueError, match="only in their masses"):
+            hf.ground_state([params, replace(params, power=2.5)], kernel)
+        with pytest.raises(ValueError, match="one seed per problem"):
+            hf.ground_state([params, params], kernel, seed=[1])
+        with pytest.raises(ValueError, match="at least one problem"):
+            hf.ground_state([], kernel)
