@@ -29,10 +29,8 @@ from .grid import (
     grid_for,
     h1_norm_sq,
     inner,
-    inverse_transform,
     lp_norm,
     mass,
-    multifield_masses,
     read_snapshot,
     transform,
     write_snapshot,
@@ -60,7 +58,6 @@ from .minimize import (
     phase_factorize,
     project_masses,
     save_ground_state,
-    single_component_ground,
 )
 from .evolve import (
     EvolutionTrace,
@@ -81,7 +78,6 @@ from .analysis import (
     default_cases_m3,
     default_mass_pairs_m2,
     infimum_value,
-    omega_constant,
     scaling_negativity_test,
     stability_experiment,
     strict_scaling_check,

@@ -97,17 +97,6 @@ def concentration_profile(mf: MultiField, radii) -> ConcentrationProfile:
 # -- dilation experiments -----------------------------------------------------
 
 
-def omega_constant(masses, p: float) -> float:
-    """Positive constant collecting the mass ratios in the dilation bound.
-
-    Omega = 1/(2p) + (1/p) sum_{j>=2} (M_j/M_1)^{p/2}
-          + 1/(2p) sum_{k,j>=2} (M_j/M_1)^{p/2} (M_k/M_1)^{p/2}.
-    """
-    masses = np.asarray(masses, dtype=float)
-    ratios = (masses[1:] / masses[0]) ** (p / 2.0)
-    return float(1.0 / (2 * p) + ratios.sum() / p + (ratios.sum() ** 2) / (2 * p))
-
-
 @dataclass(frozen=True, eq=False)
 class ScalingNegativityResult:
     theta_star: float
@@ -292,6 +281,8 @@ def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds
     iterates are the bits of its solo solve, so no value depends on which
     runs share a stack.  Only the lowest energy of each key is kept.
     """
+    if seeds_per_value < 1:
+        raise ValueError(f"seeds_per_value must be at least 1, got {seeds_per_value}")
     seeds = {key: tuple(_stable_seed(key, base_seed, i) for i in range(seeds_per_value)) for key in keys if key}
     runs_by_count: dict[int, list] = {}  # component count -> (key, seed) of each run
     for key, key_seeds in seeds.items():
@@ -457,7 +448,7 @@ def stability_experiment(
     eps_list = list(eps_list)
     if not all(np.isfinite(eps) and eps >= 0 for eps in eps_list):
         raise ValueError(f"perturbation sizes must be finite and nonnegative, got {eps_list}")
-    masses = gridmod.multifield_masses(gs.fields)
+    masses = gridmod.norms_sq(gs.fields.grid, gs.fields.data)
     starts = []
     for i, eps in enumerate(eps_list):
         if eps == 0:

@@ -149,6 +149,15 @@ def parse_config(raw: dict) -> RunConfig:
     if not report.passed:
         names = ", ".join(c.name for c in report.failing())
         raise ConfigError(f"parameter assumptions violated: {names}")
+    # The kernel's origin cell carries a finite average only below this bound;
+    # it is a limit of build_kernel, not one of the paper's clauses.
+    alpha, n_dim = config.params.kernel_exponent, config.params.space_dim
+    if alpha >= n_dim:
+        raise ConfigError(
+            f"config.params.kernel_exponent = {alpha} must be below config.params.space_dim = {n_dim}: "
+            "|x|^(-alpha) is not integrable at the origin"
+        )
+    _check_seed(config.seed)
     solver = config.solver
     if not (np.isfinite(solver.tol) and solver.tol > 0) or solver.max_iters <= 0 or solver.seeds <= 0:
         raise ConfigError("config.solver values must be finite and positive")
@@ -159,6 +168,11 @@ def parse_config(raw: dict) -> RunConfig:
     if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config.experiment!r}; expected one of {', '.join(EXPERIMENTS)}")
     return config
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"config.seed must be non-negative, got {seed}")
 
 
 def load_config(path) -> RunConfig:
@@ -475,6 +489,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             config = replace(config, output_dir=args.out)
         if args.seed is not None:
+            _check_seed(args.seed)
             config = replace(config, seed=args.seed)
         return run(config, config_path=args.config)
     except ConfigError as exc:

@@ -290,7 +290,12 @@ def evolve(
 
 
 def write_trace_csv(path, trace: EvolutionTrace) -> None:
-    """Trace as CSV with columns t, mass_1..mass_m, energy, orbit_distance."""
+    """Trace as CSV with columns t, mass_1..mass_m, energy, orbit_distance.
+
+    A stacked trace is written one member at a time, trace.member(b).
+    """
+    if trace.energy.ndim != 1:
+        raise ValueError("write_trace_csv takes the trace of one start; pass trace.member(b) of a stacked trace")
     m = trace.masses.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

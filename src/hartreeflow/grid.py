@@ -10,7 +10,10 @@ coefficients approximate the Fourier integral over the box and a product of
 two transforms is the transform of the discrete (quadrature-weighted)
 convolution.  Under this convention Parseval reads
 
-    cell_volume * sum |f|^2  =  (1/L^N) * sum_k |transform(f)[k]|^2.
+    cell_volume * sum |f|^2  =  (1/L^N) * sum_k |transform(f)[k]|^2,
+
+and ifftn_grid(grid, transform(f)) / cell_volume gives f back.  The
+component masses of a MultiField, or of any stack, are norms_sq(grid, data).
 
 A real array (a density, or a real field of the minimiser) goes through
 rfftn_grid / irfftn_grid, whose half spectrum holds the first n // 2 + 1 bins
@@ -48,6 +51,7 @@ class SizeMismatchError(ValueError):
 
 
 FIELD_MAGIC = b"CHFLD1\0"
+_HEADER = struct.Struct("<IIId")  # N, m, n, L after the magic
 
 
 @dataclass(frozen=True)
@@ -171,9 +175,6 @@ class Field:
             raise SizeMismatchError(f"field shape {arr.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "data", arr)
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy())
-
 
 @dataclass(frozen=True, eq=False)
 class MultiField:
@@ -203,9 +204,6 @@ class MultiField:
     @property
     def components(self) -> tuple[Field, ...]:
         return tuple(Field(self.grid, self.data[j]) for j in range(self.m))
-
-    def copy(self) -> "MultiField":
-        return MultiField(self.grid, self.data.copy())
 
 
 # -- stacks -------------------------------------------------------------------
@@ -307,13 +305,6 @@ def transform(field: Field) -> np.ndarray:
     return field.grid.cell_volume * fftn_grid(field.grid, field.data)
 
 
-def inverse_transform(grid: Grid, spectrum: np.ndarray) -> Field:
-    spectrum = np.asarray(spectrum)
-    if spectrum.shape != grid.shape:
-        raise SizeMismatchError(f"spectrum shape {spectrum.shape} != grid shape {grid.shape}")
-    return Field(grid, ifftn_grid(grid, spectrum) / grid.cell_volume)
-
-
 # -- norms and inner products --------------------------------------------------
 
 
@@ -327,10 +318,6 @@ def inner(f: Field, g: Field) -> complex:
 def mass(field: Field) -> float:
     """Squared L^2 norm, cell_volume * sum |f|^2."""
     return float(norms_sq(field.grid, field.data))
-
-
-def multifield_masses(mf: MultiField) -> np.ndarray:
-    return norms_sq(mf.grid, mf.data)
 
 
 def grad_norm_sq(field: Field) -> float:
@@ -383,7 +370,7 @@ def dilate(field: Field, theta: float) -> Field:
         raise ValueError(f"dilation factor must be positive, got {theta}")
     g = field.grid
     if theta == 1.0:
-        return field.copy()
+        return Field(g, field.data.copy())
     mat = _dilation_matrix(g, theta)
     out = fftn_grid(g, field.data)
     for ax in range(g.space_dim):
@@ -401,7 +388,7 @@ def write_snapshot(path, mf: MultiField) -> None:
     then m * n^N (re, im) f64 pairs in axis-major order.
     """
     g = mf.grid
-    header = FIELD_MAGIC + struct.pack("<IIId", g.space_dim, mf.m, g.points_per_dim, g.box_length)
+    header = FIELD_MAGIC + _HEADER.pack(g.space_dim, mf.m, g.points_per_dim, g.box_length)
     flat = np.ascontiguousarray(mf.data).reshape(mf.m * g.total_points)
     payload = np.empty(2 * flat.size, dtype="<f8")
     payload[0::2] = flat.real
@@ -416,11 +403,15 @@ def read_snapshot(path) -> MultiField:
         magic = fh.read(len(FIELD_MAGIC))
         if magic != FIELD_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        n_dim, m, n, box_length = struct.unpack("<IIId", fh.read(20))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError("snapshot header truncated")
+        n_dim, m, n, box_length = _HEADER.unpack(header)
         grid = Grid(space_dim=n_dim, points_per_dim=n, box_length=box_length)
         count = 2 * m * grid.total_points
-        payload = np.frombuffer(fh.read(8 * count), dtype="<f8")
-    if payload.size != count:
+        raw = fh.read(8 * count)
+    if len(raw) != 8 * count:
         raise ValueError("snapshot payload truncated")
+    payload = np.frombuffer(raw, dtype="<f8")
     data = (payload[0::2] + 1j * payload[1::2]).reshape((m,) + grid.shape)
     return MultiField(grid, data)

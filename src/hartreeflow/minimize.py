@@ -19,17 +19,19 @@ non-increasing across accepted steps.  Convergence is declared when
 max_j ||grad_j + lambda_j phi_j|| / ||phi_j||_{H^1} <= tol with the
 multipliers re-estimated at every check.
 
-A start whose imaginary part is zero (every Gaussian start with
-complex_ramp_cycles = 0) is solved in real float64 arithmetic from start to
+A start whose imaginary part is zero (every Gaussian start that
+ground_state builds itself) is solved in real float64 arithmetic from start to
 finish: the gradient of a real field is real, so are the search direction and
 the Barzilai-Borwein step, and the field transforms are the real pair
 rfftn_grid / irfftn_grid on the half spectrum.  The data picks the path:
 _EnergyState and _sobolev_direction take their transforms from
 grid.forward_spectrum / grid.inverse_spectrum, which choose by the dtype of
 their input, and _tangent_projection follows the dtype too, so one solver
-serves both.  The
-result is complex128 either way, and GroundState.energy is the public
-total_energy of its fields.
+serves both.  A complex start is handed over as init, for instance
+gaussian_init(grid, masses, seed, complex_ramp_cycles=k).  The result is
+complex128 either way, and GroundState.energy is the public total_energy of
+its fields.  A one-component problem is a SystemParams with
+component_count=1; there is no separate entry point.
 
 ground_state also takes a sequence of problems that share the grid, p and m
 and differ in their masses (a scan's infima and seeds), and solves them as
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -151,7 +153,7 @@ def project_masses(mf: MultiField, masses) -> MultiField:
     masses = np.asarray(masses, dtype=float)
     if masses.shape != (mf.m,):
         raise ValueError(f"expected {mf.m} masses, got shape {masses.shape}")
-    current = gridmod.multifield_masses(mf)
+    current = gridmod.norms_sq(mf.grid, mf.data)
     if np.any(current <= 0):
         raise ZeroMassError(f"cannot project components with zero mass (masses={current})")
     return MultiField(mf.grid, _project(mf.grid, mf.data, masses))
@@ -203,7 +205,7 @@ def extract_multipliers(mf: MultiField, kernel: Kernel, p: float) -> np.ndarray:
     lambda_j = (Re<(sum_k W*|phi_k|^p)|phi_j|^(p-2) phi_j, phi_j> - ||grad phi_j||^2) / M_j,
     equivalently -Re<grad_j, phi_j>/M_j, which minimises ||grad_j + lambda phi_j||.
     """
-    masses = gridmod.multifield_masses(mf)
+    masses = gridmod.norms_sq(mf.grid, mf.data)
     if np.any(masses <= 0):
         raise ZeroMassError("multipliers are undefined for zero-mass components")
     grad = energy_gradient(mf, kernel, p)
@@ -274,7 +276,6 @@ def ground_state(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     seed: int | Sequence[int | None] | None = None,
-    complex_ramp_cycles: int = 0,
     center: bool = True,
 ) -> GroundState | GroundStateStack:
     """Minimise the energy over the product of mass spheres.
@@ -284,12 +285,15 @@ def ground_state(
     per problem; seed and init are then sequences with one entry per problem
     (None: no seed, or the Gaussian start, for every member).  Exhausting
     max_iters returns an unconverged result (flagged, never an exception); a
-    non-finite energy aborts with EnergyNanError.  A start whose imaginary
-    part is zero is solved in float64 arithmetic throughout; the returned
-    fields are complex128 either way.
+    non-finite energy aborts with EnergyNanError.  tol must be finite and
+    positive and max_iters a non-negative int, else ValueError.  A start
+    whose imaginary part is zero is solved in float64 arithmetic throughout;
+    the returned fields are complex128 either way.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValueError(f"max_iters must be a non-negative int, got {max_iters!r}")
     single = isinstance(params, SystemParams)
     problems = [params] if single else list(params)
     if not problems:
@@ -307,7 +311,7 @@ def ground_state(
     starts = []
     for member_masses, member_seed, start in zip(masses, seeds, inits):
         if start is None:
-            start = gaussian_init(g, member_masses, seed=member_seed, complex_ramp_cycles=complex_ramp_cycles)
+            start = gaussian_init(g, member_masses, seed=member_seed)
         elif start.m != first.component_count or start.grid != g:
             raise ValueError("init does not match params (component count or grid)")
         starts.append(start.data if np.any(start.data.imag) else start.data.real)
@@ -462,35 +466,13 @@ def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: in
     return fields, lambdas_out, residuals_out, iterations, reasons
 
 
-def single_component_ground(
-    mass_value: float,
-    params: SystemParams,
-    kernel: Kernel,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    seed: int | None = None,
-    complex_ramp_cycles: int = 0,
-) -> GroundState:
-    """Single-component minimiser at the given mass (remaining params reused)."""
-    single = replace(params, component_count=1, masses=(float(mass_value),))
-    return ground_state(
-        single,
-        kernel,
-        tol=tol,
-        max_iters=max_iters,
-        seed=seed,
-        complex_ramp_cycles=complex_ramp_cycles,
-    )
-
-
 def save_ground_state(prefix, gs: GroundState, params: SystemParams) -> tuple[str, str]:
     """Persist a minimiser as a field snapshot plus a JSON sidecar."""
     snap_path = f"{prefix}.chfld"
     meta_path = f"{prefix}.json"
     gridmod.write_snapshot(snap_path, gs.fields)
     sidecar = {
-        "masses": [float(v) for v in gridmod.multifield_masses(gs.fields)],
+        "masses": [float(v) for v in gridmod.norms_sq(gs.fields.grid, gs.fields.data)],
         "lambda": [float(v) for v in gs.multipliers],
         "energy": asdict(gs.energy),
         "residuals": [float(v) for v in gs.residuals],

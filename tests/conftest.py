@@ -4,6 +4,8 @@ Expensive solves are session-scoped so the acceptance criteria and the module
 tests share one set of converged states.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,15 +80,17 @@ def gs_m2_second_seed(desk_params, desk_kernel):
 
 
 @pytest.fixture(scope="session")
-def gs_m2_complex(desk_params, desk_kernel):
-    gs = hf.ground_state(desk_params, desk_kernel, tol=TOL, seed=7, complex_ramp_cycles=1)
+def gs_m2_complex(desk_params, desk_grid, desk_kernel):
+    init = hf.gaussian_init(desk_grid, desk_params.masses, seed=7, complex_ramp_cycles=1)
+    gs = hf.ground_state(desk_params, desk_kernel, init, tol=TOL, seed=7)
     assert gs.converged
     return gs
 
 
 @pytest.fixture(scope="session")
 def gs_m1(desk_params, desk_kernel):
-    gs = hf.single_component_ground(1.0, desk_params, desk_kernel, tol=TOL, seed=4)
+    params = replace(desk_params, component_count=1, masses=(1.0,))
+    gs = hf.ground_state(params, desk_kernel, tol=TOL, seed=4)
     assert gs.converged
     return gs
 
@@ -101,8 +105,6 @@ def scan_m2(desk_params, desk_kernel):
 
 @pytest.fixture(scope="session")
 def scan_m3(desk_params, desk_kernel):
-    from dataclasses import replace
-
     params3 = replace(desk_params, component_count=3, masses=(1.0, 1.0, 1.0))
     cases = hf.default_cases_m3(seed=0, extra_random=2)
     pairs = [(m, t) for _, m, t in cases]

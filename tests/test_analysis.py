@@ -82,7 +82,10 @@ class TestScalingNegativity:
         u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=1.0)
         res = hf.scaling_negativity_test(desk_params, u1, np.linspace(0.4, 1.0, 13), desk_kernel)
         p = desk_params.power
-        omega = hf.omega_constant(desk_params.masses, p)
+        # Omega = 1/(2p) + (1/p) sum_{j>=2} r_j + 1/(2p) (sum_{j>=2} r_j)^2, r_j = (M_j/M_1)^(p/2)
+        masses = np.asarray(desk_params.masses)
+        ratios = np.sum((masses[1:] / masses[0]) ** (p / 2))
+        omega = 1 / (2 * p) + ratios / p + ratios**2 / (2 * p)
         assert omega == pytest.approx(1.0)  # masses (1,1), p=2: 1/4 + 1/2 + 1/4
         base_interaction = p * hf.pair_interaction(p, u1, u1, desk_kernel, p)
         kin = hf.grad_norm_sq(u1) * len(desk_params.masses)
@@ -183,8 +186,9 @@ class TestSubadditivityScan:
             [((0.0, 1.0), (1.0, 0.0))], params, kernel, tol=1e-5, seeds_per_value=1
         )
         rec = scan.records[0]
-        a = hf.single_component_ground(1.0, params, kernel, tol=1e-5, seed=11)
-        b = hf.single_component_ground(1.0, params, kernel, tol=1e-5, seed=12)
+        single = replace(params, component_count=1, masses=(1.0,))
+        a = hf.ground_state(single, kernel, tol=1e-5, seed=11)
+        b = hf.ground_state(single, kernel, tol=1e-5, seed=12)
         gain = hf.pair_interaction(
             params.power, a.fields.components[0], b.fields.components[0], kernel, params.power
         )
@@ -205,6 +209,13 @@ class TestSubadditivityScan:
             hf.subadditivity_scan([((0.0, 0.0), (1.0, 1.0))], params, kernel)
         with pytest.raises(ValueError):
             hf.subadditivity_scan([((0.0, 1.0), (0.0, 1.0))], params, kernel)
+
+    def test_zero_seeds_per_value_rejected(self, setup128):
+        params, _, kernel = setup128
+        with pytest.raises(ValueError, match="seeds_per_value"):
+            hf.subadditivity_scan([((1.0, 0.0), (0.0, 1.0))], params, kernel, seeds_per_value=0)
+        with pytest.raises(ValueError, match="seeds_per_value"):
+            hf.infimum_value((1.0, 1.0), params, kernel, seeds_per_value=0)
 
     def test_default_m2_grid_shape(self):
         pairs = hf.default_mass_pairs_m2()

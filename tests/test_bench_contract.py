@@ -1,10 +1,13 @@
-"""The benchmark's hooks still fit the program.
+"""The benchmark's hooks and imports still fit the program.
 
 hfbench/tracer.py patches module bindings by name and reads result fields
 (iterations, converged) of what it wraps; a program change that renames a
 binding or hides the work of a solve breaks the traced benchmark run
 without failing any other test.  These tests install hfbench's own Tracer
 and Counter, read-only, around in-process runs of tiny experiments.
+hfbench/checks.py and hfbench/micro.py import public names of the package
+(Field, convolve_density, el_residual, h1_norm_sq, ...); the last test runs
+both on a small state, so that deleting such a name fails here too.
 """
 
 import json
@@ -20,6 +23,8 @@ from hartreeflow import analysis, cli
 from hartreeflow.evolve import step_count
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "hfbench"))
+import checks  # noqa: E402
+import micro  # noqa: E402
 from tracer import Counter, Tracer, layer_metrics  # noqa: E402
 
 PARAMS = {
@@ -109,3 +114,15 @@ def test_scan_iterations_are_the_solo_iterations(tmp_path):
         seed = analysis._stable_seed(key, config.seed, 0)
         solo += hf.ground_state(problem, kernel, tol=solver.tol, max_iters=solver.max_iters, seed=seed).iterations
     assert counts["minimize.iters"] == solo
+
+
+def test_reference_checks_and_micro_timings_run(monkeypatch):
+    params = hf.SystemParams(**{**PARAMS, "masses": (1.0, 1.0), "box_length": 20.0, "points_per_dim": 64})
+    gs, kernel = checks.reference_state(params, tol=1e-6, max_iters=5000, seed=5)
+    results = checks.api_checks(gs, kernel, params.power, 1e-6)
+    assert [name for name, passed, _ in results if not passed] == []
+    monkeypatch.setattr(micro, "BATCHES", 1)
+    monkeypatch.setattr(micro, "BATCH_SECONDS", 1e-4)
+    timings = micro.micro_timings(gs, kernel, params.power, 1e-3)
+    assert len(timings) == 5
+    assert all(np.isfinite(us) and us > 0 for us in timings.values())

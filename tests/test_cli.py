@@ -288,6 +288,26 @@ class TestRun:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "minimize"])
+    def test_kernel_exponent_at_least_space_dim_exit_two(self, tmp_path, capsys, command):
+        # every paper clause holds at N=1, alpha=1.5, p=2, but the kernel cannot be built
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["params"]["kernel_exponent"] = 1.5
+        assert hf.validate_assumptions(hf.SystemParams(**{**cfg["params"], "masses": (1.0, 1.0)})).passed
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kernel_exponent" in err and "space_dim" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exit_two(self, tmp_path, capsys, where):
+        cfg = base_config(output_dir=str(tmp_path / "out"), seed=-1 if where == "config" else 3)
+        args = ["minimize", "--config", write_config(tmp_path, cfg)]
+        assert main(args + (["--seed", "-1"] if where == "flag" else [])) == 2
+        err = capsys.readouterr().err
+        assert "config.seed" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("space_dim,n", [(1, 2**40), (3, 2**14), (10**18, 8)])
     def test_grid_too_large_to_allocate_exit_two(self, tmp_path, capsys, space_dim, n):
         # refused from the config alone: no grid array is allocated

@@ -43,7 +43,7 @@ class TestStep:
         _, grid, kernel = setup128
         mf = hf.project_masses(trig_field(grid, seed=2, m=2), [1.0, 1.0])
         out = hf.MultiField(grid, Propagator(grid, kernel, 2.0, 1e-2).step_array(mf.data))
-        masses = hf.multifield_masses(out)
+        masses = hf.grid.norms_sq(grid, out.data)
         assert np.abs(masses - 1.0).max() <= 1e-12
 
     def test_nan_input_aborts(self, setup128):
@@ -63,7 +63,7 @@ class TestStep:
         _, grid, kernel = setup128
         mf = hf.project_masses(trig_field(grid, seed=4, m=1), [1.0])
         out = hf.MultiField(grid, Propagator(grid, kernel, 2.5, 1e-2).step_array(mf.data))
-        assert hf.multifield_masses(out)[0] == pytest.approx(1.0, rel=1e-12)
+        assert hf.grid.norms_sq(grid, out.data)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def reference_strang_step(x, dt, kernel, p):
@@ -309,6 +309,16 @@ class TestEvolve:
         assert len(rows) == 1 + len(trace.times)
         assert float(rows[1][1]) == pytest.approx(1.0, rel=1e-12)
 
+    def test_trace_csv_takes_one_member(self, tmp_path, setup128):
+        _, grid, kernel = setup128
+        mf = hf.project_masses(trig_field(grid, seed=7, m=2), [1.0, 1.0])
+        stacked = hf.evolve([mf, mf], 5e-3, 1e-3, kernel, 2.0)
+        with pytest.raises(ValueError, match=r"trace\.member\(b\)"):
+            hf.write_trace_csv(tmp_path / "stacked.csv", stacked)
+        hf.write_trace_csv(tmp_path / "member.csv", stacked.member(1))
+        hf.write_trace_csv(tmp_path / "alone.csv", hf.evolve(mf, 5e-3, 1e-3, kernel, 2.0))
+        assert (tmp_path / "member.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
 
 def small_ground_state(space_dim, m, n, p):
     params = hf.SystemParams(
@@ -416,7 +426,7 @@ class TestStackedQuantities:
                 alone.kinetic, alone.interaction, alone.total
             )
             assert distance[b] == hf.orbit_distance(start, gs)
-            assert np.array_equal(masses[b], hf.multifield_masses(start))
+            assert np.array_equal(masses[b], hf.grid.norms_sq(start.grid, start.data))
         # any number of leading axes
         square = stack.reshape((2, 2) + stack.shape[1:])
         assert np.array_equal(hf.total_energy(square, kernel, p).total, energy.total.reshape(2, 2))

@@ -101,7 +101,7 @@ class TestProjectMasses:
         _, grid, _ = small_setup
         mf = trig_field(grid, seed=3, m=2)
         out = hf.project_masses(mf, [0.7, 1.3])
-        assert hf.multifield_masses(out) == pytest.approx([0.7, 1.3], rel=1e-12)
+        assert hf.grid.norms_sq(grid, out.data) == pytest.approx([0.7, 1.3], rel=1e-12)
 
     def test_zero_mass_rejected(self, small_setup):
         _, grid, _ = small_setup
@@ -128,7 +128,7 @@ class TestGroundState:
         assert np.all(gs_m2.residuals >= 0)
 
     def test_mass_constraint_exact(self, gs_m2):
-        assert hf.multifield_masses(gs_m2.fields) == pytest.approx([1.0, 1.0], rel=1e-10)
+        assert hf.grid.norms_sq(gs_m2.fields.grid, gs_m2.fields.data) == pytest.approx([1.0, 1.0], rel=1e-10)
 
     def test_converged_init_is_fixed_point(self, desk_params, desk_kernel, gs_m2):
         again = hf.ground_state(desk_params, desk_kernel, init=gs_m2.fields, tol=TOL)
@@ -159,6 +159,25 @@ class TestGroundState:
         assert not gs.converged
         assert gs.stop_reason == "max_iters"
         assert gs.iterations == 5
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(tol=float("nan")), dict(tol=float("inf")), dict(tol=0.0), dict(max_iters=-1), dict(max_iters=2.5),
+         dict(max_iters=True)],
+        ids=["tol-nan", "tol-inf", "tol-zero", "max_iters-negative", "max_iters-float", "max_iters-bool"],
+    )
+    def test_unusable_tol_or_max_iters_rejected(self, small_setup, bad):
+        params, _, kernel = small_setup
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            hf.ground_state(params, kernel, seed=0, **bad)
+
+    def test_zero_max_iters_returns_the_projected_start(self, small_setup):
+        params, grid, kernel = small_setup
+        init = hf.gaussian_init(grid, params.masses, seed=0)
+        gs = hf.ground_state(params, kernel, init=init, tol=1e-12, max_iters=0, center=False)
+        assert (gs.iterations, gs.stop_reason) == (0, "max_iters")
+        assert np.allclose(gs.fields.data, init.data, rtol=0, atol=1e-14)
 
     def test_stall_flagged_distinct_from_max_iters(self, desk_params, desk_kernel, gs_m2):
         # tol far below the floating-point floor of the residual: backtracking
@@ -249,9 +268,12 @@ class TestRealArithmetic:
         assert gs.fields.data.dtype == np.complex128
         assert not np.any(gs.fields.data.imag)
 
-    def test_complex_start_takes_complex_transforms(self, desk_params, desk_kernel, gs_m2_complex, monkeypatch):
+    def test_complex_start_takes_complex_transforms(
+        self, desk_params, desk_grid, desk_kernel, gs_m2_complex, monkeypatch
+    ):
+        init = hf.gaussian_init(desk_grid, desk_params.masses, seed=7, complex_ramp_cycles=1)
         state = _transform_guard(monkeypatch, raise_in_loop=False)
-        gs = hf.ground_state(desk_params, desk_kernel, tol=TOL, seed=7, complex_ramp_cycles=1)
+        gs = hf.ground_state(desk_params, desk_kernel, init, tol=TOL, seed=7)
         assert state["complex"] >= 3 * gs.iterations
         assert gs.iterations == gs_m2_complex.iterations
         assert np.array_equal(gs.fields.data, gs_m2_complex.fields.data)
