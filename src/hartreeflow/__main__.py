@@ -1,0 +1,8 @@
+"""python -m hartreeflow <subcommand> ...: the command line of hartreeflow.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

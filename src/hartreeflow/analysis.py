@@ -77,9 +77,12 @@ def concentration_profile(mf: MultiField, radii) -> ConcentrationProfile:
     """Q(R) = sup over grid centres y of the mass of B_R(y).
 
     The sup is realised exactly over all grid centres by convolving the total
-    density with the ball indicator.
+    density with the ball indicator.  Radii must be finite, nonnegative,
+    strictly increasing and at most L/2; R = 0 is the cell at the centre.
     """
     radii = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(radii)) or np.any(radii < 0):
+        raise ValueError(f"radii must be finite and nonnegative, got {radii}")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
     g = mf.grid
@@ -177,10 +180,11 @@ def strict_scaling_check(u: Field, scale: float, kernel: Kernel, p: float) -> St
 
     delta_observed equals (Gamma^p - Gamma) F_{2p}(u, u) identically; on a
     minimiser component the pair term is bounded away from zero, making the
-    gap strictly positive for every Gamma > 1.
+    gap strictly positive for every Gamma > 1.  scale must be finite and
+    exceed 1, else ValueError.
     """
-    if scale <= 1:
-        raise ValueError(f"scale factor must exceed 1, got {scale}")
+    if not (np.isfinite(scale) and scale > 1):
+        raise ValueError(f"scale must be finite and exceed 1, got {scale}")
     scaled = Field(u.grid, np.sqrt(scale) * u.data)
     e_u = single_energy(u, kernel, p)
     e_scaled = single_energy(scaled, kernel, p)

@@ -41,12 +41,23 @@ backtracking, its own iteration count and stop reason, and leaves the live
 stack when it stops.  Every reduction runs over one member's own axes and
 the batched transforms act row by row, so each member's iterates are the
 bits of solving it alone.  A stack pays numpy's per-call overhead once per
-iteration rather than once per member, most of the cost of a small grid:
-on a 2-core Xeon a member-iteration at 1D n=256, m=2 took ~235 us solo and
-~62 us in a stack of 8.  The gain fades as the transforms grow (2D at
-n=64 gained at most 3%) while the memory of the stack grows with B, so
-stack_capacity(params) gives how many such problems one call should hold:
-those that fit in _STACK_POINTS field points, at least one.  ground_state
+iteration rather than once per member, most of the cost of a small grid.
+On a 2-core Xeon, the time of one member-iteration (us) against the stack
+size B, and the tracemalloc peak of the loop:
+
+    1D n=256, m=1   B=1: 200-240   B=4: 60-80   B=16: 22-28   B=32: 19-21
+    1D n=256, m=2   B=1: 220-250   B=4: 70-80   B=16: 32-33   B=32: 26-29
+    1D n=256, m=3   B=1: 220-250   B=4: 80-85   B=16: 48-50   B=32: 44-48
+    2D n=64,  m=2   B=1: 800-850   B=2: 610-690
+    peak: ~100 B per field point (1D n=256, m=2: 54 KiB solo, 971 KiB at B=20)
+
+The gain flattens past ~10,000 field points, while the memory of the stack
+grows with B.  So stack_capacity(params) gives how many such problems one
+call should hold: those that fit in _STACK_POINTS field points, at least
+one.  The budget holds the 20 two-component runs of a reference scan at
+two seeds (10,240 points) in one call, and keeps a 2D n=64, m=2 member
+(8,192 points) alone: pairing two of them shortened a 2D lemma run by
+10-16% but raised the peak memory of the process by ~1 MiB.  ground_state
 itself stacks every problem it is given (one stack per dtype of the
 starts), as evolve stacks every start.
 
@@ -77,8 +88,9 @@ _BACKTRACK_LIMIT = 60
 _SHIFT_FLOOR = 1e-2  # lower bound of c_j in the preconditioner (c_j - lap)^(-1)
 _STEP_MIN, _STEP_MAX = 1e-3, 1.0  # clamp of the Barzilai-Borwein step
 # Most field points (members x m x grid points) of one stacked call, see
-# stack_capacity; a member larger than this is solved in a stack of its own.
-_STACK_POINTS = 4096
+# stack_capacity and the table above; a member larger than this is solved in
+# a stack of its own.
+_STACK_POINTS = 12_288
 
 
 class ZeroMassError(ValueError):
@@ -256,7 +268,9 @@ def _sobolev_direction(grid: Grid, residual: np.ndarray, x: np.ndarray, x_masses
     """
     c = gridmod.per_component(grid, np.maximum(lambdas, _SHIFT_FLOOR))
     residual_hat, k_squared, _ = gridmod.forward_spectrum(grid, residual)
-    smoothed = gridmod.inverse_spectrum(grid, residual_hat / (c + k_squared), residual.dtype)
+    residual_hat /= c + k_squared
+    smoothed = gridmod.inverse_spectrum(grid, residual_hat, residual.dtype)
+    del residual_hat
     return _tangent_projection(grid, smoothed, x, x_masses)[0]
 
 
@@ -417,16 +431,21 @@ def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: in
             if prev_x is not None:
                 prev_x, prev_d = prev_x[keep], prev_d[keep]
 
+        # Every stack-sized array is released once it is dead: the peak
+        # memory of a large stack is set between here and the first trial.
         d = _sobolev_direction(g, shifted, state.x, x_masses, lambdas)
+        del shifted
         if prev_x is None:
             tau = np.full(len(live), _STEP_MAX)
         else:
             # Elementwise sums rather than np.vdot, whose BLAS call allocates
             # buffers that raise the peak memory of small solves.
-            s = state.x - prev_x
-            sy = np.abs(_real_inner(s, d - prev_d, axis=g.field_axes))
+            s, y = state.x - prev_x, d - prev_d
+            del prev_x, prev_d
+            sy = np.abs(_real_inner(s, y, axis=g.field_axes))
             # |s|^2 / sy clamped, and the longest step where sy = 0
             s_sq = np.sum(gridmod.abs_sq(s), axis=g.field_axes)
+            del s, y
             ratio = np.divide(s_sq, sy, out=np.full_like(sy, np.inf), where=sy > 0)
             tau = np.minimum(np.maximum(ratio, _STEP_MIN), _STEP_MAX)
         prev_x, prev_d = state.x, d
@@ -460,6 +479,7 @@ def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: in
             rows = np.concatenate([r for r, _ in accepted])
             order = np.argsort(rows)
             rows, state = rows[order], _EnergyState(kernel, p, np.concatenate([t.x for _, t in accepted])[order])
+        del xs, ds, trial, accepted  # dead until the next backtracking
         if len(rows) < len(live):
             live, masses, prev_x, prev_d = live[rows], masses[rows], prev_x[rows], prev_d[rows]
 

@@ -53,6 +53,12 @@ class TestConcentrationProfile:
             hf.concentration_profile(mf, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             hf.concentration_profile(mf, np.array([grid.box_length]))
+        for bad in ([np.nan], [np.inf], [-1.0, 2.0], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="radii must be finite and nonnegative"):
+                hf.concentration_profile(mf, bad)
+        # R = 0 is the origin cell: the largest single-cell mass
+        origin = hf.concentration_profile(mf, [0.0, 1.0])
+        assert origin.q_values[0] == pytest.approx(grid.cell_volume * np.max(np.abs(mf.data) ** 2), rel=1e-12)
 
 
 class TestScalingNegativity:
@@ -137,6 +143,9 @@ class TestStrictScaling:
     def test_rejects_scale_below_one(self, desk_kernel, gs_m2):
         with pytest.raises(ValueError):
             hf.strict_scaling_check(gs_m2.fields.components[0], 1.0, desk_kernel, 2.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="scale must be finite and exceed 1"):
+                hf.strict_scaling_check(gs_m2.fields.components[0], bad, desk_kernel, 2.0)
 
 
 class TestCrossTerm:
@@ -322,4 +331,27 @@ class TestStackedScan:
         hf.subadditivity_scan(hf.default_mass_pairs_m2(), params, kernel, tol=1e-3, seeds_per_value=3)
         cap = hf.minimize._STACK_POINTS
         assert all(b * m * grid.total_points <= cap for b, m in sizes)
-        assert sizes == [(6, 1), (16, 2), (14, 2)]
+        assert sizes == [(6, 1), (30, 2)]
+
+    @pytest.mark.parametrize(
+        "seeds, calls",
+        [(1, [(2, 1), (10, 2)]), (2, [(4, 1), (20, 2)]), (3, [(6, 1), (24, 2), (6, 2)])],
+        ids=["seeds1", "seeds2", "seeds3"],
+    )
+    def test_reference_scan_solves_each_component_count_in_one_call(
+        self, desk_params, desk_kernel, monkeypatch, seeds, calls
+    ):
+        # the default m=2 scan at the reference grid (n=256): every run of one
+        # component count in one call up to 3 seeds, where the m=2 runs pass the cap
+        sizes = []
+        stacked = hf.analysis.ground_state
+
+        def spy(problems, *args, **kwargs):
+            sizes.append((len(problems), problems[0].component_count))
+            return stacked(problems, *args, **kwargs)
+
+        monkeypatch.setattr(hf.analysis, "ground_state", spy)
+        scan = hf.subadditivity_scan(hf.default_mass_pairs_m2(), desk_params, desk_kernel, tol=1e-6,
+                                     seeds_per_value=seeds)
+        assert sizes == calls
+        assert not scan.excluded

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
 
 import pytest
@@ -124,6 +126,19 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["versions"]["hartreeflow"] == hf.__version__
         assert "validation.json" in manifest["outputs"]
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m hartreeflow runs the command line, with no warning on the way
+        src = os.path.abspath(os.path.join(os.path.dirname(hf.__file__), os.pardir))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hartreeflow", "validate", "--config", REFERENCE, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "h0.weak-index" in proc.stdout
+        assert "validation.json" in json.loads((out / "manifest.json").read_text())["outputs"]
 
     def test_minimize_writes_snapshot_and_sidecar(self, tmp_path):
         out = tmp_path / "out"

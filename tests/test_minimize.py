@@ -436,8 +436,10 @@ class TestStackedSolve:
             (dict(component_count=1, masses=(1.0,)), [(0.5,), (1.0,), (1.5,), (2.0,)]),
             ({}, [(0.5, 0.5), (1.0, 1.0), (0.5, 1.0), (1.0, 1.5)]),
             (dict(space_dim=2, kernel_exponent=1.0, points_per_dim=16), [(0.5, 0.5), (1.0, 1.0), (0.5, 1.0)]),
+            # 20 members on the reference grid (n=256), as many as a reference scan's m=2 runs at 2 seeds
+            (dict(points_per_dim=256), [(a, b) for a in (0.5, 1.0, 1.5, 2.0) for b in (0.5, 1.0, 1.5, 2.0, 2.5)]),
         ],
-        ids=["1d-m1", "1d-m2", "2d-m2"],
+        ids=["1d-m1", "1d-m2", "2d-m2", "1d-n256-m2-b20"],
     )
     def test_members_equal_solo_solves(self, small_setup, overrides, masses, stack_sizes):
         params = replace(small_setup[0], **overrides)
@@ -492,6 +494,8 @@ class TestStackedSolve:
         # a member larger than the cap is a stack of its own
         assert hf.minimize.stack_capacity(replace(params, points_per_dim=2 * cap)) == 1
         assert hf.minimize.stack_capacity(replace(params, space_dim=2, kernel_exponent=1.0, points_per_dim=64)) == 1
+        # the 20 m=2 runs of the reference scan at 2 seeds (512 points each) share one call
+        assert hf.minimize.stack_capacity(replace(params, points_per_dim=256)) >= 20
 
     def test_mixed_real_and_complex_starts(self, small_setup, stack_sizes):
         # a complex start does not turn the real members complex: one stack per dtype
