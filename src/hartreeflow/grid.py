@@ -20,9 +20,10 @@ rfftn_grid / irfftn_grid, whose half spectrum holds the first n // 2 + 1 bins
 of the last spatial axis; Grid.half_k_squared is |k|^2 on those bins, and
 Grid.half_k_squared_weighted counts each bin as often as it stands in the full
 spectrum, so that kinetic sums over the half spectrum equal full ones.
-forward_spectrum / inverse_spectrum are the one place that picks real or
-complex transforms, and the |k|^2 to go with them, from the dtype of a field
-stack.
+forward_spectrum / inverse_spectrum / spectral_weights are the one place that
+picks real or complex transforms, and the |k|^2 and Parseval weights to go
+with them, from the dtype of a field stack; spectral_inner takes inner
+products and norms of fields from their spectra.
 
 On a 1D grid the four transforms call numpy's 1D entry points, np.fft.fft,
 ifft, rfft and irfft, with n = points_per_dim and axis = -1: the calls
@@ -39,6 +40,7 @@ requires one call per worker at a time.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,22 +67,22 @@ class Grid:
             raise ValueError("space_dim must be >= 1")
         if self.points_per_dim < 8 or self.points_per_dim % 2:
             raise ValueError("points_per_dim must be even and >= 8")
-        if self.box_length <= 0:
-            raise ValueError("box_length must be positive")
+        if not (math.isfinite(self.box_length) and self.box_length > 0):
+            raise ValueError(f"box_length must be finite and positive, got {self.box_length}")
 
-    @property
+    @cached_property
     def spacing(self) -> float:
         return self.box_length / self.points_per_dim
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_dim,) * self.space_dim
 
-    @property
+    @cached_property
     def total_points(self) -> int:
         return self.points_per_dim**self.space_dim
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.spacing**self.space_dim
 
@@ -131,23 +133,33 @@ class Grid:
         return np.ascontiguousarray(self.k_squared[..., : self.points_per_dim // 2 + 1])
 
     @cached_property
-    def half_k_squared_weighted(self) -> np.ndarray:
-        """half_k_squared times how often each bin stands in the full spectrum.
+    def half_weight(self) -> np.ndarray:
+        """How often each bin of the half spectrum stands in the full spectrum.
 
-        The weight is 1 for bin 0 and the Nyquist bin of the last axis and 2
-        for the rest, so for a real f, sum(half_k_squared_weighted *
-        |rfftn_grid(f)|^2) is sum(k_squared * |fftn_grid(f)|^2).
+        1 for bin 0 and the Nyquist bin of the last axis, 2 for the rest (the
+        bin and its mirror k -> -k), so for a real f, sum(half_weight *
+        |rfftn_grid(f)|^2) is sum(|fftn_grid(f)|^2).  Shape (n // 2 + 1,).
         """
-        weighted = 2.0 * self.half_k_squared
-        weighted[..., 0] = self.half_k_squared[..., 0]
-        weighted[..., -1] = self.half_k_squared[..., -1]
-        return weighted
+        weight = np.full(self.points_per_dim // 2 + 1, 2.0)
+        weight[0] = weight[-1] = 1.0
+        return weight
+
+    @cached_property
+    def half_pair_weight(self) -> np.ndarray:
+        """half_weight for each float of the half spectrum viewed as (re, im) pairs."""
+        return np.repeat(self.half_weight, 2)
+
+    @cached_property
+    def half_k_squared_weighted(self) -> np.ndarray:
+        """half_k_squared * half_weight: sum(half_k_squared_weighted *
+        |rfftn_grid(f)|^2) is sum(k_squared * |fftn_grid(f)|^2) for a real f."""
+        return self.half_weight * self.half_k_squared
 
     @property
     def max_k_squared(self) -> float:
         return self.space_dim * (np.pi / self.spacing) ** 2
 
-    @property
+    @cached_property
     def spectral_weight(self) -> float:
         """Weight turning sum_k |FFT(f)|^2 into the L^2 mass."""
         return self.cell_volume / self.total_points
@@ -232,7 +244,14 @@ def abs_sq(x: np.ndarray) -> np.ndarray:
 
 def norms_sq(grid: Grid, x: np.ndarray) -> np.ndarray:
     """cell_volume * sum |x|^2 over the spatial axes: the component masses of a stack."""
-    return grid.cell_volume * np.sum(abs_sq(x), axis=grid.spatial_axes)
+    return grid.cell_volume * abs_sq(x).sum(axis=grid.spatial_axes)
+
+
+def real_inner(a: np.ndarray, b: np.ndarray, axis=None):
+    """sum Re(conj(a) b) over axis; a real pair skips the conjugate and the zero imaginary part."""
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return (np.conj(a) * b).real.sum(axis=axis)
+    return (a * b).sum(axis=axis)
 
 
 def per_component(grid: Grid, values) -> np.ndarray:
@@ -279,18 +298,26 @@ def irfftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(arr, s=grid.shape, axes=grid.spatial_axes)
 
 
-def forward_spectrum(grid: Grid, x: np.ndarray):
-    """(xhat, k2, k2_weighted): the spectrum of x and the |k|^2 that go with it.
+def spectral_weights(grid: Grid, dtype):
+    """(k2, k2_weighted, pair_weight) for the spectrum forward_spectrum gives a stack of dtype.
 
-    A complex x takes fftn_grid, where k2 and k2_weighted are both
-    k_squared.  A real x takes rfftn_grid, whose half spectrum goes with
-    half_k_squared, and with half_k_squared_weighted for sums over it, so
-    that sum(k2_weighted * |xhat|^2) is the full-spectrum sum either way.
-    Pair with inverse_spectrum(grid, ..., x.dtype).
+    A complex stack has the full spectrum: k2 and k2_weighted are k_squared
+    and pair_weight is 1.  A real one has the half spectrum: half_k_squared,
+    half_k_squared_weighted and half_weight repeated for the (re, im) floats
+    of each bin, the weight spectral_inner takes.
     """
-    if np.iscomplexobj(x):
-        return fftn_grid(grid, x), grid.k_squared, grid.k_squared
-    return rfftn_grid(grid, x), grid.half_k_squared, grid.half_k_squared_weighted
+    if np.issubdtype(dtype, np.complexfloating):
+        return grid.k_squared, grid.k_squared, 1.0
+    return grid.half_k_squared, grid.half_k_squared_weighted, grid.half_pair_weight
+
+
+def forward_spectrum(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """The spectrum of x: fftn_grid for a complex x, rfftn_grid (the half spectrum) for a real one.
+
+    spectral_weights(grid, x.dtype) gives the |k|^2 and Parseval weights
+    that go with it; pair with inverse_spectrum(grid, ..., x.dtype).
+    """
+    return fftn_grid(grid, x) if np.iscomplexobj(x) else rfftn_grid(grid, x)
 
 
 def inverse_spectrum(grid: Grid, xhat: np.ndarray, dtype) -> np.ndarray:
@@ -298,6 +325,18 @@ def inverse_spectrum(grid: Grid, xhat: np.ndarray, dtype) -> np.ndarray:
     if np.issubdtype(dtype, np.complexfloating):
         return ifftn_grid(grid, xhat)
     return irfftn_grid(grid, xhat)
+
+
+def spectral_inner(grid: Grid, ahat: np.ndarray, bhat: np.ndarray, pair_weight) -> np.ndarray:
+    """cell_volume * sum Re(conj(a) b) over space for the stacks whose spectra are ahat and bhat.
+
+    Parseval over the spectra viewed as (re, im) float pairs, weighted by
+    the pair_weight of spectral_weights; spectral_inner(grid, xhat, xhat, w)
+    is norms_sq of x.  The spectra need a contiguous last axis.
+    """
+    products = ahat.view(np.float64) * bhat.view(np.float64)
+    products *= pair_weight
+    return grid.spectral_weight * products.sum(axis=grid.spatial_axes)
 
 
 def transform(field: Field) -> np.ndarray:
@@ -333,8 +372,8 @@ def h1_norm_sq(field: Field) -> float:
 
 def lp_norm(field: Field, s: float) -> float:
     """L^s norm under midpoint quadrature, s >= 1."""
-    if s < 1:
-        raise ValueError(f"lp_norm requires s >= 1, got {s}")
+    if not (math.isfinite(s) and s >= 1):
+        raise ValueError(f"lp_norm requires a finite exponent s >= 1, got {s}")
     g = field.grid
     return float((g.cell_volume * np.sum(np.abs(field.data) ** s)) ** (1.0 / s))
 
@@ -366,8 +405,8 @@ def dilate(field: Field, theta: float) -> Field:
     smooth well-resolved field is itself smooth; the L^2 mass is preserved up
     to the (spectrally small) interpolation and wrap-around error.
     """
-    if theta <= 0:
-        raise ValueError(f"dilation factor must be positive, got {theta}")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"dilation factor theta must be finite and positive, got {theta}")
     g = field.grid
     if theta == 1.0:
         return Field(g, field.data.copy())

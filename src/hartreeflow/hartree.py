@@ -22,11 +22,17 @@ and convolve_density all call it.  The density is real, so it takes real
 transforms and multiplies the half spectrum by Kernel.half_multiplier, the
 symbol on the first n // 2 + 1 bins of the last axis, built once per kernel.
 _EnergyState is the one implementation of the energy and its L^2 gradient:
-total_energy, single_energy, energy_gradient and the minimiser all evaluate
-it.  The dtype of the stack picks its field transforms, through
-grid.forward_spectrum and grid.inverse_spectrum: a complex stack (every MultiField,
-every evolution) takes complex transforms, a real one (the minimiser's real
-starts) real transforms on the half spectrum.  It reads the stack
+total_energy, single_energy, energy_gradient, el_residual, the minimiser and
+its extract_multipliers all evaluate it.  The gradient is formed as a
+spectrum, k^2 xhat - F(V phi) (gradient_spectrum), with Re<grad_j, phi_j> =
+2 kinetic_j - Re<V phi_j, phi_j> beside it, so the minimiser needs no
+inverse transform of it; energy_gradient is its inverse transform.  An
+evaluation that is handed the spectrum of its fields (a minimiser trial)
+makes only the density convolution.  The dtype of the stack picks its field
+transforms, through grid.spectral_weights, forward_spectrum and
+inverse_spectrum: a complex stack (every MultiField, every evolution) takes
+complex transforms, a real one (the minimiser's real starts) real
+transforms on the half spectrum.  It reads the stack
 layout of the grid module, (..., m, *grid.shape): total_energy of a
 MultiField gives Python floats, of a stack arrays over its leading axes, each
 member the same bits as alone.  Energies and gradients are
@@ -35,6 +41,7 @@ pure functions of (fields, kernel).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +58,10 @@ from .grid import (
     irfftn_grid,
     norms_sq,
     per_component,
+    real_inner,
     rfftn_grid,
     scalar_or_array,
+    spectral_weights,
     stack_of,
 )
 
@@ -143,8 +152,8 @@ def build_kernel(grid: Grid, alpha: float) -> Kernel:
     corners in N >= 2), and the cell average of the singularity at the origin.
     Requires alpha < N for the origin cell to be integrable.
     """
-    if alpha <= 0:
-        raise ValueError(f"kernel exponent must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"kernel exponent alpha must be finite and positive, got {alpha}")
     origin_value = _origin_cell_average(grid.space_dim, alpha, grid.spacing)
     rad = grid.radius
     with np.errstate(divide="ignore"):
@@ -215,28 +224,29 @@ class EnergyBreakdown:
 
 
 class _EnergyState:
-    """Energy of a stack (..., m, *grid.shape), keeping the pieces its gradient reuses.
+    """Energy of a stack (..., m, *grid.shape), with the spectrum its gradient is built from.
 
-    One evaluation costs three batched transforms (the fields' spectrum and
-    the real pair of the density convolution); the gradient reuses the field
-    spectra and the potential for one more.  The dtype of x picks the field
-    transforms through grid.forward_spectrum / grid.inverse_spectrum: complex ones
-    for a complex stack, real ones on the half spectrum for a real stack,
-    which thus stays real, gradient included, at the cost of real
-    transforms.  k_squared is the |k|^2 that goes with xhat.  kinetic holds the per-component 1/2 ||grad phi_j||^2, shape
-    (..., m); interaction and total hold one value per leading index.
+    An evaluation takes the spectrum xhat of the fields (one batched
+    transform, none when the caller passes the spectrum it already has) and
+    the real pair of the density convolution.  The dtype of x picks the
+    field transforms and the |k|^2 that go with them (grid.spectral_weights):
+    complex ones for a complex stack, real ones on the half spectrum for a
+    real stack, which thus stays real, gradient included.  kinetic holds the
+    per-component 1/2 ||grad phi_j||^2, shape (..., m); interaction and
+    total hold one value per leading index.
     """
 
-    __slots__ = ("kernel", "p", "x", "xhat", "k_squared", "kinetic", "potential", "interaction", "total")
+    __slots__ = ("kernel", "p", "x", "xhat", "k_squared", "pair_weight", "kinetic", "potential", "interaction", "total")
 
-    def __init__(self, kernel: Kernel, p: float, x: np.ndarray):
+    def __init__(self, kernel: Kernel, p: float, x: np.ndarray, xhat: np.ndarray | None = None):
         g = kernel.grid
         self.kernel, self.p, self.x = kernel, p, x
-        self.xhat, self.k_squared, k_squared_weighted = forward_spectrum(g, x)
-        self.kinetic = 0.5 * g.spectral_weight * np.sum(k_squared_weighted * abs_sq(self.xhat), axis=g.spatial_axes)
+        self.k_squared, k_squared_weighted, self.pair_weight = spectral_weights(g, x.dtype)
+        self.xhat = forward_spectrum(g, x) if xhat is None else xhat
+        self.kinetic = 0.5 * g.spectral_weight * (k_squared_weighted * abs_sq(self.xhat)).sum(axis=g.spatial_axes)
         rho = total_density(g, x, p)
         self.potential = _convolve_array(kernel, rho)
-        self.interaction = g.cell_volume * np.sum(rho * self.potential, axis=g.field_axes) / (2 * p)
+        self.interaction = g.cell_volume * (rho * self.potential).sum(axis=g.field_axes) / (2 * p)
         self.total = self.kinetic.sum(axis=-1) - self.interaction
 
     @property
@@ -245,17 +255,38 @@ class _EnergyState:
         return EnergyBreakdown.make(scalar_or_array(self.kinetic.sum(axis=-1)), scalar_or_array(self.interaction))
 
     def take(self, rows) -> "_EnergyState":
-        """The state of the members at rows (an index or mask of the leading axis)."""
+        """The state of the members at rows (an index or mask of the leading axis).
+
+        The potential is copied only while the gradient has not been formed.
+        """
         new = object.__new__(_EnergyState)
-        new.kernel, new.p, new.k_squared = self.kernel, self.p, self.k_squared
+        new.kernel, new.p, new.k_squared, new.pair_weight = self.kernel, self.p, self.k_squared, self.pair_weight
         for name in ("x", "xhat", "kinetic", "potential", "interaction", "total"):
-            setattr(new, name, getattr(self, name)[rows])
+            value = getattr(self, name)
+            setattr(new, name, None if value is None else value[rows])
         return new
 
+    def gradient_spectrum(self):
+        """(grad_hat, grad_dot_x): the spectrum of the gradient and Re<grad_j, phi_j> per component.
+
+        grad_hat = k^2 xhat - F(V phi), V phi = (sum_k W * |phi_k|^p) |phi_j|^(p-2) phi_j,
+        and Re<grad_j, phi_j> = 2 kinetic_j - Re<V phi_j, phi_j>, since
+        <-lap phi, phi> = ||grad phi||^2.  One batched transform.  The
+        potential is released once V phi is formed, so a state gives its
+        gradient once.
+        """
+        g = self.kernel.grid
+        v_phi = self.potential * _nonlinear_factor(self.x, self.p)
+        self.potential = None
+        grad_dot_x = 2.0 * self.kinetic - g.cell_volume * real_inner(v_phi, self.x, axis=g.spatial_axes)
+        grad_hat = forward_spectrum(g, v_phi)
+        del v_phi
+        np.subtract(self.k_squared * self.xhat, grad_hat, out=grad_hat)
+        return grad_hat, grad_dot_x
+
     def gradient(self) -> np.ndarray:
-        """grad_j = -lap(phi_j) - (sum_k W * |phi_k|^p) |phi_j|^(p-2) phi_j."""
-        minus_laplacian = inverse_spectrum(self.kernel.grid, self.k_squared * self.xhat, self.x.dtype)
-        return minus_laplacian - self.potential * _nonlinear_factor(self.x, self.p)
+        """grad_j = -lap(phi_j) - (sum_k W * |phi_k|^p) |phi_j|^(p-2) phi_j, the inverse of gradient_spectrum."""
+        return inverse_spectrum(self.kernel.grid, self.gradient_spectrum()[0], self.x.dtype)
 
 
 def total_energy(fields, kernel: Kernel, p: float) -> EnergyBreakdown:

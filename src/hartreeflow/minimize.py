@@ -2,10 +2,11 @@
 
 The constrained infimum over tuples with prescribed L^2 masses is computed by
 a Sobolev-preconditioned projected gradient descent.  The search direction is
-the Euler-Lagrange residual grad_j + lambda_j phi_j smoothed per component by
-P_j = (c_j - lap)^(-1), c_j = max(lambda_j, 1e-2), with its component along
-phi_j removed again so that d is tangent to the mass spheres.  Each step moves
-against d and rescales every component back onto its mass sphere,
+the Euler-Lagrange residual R_j = grad_j + lambda_j phi_j smoothed per
+component by P_j = (c_j - lap)^(-1), c_j = max(lambda_j, 1e-2), with its
+component along phi_j removed again so that d is tangent to the mass
+spheres.  Each step moves against d and rescales every component back onto
+its mass sphere,
 
     x  <-  project_masses(x - tau * d).
 
@@ -16,21 +17,36 @@ and d over the previous step; 1 on the first step), clamped to [1e-3, 1]
 because larger steps amplify grid-scale noise that the energy does not see,
 and is halved until the energy strictly decreases.  The energy is therefore
 non-increasing across accepted steps.  Convergence is declared when
-max_j ||grad_j + lambda_j phi_j|| / ||phi_j||_{H^1} <= tol with the
-multipliers re-estimated at every check.
+max_j ||R_j|| / ||phi_j||_{H^1} <= tol with the multipliers re-estimated at
+every check.
+
+The loop carries the spectrum xhat of its iterate next to x, and forms the
+residual and the direction in spectral space (F the field transform of
+grid.forward_spectrum, V x = (sum_k W * |phi_k|^p) |phi_j|^(p-2) phi_j):
+
+    R_hat = k^2 xhat - F(V x) + lambda xhat,    lambda_j = -(2 kinetic_j - Re<V x_j, x_j>) / M_j,
+    d_hat = R_hat / (c + k^2) + mu xhat,         d = F^-1(d_hat),
+
+where ||R_j|| and the inner product behind mu come from Parseval on the
+spectra (grid.spectral_inner).  A trial is the pair s (x - tau d),
+s (xhat - tau d_hat), s the rescaling onto the mass spheres, and its energy
+needs no field transform.  So one iteration makes four batched transforms:
+F(V x) of the accepted state, F^-1(d_hat), and the real pair of the trial's
+density convolution; a further backtracking trial makes two.  The carried
+spectrum parts from F(x) by rounding alone, ~1e-14 of its size after
+thousands of iterations.
 
 A start whose imaginary part is zero (every Gaussian start that
 ground_state builds itself) is solved in real float64 arithmetic from start to
 finish: the gradient of a real field is real, so are the search direction and
 the Barzilai-Borwein step, and the field transforms are the real pair
 rfftn_grid / irfftn_grid on the half spectrum.  The data picks the path:
-_EnergyState and _sobolev_direction take their transforms from
-grid.forward_spectrum / grid.inverse_spectrum, which choose by the dtype of
-their input, and _tangent_projection follows the dtype too, so one solver
-serves both.  A complex start is handed over as init, for instance
-gaussian_init(grid, masses, seed, complex_ramp_cycles=k).  The result is
-complex128 either way, and GroundState.energy is the public total_energy of
-its fields.  A one-component problem is a SystemParams with
+_EnergyState takes its transforms and |k|^2 from grid.spectral_weights,
+forward_spectrum and inverse_spectrum, which choose by the dtype of the
+stack, so one solver serves both.  A complex start is handed over as init,
+for instance gaussian_init(grid, masses, seed, complex_ramp_cycles=k).  The
+result is complex128 either way, and GroundState.energy is the public
+total_energy of its fields.  A one-component problem is a SystemParams with
 component_count=1; there is no separate entry point.
 
 ground_state also takes a sequence of problems that share the grid, p and m
@@ -42,14 +58,15 @@ stack when it stops.  Every reduction runs over one member's own axes and
 the batched transforms act row by row, so each member's iterates are the
 bits of solving it alone.  A stack pays numpy's per-call overhead once per
 iteration rather than once per member, most of the cost of a small grid.
-On a 2-core Xeon, the time of one member-iteration (us) against the stack
-size B, and the tracemalloc peak of the loop:
+On a 2-core Xeon, the time of one member-iteration (us, median of 15 runs;
+single values move by up to 20% between sessions) against the stack size B,
+and the tracemalloc peak of the loop:
 
-    1D n=256, m=1   B=1: 200-240   B=4: 60-80   B=16: 22-28   B=32: 19-21
-    1D n=256, m=2   B=1: 220-250   B=4: 70-80   B=16: 32-33   B=32: 26-29
-    1D n=256, m=3   B=1: 220-250   B=4: 80-85   B=16: 48-50   B=32: 44-48
-    2D n=64,  m=2   B=1: 800-850   B=2: 610-690
-    peak: ~100 B per field point (1D n=256, m=2: 54 KiB solo, 971 KiB at B=20)
+    1D n=256, m=1   B=1: 150-170   B=4: 55   B=16: 22
+    1D n=256, m=2   B=1: 150-210   B=4: 54   B=16: 27
+    1D n=256, m=3   B=1: 165-210   B=4: 91   B=16: 49
+    2D n=64,  m=2   B=1: 500-700   B=2: 500-550
+    peak: 70-80 B per field point (1D n=256, m=2: 40 KiB solo, 694 KiB at B=20)
 
 The gain flattens past ~10,000 field points, while the memory of the stack
 grows with B.  So stack_capacity(params) gives how many such problems one
@@ -79,7 +96,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .grid import Field, Grid, MultiField
-from .hartree import Kernel, EnergyBreakdown, _EnergyState, energy_gradient, total_density, total_energy
+from .hartree import Kernel, EnergyBreakdown, _EnergyState, total_density, total_energy
 from .params import SystemParams
 
 DEFAULT_TOL = 1e-6
@@ -165,6 +182,8 @@ def project_masses(mf: MultiField, masses) -> MultiField:
     masses = np.asarray(masses, dtype=float)
     if masses.shape != (mf.m,):
         raise ValueError(f"expected {mf.m} masses, got shape {masses.shape}")
+    if not np.all(np.isfinite(masses) & (masses > 0)):
+        raise ValueError(f"masses must be finite and positive, got {masses}")
     current = gridmod.norms_sq(mf.grid, mf.data)
     if np.any(current <= 0):
         raise ZeroMassError(f"cannot project components with zero mass (masses={current})")
@@ -174,6 +193,18 @@ def project_masses(mf: MultiField, masses) -> MultiField:
 def _project(grid: Grid, x: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """x_j * sqrt(M_j / mass_j): every component rescaled onto its mass sphere."""
     return x * gridmod.per_component(grid, np.sqrt(masses / gridmod.norms_sq(grid, x)))
+
+
+def _trial_point(grid: Grid, x, xhat, d, d_hat, step, masses):
+    """(x - step d, its spectrum xhat - step d_hat), both rescaled onto the mass spheres."""
+    trial = np.multiply(step, d)
+    np.subtract(x, trial, out=trial)
+    scale = gridmod.per_component(grid, np.sqrt(masses / gridmod.norms_sq(grid, trial)))
+    trial *= scale
+    trial_hat = np.multiply(step, d_hat)
+    np.subtract(xhat, trial_hat, out=trial_hat)
+    trial_hat *= scale
+    return trial, trial_hat
 
 
 def gaussian_init(
@@ -220,26 +251,7 @@ def extract_multipliers(mf: MultiField, kernel: Kernel, p: float) -> np.ndarray:
     masses = gridmod.norms_sq(mf.grid, mf.data)
     if np.any(masses <= 0):
         raise ZeroMassError("multipliers are undefined for zero-mass components")
-    grad = energy_gradient(mf, kernel, p)
-    return _tangent_projection(mf.grid, grad.data, mf.data, masses)[1]
-
-
-def _tangent_projection(grid: Grid, v: np.ndarray, x: np.ndarray, masses: np.ndarray):
-    """Remove from each v_j its L^2 component along x_j.
-
-    Returns (v + mu x, mu) with mu_j = -Re<v_j, x_j> / M_j.  For v the energy
-    gradient, mu are the Lagrange multipliers (they minimise
-    ||grad_j + mu_j x_j||) and v + mu x is the Euler-Lagrange residual.
-    """
-    mu = -grid.cell_volume * _real_inner(v, x, axis=grid.spatial_axes) / masses
-    return v + gridmod.per_component(grid, mu) * x, mu
-
-
-def _real_inner(a: np.ndarray, b: np.ndarray, axis=None):
-    """sum Re(conj(a) b) over axis; a real pair skips the conjugate and the zero imaginary part."""
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return np.sum((np.conj(a) * b).real, axis=axis)
-    return np.sum(a * b, axis=axis)
+    return -_EnergyState(kernel, p, mf.data).gradient_spectrum()[1] / masses
 
 
 def phase_factorize(f: Field):
@@ -259,19 +271,6 @@ def phase_factorize(f: Field):
         np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.data - np.exp(1j * theta) * amp) ** 2) / norm_sq)
     )
     return PhaseFactorization(theta=theta, positive_part=Field(f.grid, aligned.real.astype(complex)), deviation=deviation)
-
-
-def _sobolev_direction(grid: Grid, residual: np.ndarray, x: np.ndarray, x_masses, lambdas) -> np.ndarray:
-    """(c_j - lap)^(-1) residual_j, projected onto the tangent space of the mass spheres.
-
-    A real residual is smoothed on the half spectrum of the real transforms.
-    """
-    c = gridmod.per_component(grid, np.maximum(lambdas, _SHIFT_FLOOR))
-    residual_hat, k_squared, _ = gridmod.forward_spectrum(grid, residual)
-    residual_hat /= c + k_squared
-    smoothed = gridmod.inverse_spectrum(grid, residual_hat, residual.dtype)
-    del residual_hat
-    return _tangent_projection(grid, smoothed, x, x_masses)[0]
 
 
 def _center_peak(mf: MultiField) -> MultiField:
@@ -414,9 +413,13 @@ def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: in
             iterations[b], reasons[b] = it, reason
 
     for it in range(max_iters + 1):
+        # The Euler-Lagrange residual R = grad + lambda x, formed in spectral
+        # space; its norms come from Parseval.
         x_masses = gridmod.norms_sq(g, state.x)
-        shifted, lambdas = _tangent_projection(g, state.gradient(), state.x, x_masses)
-        residuals = np.sqrt(gridmod.norms_sq(g, shifted))
+        residual_hat, grad_dot_x = state.gradient_spectrum()
+        lambdas = -grad_dot_x / x_masses
+        residual_hat += gridmod.per_component(g, lambdas) * state.xhat
+        residuals = np.sqrt(gridmod.spectral_inner(g, residual_hat, residual_hat, state.pair_weight))
         h1 = np.sqrt(x_masses + 2.0 * state.kinetic)
         converged = (residuals / h1).max(axis=-1) <= tol
         stop = converged if it < max_iters else np.ones_like(converged)
@@ -427,35 +430,43 @@ def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: in
                 break
             keep = ~stop
             state, live, masses = state.take(keep), live[keep], masses[keep]
-            shifted, lambdas, residuals, x_masses = shifted[keep], lambdas[keep], residuals[keep], x_masses[keep]
+            residual_hat, lambdas, residuals, x_masses = residual_hat[keep], lambdas[keep], residuals[keep], x_masses[keep]
             if prev_x is not None:
                 prev_x, prev_d = prev_x[keep], prev_d[keep]
 
-        # Every stack-sized array is released once it is dead: the peak
-        # memory of a large stack is set between here and the first trial.
-        d = _sobolev_direction(g, shifted, state.x, x_masses, lambdas)
-        del shifted
+        # The direction d = (c_j - lap)^(-1) R_j + mu_j x_j, tangent to the
+        # mass spheres, is formed in the buffer of R; d = F^-1(d_hat) is the
+        # loop's one inverse field transform.
+        d_hat = residual_hat
+        del residual_hat  # else the buffer would outlive d_hat into the next iteration
+        d_hat /= gridmod.per_component(g, np.maximum(lambdas, _SHIFT_FLOOR)) + state.k_squared
+        mu = -gridmod.spectral_inner(g, d_hat, state.xhat, state.pair_weight) / x_masses
+        d_hat += gridmod.per_component(g, mu) * state.xhat
+        d = gridmod.inverse_spectrum(g, d_hat, state.x.dtype)
         if prev_x is None:
             tau = np.full(len(live), _STEP_MAX)
         else:
             # Elementwise sums rather than np.vdot, whose BLAS call allocates
-            # buffers that raise the peak memory of small solves.
-            s, y = state.x - prev_x, d - prev_d
+            # buffers that raise the peak memory of small solves.  s and y
+            # overwrite the previous iterate and direction, which only they read.
+            s, y = np.subtract(state.x, prev_x, out=prev_x), np.subtract(d, prev_d, out=prev_d)
             del prev_x, prev_d
-            sy = np.abs(_real_inner(s, y, axis=g.field_axes))
+            sy = np.abs(gridmod.real_inner(s, y, axis=g.field_axes))
             # |s|^2 / sy clamped, and the longest step where sy = 0
-            s_sq = np.sum(gridmod.abs_sq(s), axis=g.field_axes)
+            s_sq = gridmod.abs_sq(s).sum(axis=g.field_axes)
             del s, y
             ratio = np.divide(s_sq, sy, out=np.full_like(sy, np.inf), where=sy > 0)
             tau = np.minimum(np.maximum(ratio, _STEP_MIN), _STEP_MAX)
         prev_x, prev_d = state.x, d
 
         # Backtracking on the rows that have not lowered their energy yet,
-        # with their fields, directions, masses, energies and steps.
-        rows, xs, ds, ms, es, ts = np.arange(len(live)), state.x, d, masses, state.total, tau
+        # with their fields, spectra, directions, masses, energies and steps.
+        rows, xs, xhats, ds, d_hats, ms, es, ts = (
+            np.arange(len(live)), state.x, state.xhat, d, d_hat, masses, state.total, tau
+        )
         accepted = []  # (rows, trial state of those rows)
         for _ in range(_BACKTRACK_LIMIT):
-            trial = _EnergyState(kernel, p, _project(g, xs - ts.reshape(per_member) * ds, ms))
+            trial = _EnergyState(kernel, p, *_trial_point(g, xs, xhats, ds, d_hats, ts.reshape(per_member), ms))
             lowered = np.isfinite(trial.total) & (trial.total < es)
             if lowered.all():
                 accepted.append((rows, trial))
@@ -464,7 +475,8 @@ def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: in
             if lowered.any():
                 accepted.append((rows[lowered], trial.take(lowered)))
             kept = ~lowered
-            rows, xs, ds, ms, es, ts = rows[kept], xs[kept], ds[kept], ms[kept], es[kept], 0.5 * ts[kept]
+            rows, xs, xhats, ds, d_hats = rows[kept], xs[kept], xhats[kept], ds[kept], d_hats[kept]
+            ms, es, ts = ms[kept], es[kept], 0.5 * ts[kept]
         if rows is not None:
             # No decrease at any step length: the flow has stalled at the
             # resolution of floating point; report the current residuals.
@@ -478,8 +490,9 @@ def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: in
             # of the merged stack, member by member the bits of its trial.
             rows = np.concatenate([r for r, _ in accepted])
             order = np.argsort(rows)
-            rows, state = rows[order], _EnergyState(kernel, p, np.concatenate([t.x for _, t in accepted])[order])
-        del xs, ds, trial, accepted  # dead until the next backtracking
+            merged = [np.concatenate([getattr(t, name) for _, t in accepted])[order] for name in ("x", "xhat")]
+            rows, state = rows[order], _EnergyState(kernel, p, *merged)
+        del xs, xhats, ds, d_hats, d_hat, trial, accepted  # dead until the next backtracking
         if len(rows) < len(live):
             live, masses, prev_x, prev_d = live[rows], masses[rows], prev_x[rows], prev_d[rows]
 

@@ -38,10 +38,10 @@ PARAMS = {
 }
 
 
-def _config(tmp_path, experiment, tag):
+def _config(tmp_path, experiment, tag, params=PARAMS):
     return cli.parse_config(
         {
-            "params": PARAMS,
+            "params": params,
             "solver": {"tol": 1e-6, "max_iters": 5000, "seeds": 1},
             "evolution": {"T": 0.1, "dt": 1e-3},
             "experiment": experiment,
@@ -51,12 +51,12 @@ def _config(tmp_path, experiment, tag):
     )
 
 
-def _traced(tmp_path, experiment) -> dict:
+def _traced(tmp_path, experiment, params=PARAMS) -> dict:
     tracer = Tracer()
     tracer.install()
     try:
         with tracer.span("setup"):
-            config = _config(tmp_path, experiment, "traced")
+            config = _config(tmp_path, experiment, "traced", params)
         with tracer.span("cli.run", "hartreeflow.cli"):
             assert cli.run(config) == 0
     finally:
@@ -65,11 +65,11 @@ def _traced(tmp_path, experiment) -> dict:
     return layer_metrics(tracer.spans)
 
 
-def _counted(tmp_path, experiment) -> dict:
+def _counted(tmp_path, experiment, params=PARAMS) -> dict:
     counter = Counter()
     counter.install()
     try:
-        assert cli.run(_config(tmp_path, experiment, "counted")) == 0
+        assert cli.run(_config(tmp_path, experiment, "counted", params)) == 0
     finally:
         counter.uninstall()
     counts = counter.counts()
@@ -89,10 +89,24 @@ def test_every_patched_name_exists(hooks):
     assert analysis.ground_state is solve
 
 
-@pytest.mark.parametrize("experiment", ["scan-subadditivity", "stability"])
-def test_traced_and_counted_runs_agree(tmp_path, experiment):
-    layers = _traced(tmp_path, experiment)
-    counts = _counted(tmp_path, experiment)
+# lemmas-2d's experiment at its grid spacing on a smaller box (n=32, L=20,
+# where every lemma check passes): its solves take the 2D real transforms,
+# and its checks run phase_factorize and the scaling, cross-term and
+# concentration checks.
+PARAMS_2D = {**PARAMS, "space_dim": 2, "kernel_exponent": 1.0, "box_length": 20.0, "points_per_dim": 32}
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        pytest.param("scan-subadditivity", PARAMS, id="scan-subadditivity"),
+        pytest.param("stability", PARAMS, id="stability"),
+        pytest.param("lemma-checks", PARAMS_2D, id="lemma-checks-2d"),
+    ],
+)
+def test_traced_and_counted_runs_agree(tmp_path, experiment, params):
+    layers = _traced(tmp_path, experiment, params)
+    counts = _counted(tmp_path, experiment, params)
     for name in ("minimize.iters", "evolve.steps"):
         assert layers[name] == counts[name], name
     assert counts["minimize.iters"] > 0

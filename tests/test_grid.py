@@ -88,12 +88,15 @@ class TestHalfSpectrum:
         g = hf.Grid(space_dim=space_dim, points_per_dim=n, box_length=10.0)
         x = np.random.default_rng(space_dim).standard_normal((2,) + g.shape)
         z = x.astype(complex)
-        xhat, k2, k2_weighted = hf.grid.forward_spectrum(g, x)
+        xhat = hf.grid.forward_spectrum(g, x)
         assert np.array_equal(xhat, hf.grid.rfftn_grid(g, x))
+        k2, k2_weighted, pair_weight = hf.grid.spectral_weights(g, x.dtype)
         assert k2 is g.half_k_squared and k2_weighted is g.half_k_squared_weighted
-        zhat, k2, k2_weighted = hf.grid.forward_spectrum(g, z)
+        assert pair_weight is g.half_pair_weight
+        zhat = hf.grid.forward_spectrum(g, z)
         assert np.array_equal(zhat, hf.grid.fftn_grid(g, z))
-        assert k2 is g.k_squared and k2_weighted is g.k_squared
+        k2, k2_weighted, pair_weight = hf.grid.spectral_weights(g, z.dtype)
+        assert k2 is g.k_squared and k2_weighted is g.k_squared and pair_weight == 1.0
         back = hf.grid.inverse_spectrum(g, xhat, x.dtype)
         assert back.dtype == np.float64 and np.allclose(back, x, rtol=0, atol=1e-13)
         assert np.array_equal(hf.grid.inverse_spectrum(g, zhat, z.dtype), hf.grid.ifftn_grid(g, zhat))
@@ -174,6 +177,11 @@ class TestNorms:
         with pytest.raises(ValueError):
             hf.lp_norm(random_field(grid1d), 0.5)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf])
+    def test_lp_norm_rejects_nonfinite_s(self, grid1d, s):
+        with pytest.raises(ValueError, match="exponent s"):
+            hf.lp_norm(random_field(grid1d), s)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_mass_nonnegative(self, seed):
@@ -204,6 +212,11 @@ class TestDilate:
     def test_rejects_nonpositive_theta(self, grid1d):
         with pytest.raises(ValueError):
             hf.dilate(random_field(grid1d), 0.0)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_rejects_nonfinite_theta(self, grid1d, theta):
+        with pytest.raises(ValueError, match="theta"):
+            hf.dilate(random_field(grid1d), theta)
 
     @settings(max_examples=15, deadline=None)
     @given(theta=st.floats(0.5, 1.5))
@@ -254,6 +267,13 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes()[:size])
         with pytest.raises(ValueError, match=f"snapshot {part} truncated"):
             hf.read_snapshot(path)
+
+
+class TestGridArguments:
+    @pytest.mark.parametrize("box_length", [np.inf, -np.inf, np.nan, 0.0])
+    def test_rejects_unusable_box_length(self, box_length):
+        with pytest.raises(ValueError, match="box_length"):
+            hf.Grid(space_dim=1, points_per_dim=64, box_length=box_length)
 
 
 class TestMultiField:

@@ -47,6 +47,11 @@ def random_field(grid, seed=0):
 
 
 class TestBuildKernel:
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_unusable_exponent(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            hf.build_kernel(hf.Grid(space_dim=1, points_per_dim=64, box_length=20.0), alpha)
+
     def test_sample_at_one_spacing_3d(self):
         g = hf.Grid(space_dim=3, points_per_dim=8, box_length=8.0)
         k = hf.build_kernel(g, 1.0)

@@ -109,6 +109,12 @@ class TestProjectMasses:
         with pytest.raises(ZeroMassError):
             hf.project_masses(mf, [1.0])
 
+    @pytest.mark.parametrize("masses", [[-1.0, 1.0], [0.0, 1.0], [np.inf, 1.0], [np.nan, 1.0]])
+    def test_unusable_masses_rejected(self, small_setup, masses):
+        _, grid, _ = small_setup
+        with pytest.raises(ValueError, match="masses"):
+            hf.project_masses(trig_field(grid, seed=3, m=2), masses)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_idempotent(self, seed):
@@ -225,25 +231,30 @@ class TestGroundState:
 
 
 def _transform_guard(monkeypatch, raise_in_loop=True):
-    """Patch the complex grid transforms wherever the library looks them up.
+    """Patch the grid transforms wherever the library looks them up.
 
     Inside the solver's loop, that is until it asks for the public energy of
-    its result, they raise (raise_in_loop) or count into state["complex"].
-    Returns state, whose "in_loop" turns False after the loop.
+    its result, the complex pair fftn_grid / ifftn_grid raise (raise_in_loop)
+    or count into state["complex"], and every transform counts into
+    state["field"] (a stack of m > 1 components) or state["density"] (one
+    component: the total density and its potential).  Returns state, whose
+    "in_loop" turns False after the loop.
     """
-    state = {"in_loop": True, "complex": 0}
+    state = {"in_loop": True, "complex": 0, "field": 0, "density": 0}
     for module in (hf.grid, hf.hartree):
-        for name in ("fftn_grid", "ifftn_grid"):
+        for name in ("fftn_grid", "ifftn_grid", "rfftn_grid", "irfftn_grid"):
             if not hasattr(module, name):
                 continue
             original = getattr(module, name)
 
-            def guarded(*args, _original=original, **kwargs):
+            def guarded(grid, arr, *args, _original=original, _complex=name in ("fftn_grid", "ifftn_grid"), **kwargs):
                 if state["in_loop"]:
-                    if raise_in_loop:
-                        raise AssertionError("complex transform inside a real solve")
-                    state["complex"] += 1
-                return _original(*args, **kwargs)
+                    if _complex:
+                        if raise_in_loop:
+                            raise AssertionError("complex transform inside a real solve")
+                        state["complex"] += 1
+                    state["field" if arr.shape[-1 - grid.space_dim] > 1 else "density"] += 1
+                return _original(grid, arr, *args, **kwargs)
 
             monkeypatch.setattr(module, name, guarded)
     public_energy = hf.minimize.total_energy
@@ -254,6 +265,70 @@ def _transform_guard(monkeypatch, raise_in_loop=True):
 
     monkeypatch.setattr(hf.minimize, "total_energy", after_loop)
     return state
+
+
+@pytest.fixture()
+def loop_states(monkeypatch):
+    """Every _EnergyState the minimiser builds: the start and each trial."""
+    states = []
+    original = hf.minimize._EnergyState
+
+    def spy(*args, **kwargs):
+        states.append(original(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(hf.minimize, "_EnergyState", spy)
+    return states
+
+
+class TestCarriedSpectrum:
+    """The loop carries the spectrum of its iterate: F(V x) and F^-1(d_hat) per iteration."""
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(space_dim=2, kernel_exponent=1.0, points_per_dim=16)], ids=["1d", "2d"]
+    )
+    @pytest.mark.parametrize("ramp", [0, 1], ids=["real", "complex"])
+    def test_two_field_and_two_density_transforms_per_iteration(
+        self, small_setup, overrides, ramp, loop_states, monkeypatch
+    ):
+        params = replace(small_setup[0], **overrides)
+        grid = hf.grid_for(params)
+        kernel = hf.build_kernel(grid, params.kernel_exponent)
+        init = hf.gaussian_init(grid, params.masses, seed=3, complex_ramp_cycles=ramp)
+        state = _transform_guard(monkeypatch, raise_in_loop=False)
+        gs = hf.ground_state(params, kernel, init, tol=TOL)
+        assert gs.converged and gs.iterations > 10
+        # the start's spectrum, then F(V x) and F^-1(d_hat) per iteration
+        assert state["field"] == 2 * gs.iterations + 2
+        assert state["complex"] == (state["field"] if ramp else 0)
+        # the density pair of the start and of every trial, accepted or not
+        assert len(loop_states) >= gs.iterations + 1
+        assert state["density"] == 2 * len(loop_states)
+
+    def test_long_solve_keeps_spectrum_and_diagnostics(self, loop_states):
+        # n=64 under-resolves this desk key: the solve crawls for thousands
+        # of iterations before it converges
+        params = hf.SystemParams(
+            space_dim=1, component_count=2, power=2.0, kernel_exponent=0.5,
+            masses=(0.5, 1.5), box_length=40.0, points_per_dim=64,
+        )
+        grid = hf.grid_for(params)
+        kernel = hf.build_kernel(grid, params.kernel_exponent)
+        seed = hf.analysis._stable_seed((0.5, 1.5), 5, 0)
+        gs = hf.ground_state(params, kernel, tol=1e-5, seed=seed, center=False)
+        assert gs.converged and gs.iterations >= 2000
+        final = loop_states[-1]  # a solo solve builds its final state last
+        assert np.array_equal(final.x[0], gs.fields.data.real)
+        fresh = hf.grid.rfftn_grid(grid, final.x)
+        assert np.abs(final.xhat - fresh).max() <= 1e-12 * np.abs(fresh).max()
+        lambdas = hf.extract_multipliers(gs.fields, kernel, params.power)
+        assert np.abs(gs.multipliers - lambdas).max() <= 1e-12 * np.abs(lambdas).max()
+        # The residual is ~tol of the H^1 norm, so the spectrum's drift
+        # (~1e-14 of it after thousands of steps) is measured against that norm.
+        h1 = np.sqrt([hf.h1_norm_sq(c) for c in gs.fields.components])
+        residuals = hf.el_residual(gs.fields, gs.multipliers, kernel, params.power)
+        assert np.abs(gs.residuals - residuals).max() <= 1e-12 * h1.min()
+        assert np.all(gs.residuals <= 1e-5 * h1 * (1 + 1e-9))
 
 
 class TestRealArithmetic:
@@ -274,7 +349,8 @@ class TestRealArithmetic:
         init = hf.gaussian_init(desk_grid, desk_params.masses, seed=7, complex_ramp_cycles=1)
         state = _transform_guard(monkeypatch, raise_in_loop=False)
         gs = hf.ground_state(desk_params, desk_kernel, init, tol=TOL, seed=7)
-        assert state["complex"] >= 3 * gs.iterations
+        # the start's spectrum, then F(V x) and F^-1(d_hat) per iteration
+        assert state["complex"] == 2 * gs.iterations + 2
         assert gs.iterations == gs_m2_complex.iterations
         assert np.array_equal(gs.fields.data, gs_m2_complex.fields.data)
         assert gs.energy == gs_m2_complex.energy
@@ -476,6 +552,16 @@ class TestStackedSolve:
         assert stack.members[0].iterations < 20
         for problem, init, seed, member in zip(problems, inits, seeds, stack.members):
             _assert_same_solve(member, hf.ground_state(problem, kernel, init=init, tol=1e-14, max_iters=20, seed=seed))
+
+    def test_members_backtracking_to_different_steps(self, small_setup):
+        # near the floating-point floor members lower their energy at
+        # different step lengths in one iteration, and the loop merges their
+        # trial states into one stack (4 times in this solve)
+        params, _, kernel = small_setup
+        problems = [replace(params, masses=ms) for ms in [(0.5, 0.5), (1.0, 1.0), (0.5, 1.0), (1.0, 1.5)]]
+        stack = hf.ground_state(problems, kernel, tol=1e-8, max_iters=200, seed=[1, 2, 3, 4])
+        for problem, seed, member in zip(problems, [1, 2, 3, 4], stack.members):
+            _assert_same_solve(member, hf.ground_state(problem, kernel, tol=1e-8, max_iters=200, seed=seed))
 
     def test_iterations_is_the_python_int_sum(self, small_setup):
         params, _, kernel = small_setup
