@@ -30,9 +30,7 @@ from .grid import (
     h1_norm_sq,
     inner,
     lp_norm,
-    mass,
     read_snapshot,
-    transform,
     write_snapshot,
 )
 from .hartree import (
@@ -44,7 +42,6 @@ from .hartree import (
     el_residual,
     energy_gradient,
     pair_interaction,
-    single_energy,
     total_energy,
 )
 from .minimize import (

@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import grid as gridmod
-from .grid import Field, MultiField
-from .hartree import Kernel, pair_interaction, single_energy, total_density, total_energy
+from .grid import MultiField
+from .hartree import Kernel, pair_interaction, total_density, total_energy
 from .minimize import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -112,15 +112,15 @@ class ScalingNegativityResult:
 
 def scaling_negativity_test(
     params: SystemParams,
-    u1: Field,
+    u1: MultiField,
     theta_grid,
     kernel: Kernel,
     mass_tol: float = 1e-6,
 ) -> ScalingNegativityResult:
     """Find the largest dilation factor making the energy negative.
 
-    The tuple is built from one profile, u_j = (M_j/M_1)^{1/2} u_1, and every
-    component is dilated by u^theta(x) = theta^{N/2} u(theta x).  Shrinking
+    The tuple is built from one profile, the one-component u1, as u_j =
+    (M_j/M_1)^{1/2} u_1, and each is dilated by theta^{N/2} u(theta x).  Shrinking
     theta suppresses the kinetic term quadratically while the interaction
     survives, so a negative energy must appear for small enough theta; the
     test fails loudly if no grid value works.  A dilated profile whose mass is
@@ -129,7 +129,9 @@ def scaling_negativity_test(
     thetas = np.sort(np.asarray(theta_grid, dtype=float))
     if np.any(thetas <= 0) or np.any(thetas > 1):
         raise ValueError("theta grid must lie in (0, 1]")
-    m1 = gridmod.mass(u1)
+    if u1.m != 1:
+        raise ValueError(f"the seed profile must have one component, got {u1.m}")
+    m1 = float(gridmod.norms_sq(u1.grid, u1.data)[0])
     masses = np.asarray(params.masses, dtype=float)
     if abs(m1 - masses[0]) > 1e-8 * masses[0]:
         raise ValueError(f"seed profile mass {m1:.12g} does not match M_1 = {masses[0]:.12g}")
@@ -140,7 +142,7 @@ def scaling_negativity_test(
     interactions = np.empty_like(thetas)
     for i, theta in enumerate(thetas):
         dilated = gridmod.dilate(u1, theta)
-        if abs(gridmod.mass(dilated) - m1) > mass_tol * m1:
+        if abs(gridmod.norms_sq(u1.grid, dilated.data)[0] - m1) > mass_tol * m1:
             raise BoxOverflowError(
                 f"dilated support overflows the box at theta={theta:g}; "
                 "use larger theta values or a larger box"
@@ -175,19 +177,20 @@ class StrictScalingResult:
     note: str = ""
 
 
-def strict_scaling_check(u: Field, scale: float, kernel: Kernel, p: float) -> StrictScalingResult:
+def strict_scaling_check(u: MultiField, scale: float, kernel: Kernel, p: float) -> StrictScalingResult:
     """Gap in the scaling inequality E(Gamma^{1/2} u) <= Gamma E(u) - delta.
 
     delta_observed equals (Gamma^p - Gamma) F_{2p}(u, u) identically; on a
     minimiser component the pair term is bounded away from zero, making the
-    gap strictly positive for every Gamma > 1.  scale must be finite and
-    exceed 1, else ValueError.
+    gap strictly positive for every Gamma > 1.  E(u) and E(Gamma^{1/2} u) are
+    one stacked total_energy call, and F_{2p}(u, u) is the interaction of u.
+    scale must be finite and exceed 1, else ValueError.
     """
     if not (np.isfinite(scale) and scale > 1):
         raise ValueError(f"scale must be finite and exceed 1, got {scale}")
-    scaled = Field(u.grid, np.sqrt(scale) * u.data)
-    e_u = single_energy(u, kernel, p)
-    e_scaled = single_energy(scaled, kernel, p)
+    x = gridmod.stack_of(kernel.grid, u)
+    energy = total_energy(np.stack([x, np.sqrt(scale) * x]), kernel, p)
+    e_u, e_scaled = float(energy.total[0]), float(energy.total[1])
     note = ""
     if p == 2:
         note = "p=2 boundary power: gap (Gamma^p - Gamma) F_2p is still strictly positive"
@@ -195,7 +198,7 @@ def strict_scaling_check(u: Field, scale: float, kernel: Kernel, p: float) -> St
         scaled_energy=e_scaled,
         gamma_times_energy=scale * e_u,
         delta_observed=scale * e_u - e_scaled,
-        pair_term=pair_interaction(2 * p, u, u, kernel, p),
+        pair_term=float(energy.interaction[0]),
         note=note,
     )
 
@@ -204,18 +207,16 @@ def cross_term_check(gs: GroundState, kernel: Kernel, p: float) -> tuple[float, 
     """E(phi_1) - F_p(phi_1, phi_2) and E(phi_2) - F_p(phi_1, phi_2).
 
     Both values are strictly negative on a converged two-component minimiser;
-    their magnitudes are the observed margins.
+    their magnitudes are the observed margins.  The two single energies are
+    one total_energy call on the stack of the one-component fields.
     """
     if not gs.converged:
         raise ValueError("cross-term check requires a converged minimiser")
-    comps = gs.fields.components
-    if len(comps) != 2:
+    if gs.fields.m != 2:
         raise ValueError("cross-term check is defined for two components")
-    cross = pair_interaction(p, comps[0], comps[1], kernel, p)
-    return (
-        single_energy(comps[0], kernel, p) - cross,
-        single_energy(comps[1], kernel, p) - cross,
-    )
+    cross = pair_interaction(p, *gs.fields.components, kernel, p)
+    e1, e2 = total_energy(gs.fields.data[:, None], kernel, p).total
+    return float(e1) - cross, float(e2) - cross
 
 
 # -- subadditivity scan ---------------------------------------------------------

@@ -135,8 +135,8 @@ class Propagator:
     """Cached Strang-splitting stepper for a fixed (grid, kernel, p, dt)."""
 
     def __init__(self, grid: Grid, kernel: Kernel, p: float, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {dt}")
         if kernel.grid != grid:
             raise ValueError("kernel grid mismatch")
         self.grid = grid
@@ -247,6 +247,8 @@ def evolve(
     grid = starts[0].grid
     if any(s.grid != grid for s in starts):
         raise ValueError("starts must share one grid")
+    if ground_state is not None and ground_state.fields.grid != grid:
+        raise ValueError("ground_state lives on a different grid than the starts")
     prop = Propagator(grid, kernel, p, dt)
     observers = observers or {}
     x = np.stack([s.data for s in starts])  # a ValueError unless all have one m

@@ -1,19 +1,24 @@
 """Uniform periodic grid with spectral transforms, norms, and dilation.
 
 The box is [-L/2, L/2)^N with n points per axis and midpoint quadrature:
-every integral is cell_volume * sum(samples).  Transforms use the convention
+every integral is cell_volume * sum(samples).  The quadrature-weighted
+spectrum of f is
 
-    transform(f)[k]  =  h^N * sum_j f(x_j) exp(-i k . (x_j - x_0)),
+    cell_volume * fftn_grid(grid, f)[k]  =  h^N * sum_j f(x_j) exp(-i k . (x_j - x_0)),
 
 where x_0 = (-L/2, ..., -L/2) is the first grid node, so that the spectral
 coefficients approximate the Fourier integral over the box and a product of
-two transforms is the transform of the discrete (quadrature-weighted)
-convolution.  Under this convention Parseval reads
+two such spectra is the spectrum of the discrete (quadrature-weighted)
+convolution.  Parseval reads
 
-    cell_volume * sum |f|^2  =  (1/L^N) * sum_k |transform(f)[k]|^2,
+    cell_volume * sum |f|^2  =  (1/L^N) * sum_k |cell_volume * fftn_grid(grid, f)[k]|^2.
 
-and ifftn_grid(grid, transform(f)) / cell_volume gives f back.  The
-component masses of a MultiField, or of any stack, are norms_sq(grid, data).
+The one field type is MultiField: m components on one grid, stacked as
+data[j, ...].  One profile is a MultiField with m = 1, and
+MultiField.components gives each component as such a view.  inner,
+grad_norm_sq, h1_norm_sq and lp_norm sum over the components, and dilate
+rescales each of them.  The component masses of a MultiField, or of any
+stack, are norms_sq(grid, data).
 
 A real array (a density, or a real field of the minimiser) goes through
 rfftn_grid / irfftn_grid, whose half spectrum holds the first n // 2 + 1 bins
@@ -41,6 +46,7 @@ requires one call per worker at a time.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,6 +69,10 @@ class Grid:
     box_length: float
 
     def __post_init__(self):
+        for name in ("space_dim", "points_per_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.space_dim < 1:
             raise ValueError("space_dim must be >= 1")
         if self.points_per_dim < 8 or self.points_per_dim % 2:
@@ -175,20 +185,6 @@ def grid_for(params) -> Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class Field:
-    """One complex-valued function sampled on the grid, axis-major (C) order."""
-
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.shape != self.grid.shape:
-            raise SizeMismatchError(f"field shape {arr.shape} != grid shape {self.grid.shape}")
-        object.__setattr__(self, "data", arr)
-
-
-@dataclass(frozen=True, eq=False)
 class MultiField:
     """m component fields on one shared grid, stacked as data[j, ...]."""
 
@@ -201,21 +197,20 @@ class MultiField:
             raise SizeMismatchError(f"multifield shape {arr.shape} incompatible with grid {self.grid.shape}")
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def from_fields(cls, fields) -> "MultiField":
-        fields = tuple(fields)
-        g = fields[0].grid
-        if any(f.grid != g for f in fields):
-            raise SizeMismatchError("all components must share one grid")
-        return cls(g, np.stack([f.data for f in fields]))
-
     @property
     def m(self) -> int:
         return self.data.shape[0]
 
     @property
-    def components(self) -> tuple[Field, ...]:
-        return tuple(Field(self.grid, self.data[j]) for j in range(self.m))
+    def components(self) -> tuple[MultiField, ...]:
+        """Each component as a one-component MultiField, a view of data."""
+        return tuple(MultiField(self.grid, self.data[j : j + 1]) for j in range(self.m))
+
+
+def Field(grid: Grid, data) -> MultiField:
+    """The one-component MultiField of data, shape grid.shape; kept for the
+    benchmark's micro timings until they build a MultiField (ROADMAP item 7)."""
+    return MultiField(grid, np.asarray(data)[None])
 
 
 # -- stacks -------------------------------------------------------------------
@@ -339,43 +334,33 @@ def spectral_inner(grid: Grid, ahat: np.ndarray, bhat: np.ndarray, pair_weight) 
     return grid.spectral_weight * products.sum(axis=grid.spatial_axes)
 
 
-def transform(field: Field) -> np.ndarray:
-    """Quadrature-weighted spectrum, h^N * FFT(f)."""
-    return field.grid.cell_volume * fftn_grid(field.grid, field.data)
-
-
 # -- norms and inner products --------------------------------------------------
 
 
-def inner(f: Field, g: Field) -> complex:
-    """L^2 inner product, conjugate-linear in the first argument."""
+def inner(f: MultiField, g: MultiField) -> complex:
+    """L^2 inner product summed over the components, conjugate-linear in the first argument."""
     if f.grid != g.grid:
         raise SizeMismatchError("fields live on different grids")
     return complex(f.grid.cell_volume * np.vdot(f.data, g.data))
 
 
-def mass(field: Field) -> float:
-    """Squared L^2 norm, cell_volume * sum |f|^2."""
-    return float(norms_sq(field.grid, field.data))
-
-
-def grad_norm_sq(field: Field) -> float:
+def grad_norm_sq(mf: MultiField) -> float:
     """Squared L^2 norm of the gradient, computed spectrally."""
-    g = field.grid
-    fh = fftn_grid(g, field.data)
+    g = mf.grid
+    fh = fftn_grid(g, mf.data)
     return float(g.spectral_weight * np.sum(g.k_squared * abs_sq(fh)))
 
 
-def h1_norm_sq(field: Field) -> float:
-    return mass(field) + grad_norm_sq(field)
+def h1_norm_sq(mf: MultiField) -> float:
+    return float(np.sum(norms_sq(mf.grid, mf.data))) + grad_norm_sq(mf)
 
 
-def lp_norm(field: Field, s: float) -> float:
+def lp_norm(mf: MultiField, s: float) -> float:
     """L^s norm under midpoint quadrature, s >= 1."""
     if not (math.isfinite(s) and s >= 1):
         raise ValueError(f"lp_norm requires a finite exponent s >= 1, got {s}")
-    g = field.grid
-    return float((g.cell_volume * np.sum(np.abs(field.data) ** s)) ** (1.0 / s))
+    g = mf.grid
+    return float((g.cell_volume * np.sum(np.abs(mf.data) ** s)) ** (1.0 / s))
 
 
 # -- dilation -----------------------------------------------------------------
@@ -398,8 +383,8 @@ def _dilation_matrix(grid: Grid, theta: float) -> np.ndarray:
     return mat
 
 
-def dilate(field: Field, theta: float) -> Field:
-    """Mass-critical rescaling u_theta(x) = theta^(N/2) u(theta x).
+def dilate(mf: MultiField, theta: float) -> MultiField:
+    """Mass-critical rescaling u_theta(x) = theta^(N/2) u(theta x) of every component.
 
     Uses spectral interpolation of the samples, so the result of dilating a
     smooth well-resolved field is itself smooth; the L^2 mass is preserved up
@@ -407,14 +392,14 @@ def dilate(field: Field, theta: float) -> Field:
     """
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError(f"dilation factor theta must be finite and positive, got {theta}")
-    g = field.grid
+    g = mf.grid
     if theta == 1.0:
-        return Field(g, field.data.copy())
+        return MultiField(g, mf.data.copy())
     mat = _dilation_matrix(g, theta)
-    out = fftn_grid(g, field.data)
-    for ax in range(g.space_dim):
+    out = fftn_grid(g, mf.data)
+    for ax in g.spatial_axes:
         out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, ax, 0), axes=(1, 0)), 0, ax)
-    return Field(g, theta ** (g.space_dim / 2.0) * out)
+    return MultiField(g, theta ** (g.space_dim / 2.0) * out)
 
 
 # -- snapshots ----------------------------------------------------------------

@@ -22,8 +22,9 @@ and convolve_density all call it.  The density is real, so it takes real
 transforms and multiplies the half spectrum by Kernel.half_multiplier, the
 symbol on the first n // 2 + 1 bins of the last axis, built once per kernel.
 _EnergyState is the one implementation of the energy and its L^2 gradient:
-total_energy, single_energy, energy_gradient, el_residual, the minimiser and
-its extract_multipliers all evaluate it.  The gradient is formed as a
+total_energy, energy_gradient, el_residual, the minimiser and its
+extract_multipliers all evaluate it; the energy of one profile is
+total_energy of a one-component MultiField.  The gradient is formed as a
 spectrum, k^2 xhat - F(V phi) (gradient_spectrum), with Re<grad_j, phi_j> =
 2 kinetic_j - Re<V phi_j, phi_j> beside it, so the minimiser needs no
 inverse transform of it; energy_gradient is its inverse transform.  An
@@ -32,11 +33,13 @@ makes only the density convolution.  The dtype of the stack picks its field
 transforms, through grid.spectral_weights, forward_spectrum and
 inverse_spectrum: a complex stack (every MultiField, every evolution) takes
 complex transforms, a real one (the minimiser's real starts) real
-transforms on the half spectrum.  It reads the stack
-layout of the grid module, (..., m, *grid.shape): total_energy of a
-MultiField gives Python floats, of a stack arrays over its leading axes, each
-member the same bits as alone.  Energies and gradients are
-pure functions of (fields, kernel).
+transforms on the half spectrum.  It reads the stack layout of the grid
+module, (..., m, *grid.shape): total_energy of a MultiField gives Python
+floats, of a stack arrays over its leading axes, each member the same bits
+as alone.  pair_interaction pairs the total densities of two MultiFields
+(|f|^p above is sum_j |f_j|^p), and convolve_density convolves each
+component of one.  Energies and gradients are pure functions of (fields,
+kernel).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
-    Field,
     Grid,
     MultiField,
     SizeMismatchError,
@@ -175,11 +177,9 @@ def _convolve_array(kernel: Kernel, rho: np.ndarray) -> np.ndarray:
     return irfftn_grid(kernel.grid, spectrum)
 
 
-def convolve_density(kernel: Kernel, density: Field) -> Field:
-    """Spectral evaluation of (W * rho)(x) ~ int W(x - y) rho(y) dy."""
-    if density.grid != kernel.grid:
-        raise SizeMismatchError("density grid does not match kernel grid")
-    return Field(kernel.grid, _convolve_array(kernel, density.data.real).astype(complex))
+def convolve_density(kernel: Kernel, density: MultiField) -> MultiField:
+    """Spectral evaluation of (W * rho_j)(x) ~ int W(x - y) rho_j(y) dy for each component rho_j."""
+    return MultiField(kernel.grid, _convolve_array(kernel, stack_of(kernel.grid, density).real).astype(complex))
 
 
 def abs_power(data: np.ndarray, p: float) -> np.ndarray:
@@ -201,15 +201,14 @@ def _nonlinear_factor(data: np.ndarray, p: float) -> np.ndarray:
     return np.abs(data) ** (p - 2) * data
 
 
-def pair_interaction(q: float, f: Field, g: Field, kernel: Kernel, p: float) -> float:
-    """F_q(f, g) = (1/q) iint W(x-y) |f(x)|^p |g(y)|^p dx dy."""
+def pair_interaction(q: float, f: MultiField, g: MultiField, kernel: Kernel, p: float) -> float:
+    """F_q(f, g) = (1/q) iint W(x-y) rho_f(x) rho_g(y) dx dy, rho the total density sum_j |f_j|^p."""
     if q <= 0:
         raise ValueError(f"pair interaction index must be positive, got {q}")
-    if f.grid != g.grid or f.grid != kernel.grid:
-        raise SizeMismatchError("fields and kernel must share one grid")
-    rho_f = abs_power(f.data, p)
-    rho_g = abs_power(g.data, p)
-    return float(kernel.grid.cell_volume * np.sum(rho_f * _convolve_array(kernel, rho_g)) / q)
+    grid = kernel.grid
+    rho_f = total_density(grid, stack_of(grid, f), p)
+    rho_g = total_density(grid, stack_of(grid, g), p)
+    return float(grid.cell_volume * np.sum(rho_f * _convolve_array(kernel, rho_g)) / q)
 
 
 @dataclass(frozen=True)
@@ -290,13 +289,11 @@ class _EnergyState:
 
 
 def total_energy(fields, kernel: Kernel, p: float) -> EnergyBreakdown:
-    """Energy of a MultiField, or of each member of a stack; for m = 1 it is single_energy."""
+    """Energy of a MultiField, or of each member of a stack.
+
+    For a one-component h it is E(h) = 1/2 ||grad h||^2 - F_{2p}(h, h).
+    """
     return _EnergyState(kernel, p, stack_of(kernel.grid, fields)).energy
-
-
-def single_energy(h: Field, kernel: Kernel, p: float) -> float:
-    """E(h) = 1/2 ||grad h||^2 - F_{2p}(h, h), the energy of the 1-component stack."""
-    return total_energy(MultiField(h.grid, h.data[None]), kernel, p).total
 
 
 def energy_gradient(mf: MultiField, kernel: Kernel, p: float) -> MultiField:

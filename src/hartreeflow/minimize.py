@@ -95,7 +95,7 @@ from functools import cached_property
 import numpy as np
 
 from . import grid as gridmod
-from .grid import Field, Grid, MultiField
+from .grid import Grid, MultiField
 from .hartree import Kernel, EnergyBreakdown, _EnergyState, total_density, total_energy
 from .params import SystemParams
 
@@ -169,12 +169,12 @@ class GroundStateStack:
 
 @dataclass(frozen=True, eq=False)
 class PhaseFactorization:
-    """Constant phase, aligned real part, and the relative deviation from
-    a purely phase-times-positive structure."""
+    """Per component: the constant phase, the aligned real part, and the
+    relative deviation from a purely phase-times-positive structure."""
 
-    theta: float
-    positive_part: Field
-    deviation: float
+    theta: np.ndarray  # shape (m,)
+    positive_part: MultiField
+    deviation: np.ndarray  # shape (m,)
 
 
 def project_masses(mf: MultiField, masses) -> MultiField:
@@ -254,23 +254,22 @@ def extract_multipliers(mf: MultiField, kernel: Kernel, p: float) -> np.ndarray:
     return -_EnergyState(kernel, p, mf.data).gradient_spectrum()[1] / masses
 
 
-def phase_factorize(f: Field):
-    """Split f into a constant phase times an (almost) positive profile.
+def phase_factorize(mf: MultiField) -> PhaseFactorization:
+    """Split each component f_j into a constant phase times an (almost) positive profile.
 
-    theta = arg <|f|, f>, positive_part = Re(e^{-i theta} f), and
-    deviation = ||f - e^{i theta} |f| ||_{L^2} / ||f||_{L^2} in [0, 2].
+    theta_j = arg <|f_j|, f_j>, positive_part_j = Re(e^{-i theta_j} f_j), and
+    deviation_j = ||f_j - e^{i theta_j} |f_j| ||_{L^2} / ||f_j||_{L^2} in [0, 2].
     """
-    amp = np.abs(f.data)
-    total = np.sum(amp * f.data)
-    norm_sq = gridmod.mass(f)
-    if norm_sq == 0:
-        raise ZeroMassError("cannot phase-factorize the zero field")
-    theta = float(np.angle(total))
-    aligned = np.exp(-1j * theta) * f.data
-    deviation = float(
-        np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.data - np.exp(1j * theta) * amp) ** 2) / norm_sq)
-    )
-    return PhaseFactorization(theta=theta, positive_part=Field(f.grid, aligned.real.astype(complex)), deviation=deviation)
+    g = mf.grid
+    amp = np.abs(mf.data)
+    norm_sq = gridmod.norms_sq(g, mf.data)
+    if np.any(norm_sq == 0):
+        raise ZeroMassError("cannot phase-factorize a zero component")
+    theta = np.angle(np.sum(amp * mf.data, axis=g.spatial_axes))
+    aligned = gridmod.per_component(g, np.exp(-1j * theta)) * mf.data
+    misfit = np.abs(mf.data - gridmod.per_component(g, np.exp(1j * theta)) * amp) ** 2
+    deviation = np.sqrt(g.cell_volume * np.sum(misfit, axis=g.spatial_axes) / norm_sq)
+    return PhaseFactorization(theta=theta, positive_part=MultiField(g, aligned.real), deviation=deviation)
 
 
 def _center_peak(mf: MultiField) -> MultiField:

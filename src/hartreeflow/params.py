@@ -15,6 +15,7 @@ All functions here are pure and safe to call from any thread.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -42,11 +43,14 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(v) for v in self.masses))
         for name in ("space_dim", "points_per_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an int, got {value!r}")
             try:
-                float(getattr(self, name))
+                float(value)
             except OverflowError:
                 raise InvalidParameterError(f"{name} is too large for a float") from None
-        if self.space_dim < 1 or int(self.space_dim) != self.space_dim:
+        if self.space_dim < 1:
             raise InvalidParameterError(f"space_dim must be a positive integer, got {self.space_dim}")
         if self.component_count not in (1, 2, 3):
             raise InvalidParameterError(f"component_count must be 1, 2, or 3, got {self.component_count}")

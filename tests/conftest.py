@@ -45,9 +45,8 @@ def gaussian_field(grid, sigma, mass_value=1.0, center=None):
     for ax, c in enumerate(grid.coordinate_arrays):
         shift = 0.0 if center is None else center[ax]
         rsq = rsq + (c - shift) ** 2
-    data = np.exp(-rsq / (2 * sigma**2)).astype(complex)
-    f = hf.Field(grid, data)
-    return hf.Field(grid, data * np.sqrt(mass_value / hf.mass(f)))
+    data = np.exp(-rsq / (2 * sigma**2)).astype(complex)[None]
+    return hf.MultiField(grid, data * np.sqrt(mass_value / hf.grid.norms_sq(grid, data)[0]))
 
 
 @pytest.fixture(scope="session")

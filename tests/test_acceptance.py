@@ -27,11 +27,11 @@ def test_oracle_equivalence():
         kernel = hf.build_kernel(grid, alpha)
         rng = np.random.default_rng(n_dim)
         rho = rng.random(grid.shape)
-        conv = hf.convolve_density(kernel, hf.Field(grid, rho.astype(complex))).data.real
+        conv = hf.convolve_density(kernel, hf.MultiField(grid, rho[None])).data[0].real
         direct = direct_convolution(kernel, rho)
         worst = max(worst, float(np.abs(conv - direct).max() / np.abs(direct).max()))
-        f = hf.Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        g = hf.Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        f = hf.MultiField(grid, (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))[None])
+        g = hf.MultiField(grid, (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))[None])
         val = hf.pair_interaction(4.0, f, g, kernel, 2.0)
         ref = direct_pair_interaction(4.0, f, g, kernel, 2.0)
         worst = max(worst, abs(val - ref) / abs(ref))
@@ -50,7 +50,7 @@ def test_gradient_correctness():
         e_plus = hf.total_energy(hf.MultiField(grid, mf.data + eps * v.data), kernel, 2.0).total
         e_minus = hf.total_energy(hf.MultiField(grid, mf.data - eps * v.data), kernel, 2.0).total
         fd = (e_plus - e_minus) / (2 * eps)
-        analytic = sum(hf.inner(gc, vc).real for gc, vc in zip(grad.components, v.components))
+        analytic = hf.inner(grad, v).real
         worst = max(worst, abs(fd - analytic) / abs(analytic))
     report("gradient-correctness", worst <= 1e-6, f"max rel err {worst:.3e} (tol 1e-6, eps 1e-5)")
 
@@ -86,11 +86,9 @@ def test_multiplier_positivity(scan_m2, scan_m3):
 
 def test_phase_factorization(gs_m2_complex):
     """Complex-seeded minimisers factor into a phase times a positive profile."""
-    worst_dev, worst_min = 0.0, np.inf
-    for comp in gs_m2_complex.fields.components:
-        pf = hf.phase_factorize(comp)
-        worst_dev = max(worst_dev, pf.deviation)
-        worst_min = min(worst_min, float(pf.positive_part.data.real.min()))
+    pf = hf.phase_factorize(gs_m2_complex.fields)
+    worst_dev = float(pf.deviation.max())
+    worst_min = float(pf.positive_part.data.real.min())
     ok = worst_dev <= 1e-6 and worst_min > 0
     report(
         "phase-factorization",

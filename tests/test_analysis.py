@@ -21,8 +21,7 @@ def setup128():
 class TestConcentrationProfile:
     def test_single_bump_exhaustion(self, setup128):
         _, grid, _ = setup128
-        f = gaussian_field(grid, sigma=1.5, mass_value=2.0)
-        mf = hf.MultiField.from_fields([f])
+        mf = gaussian_field(grid, sigma=1.5, mass_value=2.0)
         radii = np.linspace(grid.spacing, grid.box_length / 2, 30)
         prof = hf.concentration_profile(mf, radii)
         assert np.all(np.diff(prof.q_values) >= -1e-12)
@@ -35,7 +34,7 @@ class TestConcentrationProfile:
         _, grid, _ = setup128
         a = gaussian_field(grid, sigma=1.0, mass_value=1.0, center=[-10.0])
         b = gaussian_field(grid, sigma=1.0, mass_value=1.0, center=[10.0])
-        mf = hf.MultiField(grid, (a.data + b.data)[None])
+        mf = hf.MultiField(grid, a.data + b.data)
         mid = hf.concentration_profile(mf, np.array([5.0]))
         assert mid.q_values[0] == pytest.approx(1.0, abs=1e-6)
         full = hf.concentration_profile(mf, np.array([grid.box_length / 2]))
@@ -48,7 +47,7 @@ class TestConcentrationProfile:
 
     def test_radii_validation(self, setup128):
         _, grid, _ = setup128
-        mf = hf.MultiField.from_fields([gaussian_field(grid, 1.0)])
+        mf = gaussian_field(grid, 1.0)
         with pytest.raises(ValueError):
             hf.concentration_profile(mf, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
@@ -71,7 +70,7 @@ class TestScalingNegativity:
     def test_theta_one_matches_total_energy(self, desk_params, desk_kernel, desk_grid):
         u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=1.0)
         res = hf.scaling_negativity_test(desk_params, u1, np.array([0.7, 1.0]), desk_kernel)
-        mf = hf.MultiField(desk_grid, np.stack([u1.data, u1.data]))
+        mf = hf.MultiField(desk_grid, np.concatenate([u1.data, u1.data]))
         direct = hf.total_energy(mf, desk_kernel, desk_params.power).total
         assert res.energies[-1] == pytest.approx(direct, rel=1e-12)
 
@@ -117,6 +116,9 @@ class TestScalingNegativity:
         u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=0.5)
         with pytest.raises(ValueError):
             hf.scaling_negativity_test(desk_params, u1, np.array([1.0]), desk_kernel)
+        pair = hf.MultiField(desk_grid, np.concatenate([u1.data, u1.data]))
+        with pytest.raises(ValueError, match="one component"):
+            hf.scaling_negativity_test(desk_params, pair, np.array([1.0]), desk_kernel)
 
 
 class TestStrictScaling:
@@ -157,7 +159,7 @@ class TestCrossTerm:
         # identical components stay identical along the flow from a symmetric start
         grid = hf.grid_for(desk_params)
         bump = gaussian_field(grid, sigma=2.0, mass_value=1.0)
-        init = hf.MultiField(grid, np.stack([bump.data, bump.data]))
+        init = hf.MultiField(grid, np.concatenate([bump.data, bump.data]))
         gs = hf.ground_state(desk_params, desk_kernel, init=init, tol=1e-6)
         v1, v2 = hf.cross_term_check(gs, desk_kernel, desk_params.power)
         assert abs(v1 - v2) <= 1e-6 * abs(v1)

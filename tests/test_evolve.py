@@ -59,6 +59,12 @@ class TestStep:
         with pytest.raises(ValueError):
             Propagator(grid, kernel, 2.0, 0.0).step_array(mf.data)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_dt(self, setup128, dt):
+        _, grid, kernel = setup128
+        with pytest.raises(ValueError, match="dt"):
+            Propagator(grid, kernel, 2.0, dt)
+
     def test_noninteger_power_step_isometry(self, setup128):
         _, grid, kernel = setup128
         mf = hf.project_masses(trig_field(grid, seed=4, m=1), [1.0])
@@ -398,6 +404,16 @@ class TestStackedEvolve:
         for starts in ([], [mf, trig_field(other_box, seed=1, m=2)], [mf, trig_field(grid, seed=1, m=3)]):
             with pytest.raises(ValueError):
                 hf.evolve(starts, 5e-3, 1e-3, kernel, 2.0)
+
+    def test_ground_state_on_another_grid_rejected(self):
+        # same n and m, another box: the orbit distance of a raw stack checks
+        # only the shape, so the grids must be compared up front
+        small = hf.SystemParams(1, 1, 2.0, 0.5, (1.0,), 20.0, 64)
+        gs = hf.ground_state(small, hf.build_kernel(hf.grid_for(small), 0.5), tol=1e-6)
+        grid = hf.Grid(1, 64, 40.0)
+        start = hf.project_masses(trig_field(grid, seed=4), [1.0])
+        with pytest.raises(ValueError, match="grid"):
+            hf.evolve(start, 5e-3, 1e-3, hf.build_kernel(grid, 0.5), 2.0, ground_state=gs)
 
     def test_overflowing_step_count_rejected(self, setup128):
         _, grid, kernel = setup128

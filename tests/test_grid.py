@@ -14,26 +14,34 @@ def grid1d():
 def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return hf.Field(grid, data)
+    return hf.MultiField(grid, data[None])
+
+
+def spectrum(grid, data):
+    """The quadrature-weighted spectrum h^N * FFT(f)."""
+    return grid.cell_volume * hf.grid.fftn_grid(grid, data)
+
+
+def mass(f):
+    return float(hf.grid.norms_sq(f.grid, f.data).sum())
 
 
 class TestTransforms:
     def test_round_trip(self, grid1d):
         f = random_field(grid1d)
-        back = hf.grid.ifftn_grid(grid1d, hf.transform(f)) / grid1d.cell_volume
+        back = hf.grid.ifftn_grid(grid1d, spectrum(grid1d, f.data)) / grid1d.cell_volume
         err = np.abs(back - f.data).max() / np.abs(f.data).max()
         assert err <= 1e-12
 
     def test_constant_concentrates_at_zero_mode(self, grid1d):
         c = 2.5 + 0.5j
-        spec = hf.transform(hf.Field(grid1d, np.full(grid1d.shape, c)))
+        spec = spectrum(grid1d, np.full(grid1d.shape, c))
         assert spec[0] == pytest.approx(c * grid1d.box_length, rel=1e-12)
         assert np.abs(spec[1:]).max() <= 1e-10 * abs(spec[0])
 
     def test_plane_wave_single_bin(self, grid1d):
         k = 2 * np.pi * 5 / grid1d.box_length
-        f = hf.Field(grid1d, np.exp(1j * k * grid1d.axis_coords))
-        spec = hf.transform(f)
+        spec = spectrum(grid1d, np.exp(1j * k * grid1d.axis_coords))
         idx = int(np.argmax(np.abs(spec)))
         assert idx == 5
         others = np.abs(np.delete(spec, idx)).max()
@@ -41,13 +49,13 @@ class TestTransforms:
 
     def test_parseval(self, grid1d):
         f = random_field(grid1d, seed=3)
-        lhs = hf.mass(f)
-        rhs = np.sum(np.abs(hf.transform(f)) ** 2) / grid1d.box_length**grid1d.space_dim
+        lhs = mass(f)
+        rhs = np.sum(np.abs(spectrum(grid1d, f.data)) ** 2) / grid1d.box_length**grid1d.space_dim
         assert abs(lhs - rhs) <= 1e-12 * lhs
 
     def test_size_mismatch_raises(self, grid1d):
         with pytest.raises(hf.SizeMismatchError):
-            hf.Field(grid1d, np.zeros(12, dtype=complex))
+            hf.MultiField(grid1d, np.zeros((1, 12), dtype=complex))
 
     @pytest.mark.parametrize("space_dim,n", [(1, 64), (2, 16), (3, 8)])
     def test_real_transforms_are_the_half_spectrum(self, space_dim, n):
@@ -146,15 +154,15 @@ class TestTransformsBitIdentical:
 
 class TestNorms:
     def test_zero_field(self, grid1d):
-        z = hf.Field(grid1d, np.zeros(grid1d.shape, dtype=complex))
-        assert hf.mass(z) == 0.0
+        z = hf.MultiField(grid1d, np.zeros((1,) + grid1d.shape, dtype=complex))
+        assert mass(z) == 0.0
         assert hf.grad_norm_sq(z) == 0.0
         assert hf.lp_norm(z, 3.0) == 0.0
 
     def test_plane_wave_mass_exact(self, grid1d):
         a = 1.7
-        f = hf.Field(grid1d, a * np.exp(1j * 2 * np.pi * 3 * grid1d.axis_coords / grid1d.box_length))
-        assert hf.mass(f) == pytest.approx(a**2 * grid1d.box_length, rel=1e-13)
+        f = hf.MultiField(grid1d, a * np.exp(1j * 2 * np.pi * 3 * grid1d.axis_coords / grid1d.box_length)[None])
+        assert mass(f) == pytest.approx(a**2 * grid1d.box_length, rel=1e-13)
 
     def test_grad_norm_against_converged_finite_differences(self):
         # independent oracle: second-order central differences on refined grids,
@@ -170,7 +178,7 @@ class TestNorms:
         coarse, fine = fd_value(2048), fd_value(4096)
         oracle = (4 * fine - coarse) / 3
         g = hf.Grid(1, 128, box)
-        spectral = hf.grad_norm_sq(hf.Field(g, np.exp(-g.axis_coords**2 / (2 * sigma**2)).astype(complex)))
+        spectral = hf.grad_norm_sq(hf.MultiField(g, np.exp(-g.axis_coords**2 / (2 * sigma**2))[None]))
         assert abs(spectral - oracle) <= 1e-6 * oracle
 
     def test_lp_norm_rejects_s_below_one(self, grid1d):
@@ -186,7 +194,7 @@ class TestNorms:
     @given(seed=st.integers(0, 2**31))
     def test_mass_nonnegative(self, seed):
         g = hf.Grid(1, 32, 10.0)
-        assert hf.mass(random_field(g, seed)) >= 0.0
+        assert mass(random_field(g, seed)) >= 0.0
 
 
 class TestDilate:
@@ -199,7 +207,7 @@ class TestDilate:
         g = hf.Grid(1, 256, 40.0)
         f = gaussian_field(g, sigma=2.0)
         out = hf.dilate(f, 0.5)
-        assert abs(hf.mass(out) - hf.mass(f)) <= 1e-6 * hf.mass(f)
+        assert abs(mass(out) - mass(f)) <= 1e-6 * mass(f)
 
     def test_kinetic_scaling(self):
         g = hf.Grid(1, 256, 40.0)
@@ -208,6 +216,14 @@ class TestDilate:
         for theta in (0.5, 0.8, 1.5):
             scaled = hf.grad_norm_sq(hf.dilate(f, theta))
             assert abs(scaled - theta**2 * base) <= 1e-4 * theta**2 * base
+
+    def test_acts_on_every_component(self):
+        g = hf.Grid(2, 16, 30.0)
+        mf = trig_field(g, seed=6, m=2)
+        out = hf.dilate(mf, 0.8)
+        for j, c in enumerate(mf.components):
+            alone = hf.dilate(c, 0.8).data[0]
+            assert np.abs(out.data[j] - alone).max() <= 1e-13 * np.abs(alone).max()
 
     def test_rejects_nonpositive_theta(self, grid1d):
         with pytest.raises(ValueError):
@@ -223,18 +239,18 @@ class TestDilate:
     def test_mass_preserved_property(self, theta):
         g = hf.Grid(1, 128, 40.0)
         f = gaussian_field(g, sigma=1.5)
-        assert abs(hf.mass(hf.dilate(f, theta)) - hf.mass(f)) <= 1e-6 * hf.mass(f)
+        assert abs(mass(hf.dilate(f, theta)) - mass(f)) <= 1e-6 * mass(f)
 
     def test_dilate_2d_mass(self):
         g = hf.Grid(2, 48, 30.0)
         f = gaussian_field(g, sigma=1.5)
         out = hf.dilate(f, 0.8)
-        assert abs(hf.mass(out) - hf.mass(f)) <= 1e-6 * hf.mass(f)
+        assert abs(mass(out) - mass(f)) <= 1e-6 * mass(f)
 
 
 class TestSnapshots:
     def test_round_trip_bit_exact(self, tmp_path, grid1d):
-        mf = hf.MultiField.from_fields([random_field(grid1d, 1), random_field(grid1d, 2)])
+        mf = hf.MultiField(grid1d, np.concatenate([random_field(grid1d, 1).data, random_field(grid1d, 2).data]))
         path = tmp_path / "state.chfld"
         hf.write_snapshot(path, mf)
         back = hf.read_snapshot(path)
@@ -263,7 +279,7 @@ class TestSnapshots:
     @pytest.mark.parametrize("size,part", [(7, "header"), (20, "header"), (26, "header"), (40, "payload"), (43, "payload")])
     def test_truncated_file_rejected(self, tmp_path, grid1d, size, part):
         path = tmp_path / "cut.chfld"
-        hf.write_snapshot(path, hf.MultiField.from_fields([random_field(grid1d)]))
+        hf.write_snapshot(path, random_field(grid1d))
         path.write_bytes(path.read_bytes()[:size])
         with pytest.raises(ValueError, match=f"snapshot {part} truncated"):
             hf.read_snapshot(path)
@@ -275,21 +291,51 @@ class TestGridArguments:
         with pytest.raises(ValueError, match="box_length"):
             hf.Grid(space_dim=1, points_per_dim=64, box_length=box_length)
 
+    @pytest.mark.parametrize("field, value", [("space_dim", 1.0), ("space_dim", True), ("points_per_dim", 64.0), ("points_per_dim", True)])
+    def test_dimensions_must_be_ints(self, field, value):
+        args = dict(space_dim=1, points_per_dim=64, box_length=20.0)
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            hf.Grid(**(args | {field: value}))
+
 
 class TestMultiField:
     def test_components_share_grid(self, grid1d):
-        other = hf.Grid(space_dim=1, points_per_dim=32, box_length=20.0)
-        with pytest.raises(hf.SizeMismatchError):
-            hf.MultiField.from_fields([random_field(grid1d), random_field(other)])
+        # each component is a one-component view on the MultiField's grid
+        mf = hf.MultiField(grid1d, np.concatenate([random_field(grid1d, 1).data, random_field(grid1d, 2).data]))
+        for j, c in enumerate(mf.components):
+            assert isinstance(c, hf.MultiField) and c.grid == grid1d and c.m == 1
+            assert np.shares_memory(c.data, mf.data) and np.array_equal(c.data[0], mf.data[j])
 
     def test_masses_vector(self, grid1d):
-        mf = hf.MultiField.from_fields([random_field(grid1d, 1), random_field(grid1d, 2)])
+        mf = hf.MultiField(grid1d, np.concatenate([random_field(grid1d, 1).data, random_field(grid1d, 2).data]))
         masses = hf.grid.norms_sq(grid1d, mf.data)
-        assert masses == pytest.approx([hf.mass(c) for c in mf.components])
+        assert masses == pytest.approx([mass(c) for c in mf.components])
 
     def test_trig_field_consistent_across_resolutions(self):
         # the helper samples one continuum function, so masses agree across grids
         g1, g2 = hf.Grid(1, 64, 20.0), hf.Grid(1, 128, 20.0)
-        m1 = hf.mass(trig_field(g1, seed=9).components[0])
-        m2 = hf.mass(trig_field(g2, seed=9).components[0])
+        m1 = mass(trig_field(g1, seed=9).components[0])
+        m2 = mass(trig_field(g2, seed=9).components[0])
         assert m1 == pytest.approx(m2, rel=1e-12)
+
+    def test_field_is_a_one_component_multifield(self, grid1d):
+        a = np.random.default_rng(4).standard_normal(grid1d.shape)
+        f = hf.Field(grid1d, a)
+        assert isinstance(f, hf.MultiField) and f.m == 1 and f.grid == grid1d
+        assert np.array_equal(f.data[0], a)
+        with pytest.raises(hf.SizeMismatchError):
+            hf.Field(grid1d, np.zeros(12))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_h1_norms_of_the_components_have_one_value_each(self, m):
+        # the per-component H^1 norms that scale a residual vector of shape
+        # (m,): an (m, 1) shape would broadcast residual / h1 to m x m
+        g = hf.Grid(1, 64, 20.0)
+        kernel = hf.build_kernel(g, 0.5)
+        mf = trig_field(g, seed=20 + m, m=m)
+        h1 = np.sqrt([hf.h1_norm_sq(c) for c in mf.components])
+        assert h1.shape == (m,)
+        kinetic = hf.total_energy(mf.data[:, None], kernel, 2.0).kinetic
+        assert h1**2 == pytest.approx(hf.grid.norms_sq(g, mf.data) + 2 * kinetic, rel=1e-12)
+        assert (hf.el_residual(mf, np.ones(m), kernel, 2.0) / h1).shape == (m,)
+        assert hf.h1_norm_sq(mf) == pytest.approx(np.sum(h1**2), rel=1e-12)

@@ -35,15 +35,15 @@ def direct_convolution(kernel, rho):
 
 
 def direct_pair_interaction(q, f, g_field, kernel, p):
-    rho_f = np.abs(f.data) ** p
-    rho_g = np.abs(g_field.data) ** p
+    rho_f = np.sum(np.abs(f.data) ** p, axis=0)
+    rho_g = np.sum(np.abs(g_field.data) ** p, axis=0)
     conv = direct_convolution(kernel, rho_g)
     return float(kernel.grid.cell_volume * np.sum(rho_f * conv) / q)
 
 
 def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
-    return hf.Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    return hf.MultiField(grid, (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))[None])
 
 
 class TestBuildKernel:
@@ -125,7 +125,7 @@ class TestConvolution:
     def test_zero_density(self):
         g = hf.Grid(space_dim=1, points_per_dim=32, box_length=10.0)
         k = hf.build_kernel(g, 0.5)
-        out = hf.convolve_density(k, hf.Field(g, np.zeros(g.shape, dtype=complex)))
+        out = hf.convolve_density(k, hf.MultiField(g, np.zeros((1,) + g.shape)))
         assert np.abs(out.data).max() == 0.0
 
     def test_delta_recovers_kernel(self):
@@ -135,23 +135,24 @@ class TestConvolution:
         j0 = 11
         rho = np.zeros(g.shape)
         rho[j0] = 1.0 / g.cell_volume
-        out = hf.convolve_density(k, hf.Field(g, rho.astype(complex))).data.real
+        out = hf.convolve_density(k, hf.MultiField(g, rho[None])).data[0].real
         expected = np.array([w(g.axis_coords[i] - g.axis_coords[j0]) for i in range(32)])
         assert np.abs(out - expected).max() <= 1e-10 * expected.max()
 
     def test_direct_sum_oracle_1d(self):
         g = hf.Grid(space_dim=1, points_per_dim=16, box_length=10.0)
         k = hf.build_kernel(g, 0.5)
-        rho = np.random.default_rng(0).random(g.shape)
-        spectral = hf.convolve_density(k, hf.Field(g, rho.astype(complex))).data.real
-        direct = direct_convolution(k, rho)
-        assert np.abs(spectral - direct).max() <= 1e-10 * np.abs(direct).max()
+        rho = np.random.default_rng(0).random((2,) + g.shape)
+        spectral = hf.convolve_density(k, hf.MultiField(g, rho)).data.real
+        for j in range(2):
+            direct = direct_convolution(k, rho[j])
+            assert np.abs(spectral[j] - direct).max() <= 1e-10 * np.abs(direct).max()
 
     def test_direct_sum_oracle_2d(self):
         g = hf.Grid(space_dim=2, points_per_dim=12, box_length=8.0)
         k = hf.build_kernel(g, 0.75)
         rho = np.random.default_rng(1).random(g.shape)
-        spectral = hf.convolve_density(k, hf.Field(g, rho.astype(complex))).data.real
+        spectral = hf.convolve_density(k, hf.MultiField(g, rho[None])).data[0].real
         direct = direct_convolution(k, rho)
         assert np.abs(spectral - direct).max() <= 1e-10 * np.abs(direct).max()
 
@@ -181,14 +182,14 @@ class TestConvolution:
         other = hf.Grid(space_dim=1, points_per_dim=32, box_length=10.0)
         k = hf.build_kernel(g, 0.5)
         with pytest.raises(hf.SizeMismatchError):
-            hf.convolve_density(k, hf.Field(other, np.zeros(other.shape, dtype=complex)))
+            hf.convolve_density(k, hf.MultiField(other, np.zeros((1,) + other.shape)))
 
 
 class TestPairInteraction:
     def test_zero_field(self):
         g = hf.Grid(space_dim=1, points_per_dim=16, box_length=10.0)
         k = hf.build_kernel(g, 0.5)
-        zero = hf.Field(g, np.zeros(g.shape, dtype=complex))
+        zero = hf.MultiField(g, np.zeros((1,) + g.shape))
         assert hf.pair_interaction(4.0, zero, random_field(g), k, 2.0) == 0.0
 
     def test_symmetry(self):
@@ -205,6 +206,11 @@ class TestPairInteraction:
         f, h = random_field(g, 3), random_field(g, 4)
         spectral = hf.pair_interaction(4.0, f, h, k, 2.0)
         direct = direct_pair_interaction(4.0, f, h, k, 2.0)
+        assert abs(spectral - direct) <= 1e-10 * abs(direct)
+        # a tuple pairs its total density sum_j |f_j|^p
+        pair = hf.MultiField(g, np.concatenate([f.data, h.data]))
+        spectral = hf.pair_interaction(4.0, pair, h, k, 2.0)
+        direct = direct_pair_interaction(4.0, pair, h, k, 2.0)
         assert abs(spectral - direct) <= 1e-10 * abs(direct)
 
     def test_rejects_nonpositive_q(self):
@@ -233,25 +239,25 @@ class TestEnergies:
         assert br.kinetic == br.interaction == br.total == 0.0
 
     def test_single_component_agreement(self):
+        # the energies of one-component members of a stack are the bits of
+        # each profile's own energy
         g = hf.Grid(space_dim=1, points_per_dim=64, box_length=20.0)
         k = hf.build_kernel(g, 0.5)
-        f = random_field(g, 7)
-        total = hf.total_energy(hf.MultiField.from_fields([f]), k, 2.0).total
-        single = hf.single_energy(f, k, 2.0)
-        assert abs(total - single) <= 1e-12 * max(abs(single), 1.0)
+        f, h = random_field(g, 7), random_field(g, 6)
+        stacked = hf.total_energy(np.stack([f.data, h.data]), k, 2.0).total
+        assert stacked.tolist() == [hf.total_energy(f, k, 2.0).total, hf.total_energy(h, k, 2.0).total]
 
     def test_vanishing_second_component(self):
         g = hf.Grid(space_dim=1, points_per_dim=64, box_length=20.0)
         k = hf.build_kernel(g, 0.5)
         f = random_field(g, 8)
-        zero = hf.Field(g, np.zeros(g.shape, dtype=complex))
-        total = hf.total_energy(hf.MultiField.from_fields([f, zero]), k, 2.0).total
-        assert total == pytest.approx(hf.single_energy(f, k, 2.0), rel=1e-12)
+        total = hf.total_energy(hf.MultiField(g, np.concatenate([f.data, np.zeros_like(f.data)])), k, 2.0).total
+        assert total == pytest.approx(hf.total_energy(f, k, 2.0).total, rel=1e-12)
 
     def test_breakdown_identity(self):
         g = hf.Grid(space_dim=1, points_per_dim=32, box_length=10.0)
         k = hf.build_kernel(g, 0.5)
-        br = hf.total_energy(hf.MultiField.from_fields([random_field(g, 9)]), k, 2.0)
+        br = hf.total_energy(random_field(g, 9), k, 2.0)
         assert br.total == br.kinetic - br.interaction
 
     def test_single_energy_direct_oracle(self):
@@ -259,19 +265,16 @@ class TestEnergies:
         k = hf.build_kernel(g, 0.5)
         f = random_field(g, 10)
         direct = 0.5 * hf.grad_norm_sq(f) - direct_pair_interaction(4.0, f, f, k, 2.0)
-        assert abs(hf.single_energy(f, k, 2.0) - direct) <= 1e-10 * abs(direct)
+        assert abs(hf.total_energy(f, k, 2.0).total - direct) <= 1e-10 * abs(direct)
 
     def test_pair_decomposition_m2(self):
         # I(u1, u2) = E(u1) + E(u2) - F_p(u1, u2)
         g = hf.Grid(space_dim=1, points_per_dim=64, box_length=20.0)
         k = hf.build_kernel(g, 0.5)
         u1, u2 = random_field(g, 11), random_field(g, 12)
-        total = hf.total_energy(hf.MultiField.from_fields([u1, u2]), k, 2.0).total
-        decomposed = (
-            hf.single_energy(u1, k, 2.0)
-            + hf.single_energy(u2, k, 2.0)
-            - hf.pair_interaction(2.0, u1, u2, k, 2.0)
-        )
+        total = hf.total_energy(hf.MultiField(g, np.concatenate([u1.data, u2.data])), k, 2.0).total
+        e1, e2 = hf.total_energy(np.stack([u1.data, u2.data]), k, 2.0).total
+        decomposed = e1 + e2 - hf.pair_interaction(2.0, u1, u2, k, 2.0)
         assert abs(total - decomposed) <= 1e-11 * abs(total)
 
 
@@ -292,7 +295,7 @@ class TestGradient:
         e_plus = hf.total_energy(hf.MultiField(g, mf.data + eps * v.data), k, 2.0).total
         e_minus = hf.total_energy(hf.MultiField(g, mf.data - eps * v.data), k, 2.0).total
         fd = (e_plus - e_minus) / (2 * eps)
-        analytic = sum(hf.inner(gc, vc).real for gc, vc in zip(grad.components, v.components))
+        analytic = hf.inner(grad, v).real
         assert abs(fd - analytic) <= 1e-6 * abs(analytic)
 
     def test_real_input_real_gradient(self):
@@ -313,7 +316,7 @@ class TestGradient:
         e_plus = hf.total_energy(hf.MultiField(g, mf.data + eps * v.data), k, 2.5).total
         e_minus = hf.total_energy(hf.MultiField(g, mf.data - eps * v.data), k, 2.5).total
         fd = (e_plus - e_minus) / (2 * eps)
-        analytic = sum(hf.inner(gc, vc).real for gc, vc in zip(grad.components, v.components))
+        analytic = hf.inner(grad, v).real
         assert abs(fd - analytic) <= 1e-6 * abs(analytic)
 
 
@@ -397,7 +400,7 @@ class TestInequalityShapes:
 
         def ratio(f):
             return hf.lp_norm(f, s) ** 2 / (
-                hf.grad_norm_sq(f) ** theta * hf.mass(f) ** (1 - theta)
+                hf.grad_norm_sq(f) ** theta * hf.grid.norms_sq(g, f.data)[0] ** (1 - theta)
             )
 
         base = ratio(u)

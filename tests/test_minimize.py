@@ -24,11 +24,11 @@ def fractional_shift(field, deltas):
         shape = [1] * g.space_dim
         shape[ax] = n
         fh = fh * phase.reshape(shape)
-    return hf.Field(g, hf.grid.ifftn_grid(g, fh))
+    return hf.MultiField(g, hf.grid.ifftn_grid(g, fh))
 
 
 def evenness_deviation(f):
-    """Relative L^2 asymmetry about the density peak (1D diagnostic).
+    """Relative L^2 asymmetry of a one-component f about its density peak (1D diagnostic).
 
     The peak is located to sub-grid accuracy with a three-point parabola and
     moved to x = 0 by a spectral shift before comparing f with its reflection.
@@ -36,7 +36,7 @@ def evenness_deviation(f):
     g = f.grid
     if g.space_dim != 1:
         raise NotImplementedError("evenness diagnostic is implemented for 1D fields")
-    amp = np.abs(f.data)
+    amp = np.abs(f.data[0])
     i0 = int(np.argmax(amp))
     n = g.points_per_dim
     ym, y0, yp = amp[(i0 - 1) % n], amp[i0], amp[(i0 + 1) % n]
@@ -45,14 +45,14 @@ def evenness_deviation(f):
     frac = float(np.clip(frac, -0.5, 0.5))
     peak_x = g.axis_coords[i0] + frac * g.spacing
     centered = fractional_shift(f, [-peak_x])
-    rolled = np.roll(centered.data[::-1], 1)
-    num = np.sqrt(np.sum(np.abs(centered.data - rolled) ** 2))
-    den = np.sqrt(np.sum(np.abs(centered.data) ** 2))
+    rolled = np.roll(centered.data[0, ::-1], 1)
+    num = np.sqrt(np.sum(np.abs(centered.data[0] - rolled) ** 2))
+    den = np.sqrt(np.sum(np.abs(centered.data[0]) ** 2))
     return float(num / den)
 
 
 def symmetric_rearrangement_energy(f, kernel, p):
-    """Energy of the symmetric-decreasing rearrangement of |f| (1D proxy).
+    """Energy of the symmetric-decreasing rearrangement of a one-component |f| (1D proxy).
 
     Sorting the moduli and laying them out alternately around the centre
     preserves the mass exactly; comparing energies measures how far the
@@ -62,7 +62,7 @@ def symmetric_rearrangement_energy(f, kernel, p):
     if g.space_dim != 1:
         raise NotImplementedError("rearrangement proxy is implemented for 1D fields")
     n = g.points_per_dim
-    values = np.sort(np.abs(f.data))[::-1]
+    values = np.sort(np.abs(f.data[0]))[::-1]
     out = np.zeros(n)
     center = n // 2
     out[center] = values[0]
@@ -70,7 +70,7 @@ def symmetric_rearrangement_energy(f, kernel, p):
         offset = (rank + 1) // 2
         idx = center - offset if rank % 2 else center + offset
         out[idx % n] = values[rank]
-    return hf.single_energy(hf.Field(g, out.astype(complex)), kernel, p)
+    return hf.total_energy(hf.MultiField(g, out[None]), kernel, p).total
 
 
 @pytest.fixture()
@@ -86,13 +86,13 @@ def small_setup():
 class TestProjectMasses:
     def test_feasible_unchanged(self, small_setup):
         _, grid, _ = small_setup
-        mf = hf.MultiField.from_fields([gaussian_field(grid, 2.0, 1.0), gaussian_field(grid, 3.0, 2.0)])
+        mf = hf.MultiField(grid, np.concatenate([gaussian_field(grid, 2.0, 1.0).data, gaussian_field(grid, 3.0, 2.0).data]))
         out = hf.project_masses(mf, [1.0, 2.0])
         assert np.abs(out.data - mf.data).max() <= 1e-12
 
     def test_scaling_by_two_restored(self, small_setup):
         _, grid, _ = small_setup
-        mf = hf.MultiField.from_fields([gaussian_field(grid, 2.0, 1.0)])
+        mf = gaussian_field(grid, 2.0, 1.0)
         doubled = hf.MultiField(grid, 2.0 * mf.data)
         out = hf.project_masses(doubled, [1.0])
         assert np.abs(out.data - mf.data).max() <= 1e-12
@@ -380,18 +380,17 @@ class TestExtractMultipliers:
     def test_zero_kernel_gives_negative_multiplier(self, small_setup):
         _, grid, _ = small_setup
         zero_kernel = hf.Kernel.zero(grid)
-        f = gaussian_field(grid, 2.0, 1.5)
-        mf = hf.MultiField.from_fields([f])
+        mf = gaussian_field(grid, 2.0, 1.5)
         lam = hf.extract_multipliers(mf, zero_kernel, 2.0)
-        expected = -hf.grad_norm_sq(f) / hf.mass(f)
+        expected = -hf.grad_norm_sq(mf) / hf.grid.norms_sq(grid, mf.data)[0]
         assert lam[0] == pytest.approx(expected, rel=1e-12)
         assert lam[0] < 0
 
     def test_plane_wave_eigenvalue(self, small_setup):
         _, grid, _ = small_setup
         k_wave = 2 * np.pi * 4 / grid.box_length
-        f = hf.Field(grid, np.exp(1j * k_wave * grid.axis_coords))
-        lam = hf.extract_multipliers(hf.MultiField.from_fields([f]), hf.Kernel.zero(grid), 2.0)
+        f = hf.MultiField(grid, np.exp(1j * k_wave * grid.axis_coords)[None])
+        lam = hf.extract_multipliers(f, hf.Kernel.zero(grid), 2.0)
         assert lam[0] == pytest.approx(-k_wave**2, rel=1e-10)
 
     def test_converged_state_positive(self, desk_params, desk_kernel, gs_m2):
@@ -410,10 +409,13 @@ class TestPhaseFactorize:
     def test_constant_phase_gaussian(self, small_setup):
         _, grid, _ = small_setup
         g = gaussian_field(grid, 2.0)
-        f = hf.Field(grid, np.exp(1j * np.pi / 3) * g.data)
+        phases = np.array([np.pi / 3, -2.0])
+        f = hf.MultiField(grid, np.exp(1j * phases)[:, None] * g.data)
         pf = hf.phase_factorize(f)
-        assert pf.theta == pytest.approx(np.pi / 3, abs=1e-12)
-        assert pf.deviation <= 1e-12
+        assert pf.theta.shape == pf.deviation.shape == (2,)
+        assert pf.theta == pytest.approx(phases, abs=1e-12)
+        assert np.all(pf.deviation <= 1e-12)
+        assert np.abs(pf.positive_part.data - g.data).max() <= 1e-12 * np.abs(g.data).max()
 
     def test_real_positive_theta_zero(self, small_setup):
         _, grid, _ = small_setup
@@ -422,20 +424,20 @@ class TestPhaseFactorize:
 
     def test_deviation_range(self, small_setup):
         _, grid, _ = small_setup
-        f = trig_field(grid, seed=11).components[0]
-        pf = hf.phase_factorize(f)
-        assert 0.0 <= pf.deviation <= 2.0
+        pf = hf.phase_factorize(trig_field(grid, seed=11, m=3))
+        assert np.all((0.0 <= pf.deviation) & (pf.deviation <= 2.0))
 
     def test_zero_field_rejected(self, small_setup):
         _, grid, _ = small_setup
         with pytest.raises(ZeroMassError):
-            hf.phase_factorize(hf.Field(grid, np.zeros(grid.shape, dtype=complex)))
+            hf.phase_factorize(hf.MultiField(grid, np.zeros((1,) + grid.shape)))
+        with pytest.raises(ZeroMassError):
+            hf.phase_factorize(hf.MultiField(grid, np.concatenate([gaussian_field(grid, 2.0).data, np.zeros((1,) + grid.shape)])))
 
     def test_complex_seeded_minimiser(self, gs_m2_complex):
-        for comp in gs_m2_complex.fields.components:
-            pf = hf.phase_factorize(comp)
-            assert pf.deviation <= 1e-6
-            assert pf.positive_part.data.real.min() > 0
+        pf = hf.phase_factorize(gs_m2_complex.fields)
+        assert np.all(pf.deviation <= 1e-6)
+        assert pf.positive_part.data.real.min() > 0
 
 
 class TestSingleComponentGround:
@@ -458,7 +460,7 @@ class TestSingleComponentGround:
         # lower energy than the minimiser itself
         comp = gs_m1.fields.components[0]
         e_rearranged = symmetric_rearrangement_energy(comp, desk_kernel, desk_params.power)
-        e_direct = hf.single_energy(comp, desk_kernel, desk_params.power)
+        e_direct = hf.total_energy(comp, desk_kernel, desk_params.power).total
         assert abs(e_rearranged - e_direct) <= 1e-5 * abs(e_direct)
 
 

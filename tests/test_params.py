@@ -65,6 +65,12 @@ class TestValidateAssumptions:
         with pytest.raises(InvalidParameterError):
             make_params(1, 2.0, 0.5, masses=(0.0,))
 
+    @pytest.mark.parametrize("field, value", [("space_dim", 1.0), ("space_dim", True), ("points_per_dim", 256.0), ("points_per_dim", True)])
+    def test_dimensions_must_be_ints(self, field, value):
+        args = dict(space_dim=1, component_count=1, power=2.0, kernel_exponent=0.5, masses=(1.0,), box_length=20.0, points_per_dim=64)
+        with pytest.raises(InvalidParameterError, match=f"{field} must be an int"):
+            hf.SystemParams(**(args | {field: value}))
+
     @settings(max_examples=50, deadline=None)
     @given(
         n_dim=st.integers(1, 3),
