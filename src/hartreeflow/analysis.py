@@ -354,7 +354,8 @@ def subadditivity_scan(
 ) -> ScanResult:
     """Margins I(M) + I(T) - I(M + T) over a list of mass splittings.
 
-    Every pair must satisfy M, T != 0 and M + T > 0 componentwise.  The three
+    Every pair must have M and T of one length, with finite non-negative
+    entries, M, T != 0 and M + T > 0 componentwise; else ValueError.  The three
     infima per pair are solved (with caching across pairs; the infimum is
     symmetric in the components, so keys are sorted positive masses), and a
     record whose sub-runs did not all converge is excluded and reported
@@ -364,6 +365,10 @@ def subadditivity_scan(
     for mv, tv in mass_pairs:
         mv = tuple(float(v) for v in mv)
         tv = tuple(float(v) for v in tv)
+        if len(mv) != len(tv):
+            raise ValueError(f"mass vectors of a pair must have one length, got {(mv, tv)}")
+        if not all(np.isfinite(v) and v >= 0 for v in mv + tv):
+            raise ValueError(f"masses must be finite and non-negative, got {(mv, tv)}")
         if all(v == 0 for v in mv) or all(v == 0 for v in tv):
             raise ValueError("both mass vectors in a pair must be nonzero")
         sv = tuple(a + b for a, b in zip(mv, tv))

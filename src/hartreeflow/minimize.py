@@ -58,25 +58,30 @@ stack when it stops.  Every reduction runs over one member's own axes and
 the batched transforms act row by row, so each member's iterates are the
 bits of solving it alone.  A stack pays numpy's per-call overhead once per
 iteration rather than once per member, most of the cost of a small grid.
-On a 2-core Xeon, the time of one member-iteration (us, median of 15 runs;
-single values move by up to 20% between sessions) against the stack size B,
-and the tracemalloc peak of the loop:
+On a shared 2-core Xeon VM, the time of one member-iteration (us, median of
+31 timings of 25 iterations from Gaussian starts, 101 for 2D; the quartiles
+of one entry lie up to 50% apart there) against the stack size B,
+and the tracemalloc peak of the call (start state and loop) at the
+smallest and largest B:
 
-    1D n=256, m=1   B=1: 150-170   B=4: 55   B=16: 22
-    1D n=256, m=2   B=1: 150-210   B=4: 54   B=16: 27
-    1D n=256, m=3   B=1: 165-210   B=4: 91   B=16: 49
-    2D n=64,  m=2   B=1: 500-700   B=2: 500-550
-    peak: 70-80 B per field point (1D n=256, m=2: 40 KiB solo, 694 KiB at B=20)
+    1D n=256, m=1   B=1: 112  B=4: 35  B=8: 18  B=16: 12  B=32: 11         31 -  785 KiB
+    1D n=256, m=2   B=1: 100  B=4: 33  B=8: 21  B=16: 18  B=24: 14  B=32: 15   49 - 1366 KiB
+    1D n=256, m=3   B=1: 129  B=4: 44  B=8: 29  B=16: 23  B=24: 20  B=32: 25   70 - 2040 KiB
+    2D n=64,  m=2   B=1: 383  B=2: 340  B=3: 330  B=4: 341                  721 - 2864 KiB
+    peak: 85-100 B per field point
 
 The gain flattens past ~10,000 field points, while the memory of the stack
 grows with B.  So stack_capacity(params) gives how many such problems one
-call should hold: those that fit in _STACK_POINTS field points, at least
-one.  The budget holds the 20 two-component runs of a reference scan at
-two seeds (10,240 points) in one call, and keeps a 2D n=64, m=2 member
-(8,192 points) alone: pairing two of them shortened a 2D lemma run by
-10-16% but raised the peak memory of the process by ~1 MiB.  ground_state
-itself stacks every problem it is given (one stack per dtype of the
-starts), as evolve stacks every start.
+call should hold: those that fit in _STACK_POINTS = 16,384 field points, at
+least one.  That holds a reference scan's 20 two-component runs at two
+seeds (10,240 points) or its 30 at three seeds (15,360) in one call, and
+two 2D n=64, m=2 members (8,192 points each).  Pairing the 2D members is a
+trade: a member-iteration costs ~11% less, and a check-lemmas run at the
+lemmas-2d parameters makes 3 calls rather than 5 and takes ~10% less wall
+time, while the loop's peak doubles (721 to 1,435 KiB; the process peak
+rises by ~0.8 MiB).  A 2D n=128, m=2 member (32,768 points) is alone.
+ground_state itself stacks every problem it is given (one stack per dtype
+of the starts), as evolve stacks every start.
 
 Converged minimisers come out with strictly positive Lagrange multipliers and
 each component equal to a positive profile times a constant phase; both facts
@@ -107,7 +112,7 @@ _STEP_MIN, _STEP_MAX = 1e-3, 1.0  # clamp of the Barzilai-Borwein step
 # Most field points (members x m x grid points) of one stacked call, see
 # stack_capacity and the table above; a member larger than this is solved in
 # a stack of its own.
-_STACK_POINTS = 12_288
+_STACK_POINTS = 16_384
 
 
 class ZeroMassError(ValueError):

@@ -42,7 +42,7 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(v) for v in self.masses))
-        for name in ("space_dim", "points_per_dim"):
+        for name in ("space_dim", "component_count", "points_per_dim"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidParameterError(f"{name} must be an int, got {value!r}")

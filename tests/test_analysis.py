@@ -214,12 +214,21 @@ class TestSubadditivityScan:
         assert len(scan.excluded) == 1
         assert not scan.excluded[0].converged
 
-    def test_invalid_pairs_rejected(self, setup128):
+    def test_invalid_pairs_rejected(self, setup128, monkeypatch):
         params, _, kernel = setup128
         with pytest.raises(ValueError):
             hf.subadditivity_scan([((0.0, 0.0), (1.0, 1.0))], params, kernel)
         with pytest.raises(ValueError):
             hf.subadditivity_scan([((0.0, 1.0), (0.0, 1.0))], params, kernel)
+        # pairs that cannot be scored are named, before any solve: M + T would be
+        # truncated to the shorter vector, a negative mass dropped, a NaN margin reported
+        monkeypatch.setattr(hf.analysis, "ground_state", None)
+        nan, inf = float("nan"), float("inf")
+        for pair in [((0.5, 0.5), (0.5, 0.5, 0.5)), ((-0.5, 1.0), (1.0, 1.0)), ((nan, 1.0), (1.0, 1.0)),
+                     ((1.0, 1.0), (inf, 1.0))]:
+            with pytest.raises(ValueError) as info:
+                hf.subadditivity_scan([pair], params, kernel)
+            assert str(pair) in str(info.value)
 
     def test_zero_seeds_per_value_rejected(self, setup128):
         params, _, kernel = setup128
@@ -283,41 +292,58 @@ class TestStabilityExperiment:
         assert steps == []
 
 
+def _assert_scan_matches_solo_solves(params, kernel, pairs, monkeypatch):
+    """Run a 2-seed scan of pairs, check every key against its solo solves, return the spied call sizes."""
+    calls = []
+    stacked = hf.analysis.ground_state
+
+    def spy(problems, *args, **kwargs):
+        calls.append(len(problems))
+        return stacked(problems, *args, **kwargs)
+
+    monkeypatch.setattr(hf.analysis, "ground_state", spy)
+    scan = hf.subadditivity_scan(pairs, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)
+    monkeypatch.undo()
+
+    expected = {}
+    for key in scan.infimum_cache:
+        seeds = tuple(hf.analysis._stable_seed(key, 3, i) for i in range(2))
+        runs = [
+            hf.ground_state(replace(params, component_count=len(key), masses=key), kernel, tol=1e-5, seed=s)
+            for s in seeds
+        ]
+        best = min(runs, key=lambda gs: gs.energy.total)
+        expected[key] = (best.energy.total, all(gs.converged for gs in runs), seeds, best.multipliers)
+    assert list(scan.infimum_cache) == list(expected)
+    for key, (value, converged, seeds, lambdas) in expected.items():
+        got = scan.infimum_cache[key]
+        assert got[:3] == (value, converged, seeds)
+        assert np.array_equal(got[3], lambdas)
+        assert hf.infimum_value(key, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)[:3] == got[:3]
+    for rec in scan.records:
+        i_m, i_t, i_s = (expected[hf.analysis._infimum_key(v)][0] for v in (rec.masses_m, rec.masses_t,
+                         tuple(a + b for a, b in zip(rec.masses_m, rec.masses_t))))
+        assert rec.margin == i_m + i_t - i_s
+    return calls
+
+
 class TestStackedScan:
     def test_scan_matches_solo_solves_per_key(self, setup128, monkeypatch):
         params, _, kernel = setup128
-        calls = []
-        stacked = hf.analysis.ground_state
-
-        def spy(problems, *args, **kwargs):
-            calls.append(len(problems))
-            return stacked(problems, *args, **kwargs)
-
-        monkeypatch.setattr(hf.analysis, "ground_state", spy)
         pairs = [((0.5, 0.5), (0.5, 0.5)), ((0.0, 1.0), (1.0, 0.0)), ((0.5, 0.0), (0.5, 1.0))]
-        scan = hf.subadditivity_scan(pairs, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)
+        calls = _assert_scan_matches_solo_solves(params, kernel, pairs, monkeypatch)
         assert calls == [6, 4]  # one call per component count: 3 keys of m=2, then 2 of m=1, 2 seeds each
-        monkeypatch.undo()
 
-        expected = {}
-        for key in scan.infimum_cache:
-            seeds = tuple(hf.analysis._stable_seed(key, 3, i) for i in range(2))
-            runs = [
-                hf.ground_state(replace(params, component_count=len(key), masses=key), kernel, tol=1e-5, seed=s)
-                for s in seeds
-            ]
-            best = min(runs, key=lambda gs: gs.energy.total)
-            expected[key] = (best.energy.total, all(gs.converged for gs in runs), seeds, best.multipliers)
-        assert list(scan.infimum_cache) == list(expected)
-        for key, (value, converged, seeds, lambdas) in expected.items():
-            got = scan.infimum_cache[key]
-            assert got[:3] == (value, converged, seeds)
-            assert np.array_equal(got[3], lambdas)
-            assert hf.infimum_value(key, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)[:3] == got[:3]
-        for rec in scan.records:
-            i_m, i_t, i_s = (expected[hf.analysis._infimum_key(v)][0] for v in (rec.masses_m, rec.masses_t,
-                             tuple(a + b for a, b in zip(rec.masses_m, rec.masses_t))))
-            assert rec.margin == i_m + i_t - i_s
+    def test_scan_matches_solo_solves_per_key_2d(self, monkeypatch):
+        # the sample scan of check-lemmas at its 2D parameters (n=64, 8,192 points per
+        # m=2 member): the 4 seeded runs of its 2 keys are solved two to a call
+        params = hf.SystemParams(
+            space_dim=2, component_count=2, power=2.0, kernel_exponent=1.0,
+            masses=(1.0, 1.0), box_length=40.0, points_per_dim=64,
+        )
+        kernel = hf.build_kernel(hf.grid_for(params), 1.0)
+        calls = _assert_scan_matches_solo_solves(params, kernel, [((0.5, 0.5), (0.5, 0.5))], monkeypatch)
+        assert calls == [2, 2]
 
     def test_scan_calls_respect_the_stack_cap(self, setup128, monkeypatch):
         params, grid, kernel = setup128
@@ -337,14 +363,14 @@ class TestStackedScan:
 
     @pytest.mark.parametrize(
         "seeds, calls",
-        [(1, [(2, 1), (10, 2)]), (2, [(4, 1), (20, 2)]), (3, [(6, 1), (24, 2), (6, 2)])],
+        [(1, [(2, 1), (10, 2)]), (2, [(4, 1), (20, 2)]), (3, [(6, 1), (30, 2)])],
         ids=["seeds1", "seeds2", "seeds3"],
     )
     def test_reference_scan_solves_each_component_count_in_one_call(
         self, desk_params, desk_kernel, monkeypatch, seeds, calls
     ):
         # the default m=2 scan at the reference grid (n=256): every run of one
-        # component count in one call up to 3 seeds, where the m=2 runs pass the cap
+        # component count in one call up to 3 seeds (30 m=2 runs of 512 points)
         sizes = []
         stacked = hf.analysis.ground_state
 

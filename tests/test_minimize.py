@@ -581,7 +581,10 @@ class TestStackedSolve:
         assert hf.minimize.stack_capacity(replace(params, component_count=1, masses=(1.0,))) == cap // 128
         # a member larger than the cap is a stack of its own
         assert hf.minimize.stack_capacity(replace(params, points_per_dim=2 * cap)) == 1
-        assert hf.minimize.stack_capacity(replace(params, space_dim=2, kernel_exponent=1.0, points_per_dim=64)) == 1
+        # two 2D n=64, m=2 members (8,192 points each) share one call, a 2D n=128 one is alone
+        two_d = replace(params, space_dim=2, kernel_exponent=1.0)
+        assert hf.minimize.stack_capacity(replace(two_d, points_per_dim=64)) == 2
+        assert hf.minimize.stack_capacity(replace(two_d, points_per_dim=128)) == 1
         # the 20 m=2 runs of the reference scan at 2 seeds (512 points each) share one call
         assert hf.minimize.stack_capacity(replace(params, points_per_dim=256)) >= 20
 
