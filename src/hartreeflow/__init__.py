@@ -66,6 +66,7 @@ from .evolve import (
 from .analysis import (
     BoxOverflowError,
     ConcentrationProfile,
+    Infimum,
     NoNegativeEnergyError,
     ScanResult,
     StabilityReport,

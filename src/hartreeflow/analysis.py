@@ -223,22 +223,42 @@ def cross_term_check(gs: GroundState, kernel: Kernel, p: float) -> tuple[float, 
 
 
 @dataclass(frozen=True, eq=False)
+class Infimum:
+    """The infimum at one mass vector: the lowest of its seeded runs' energies and
+    that run's multipliers, and every run's seed and stop reason, in seed order."""
+
+    value: float
+    multipliers: np.ndarray
+    seeds: tuple[int, ...]
+    stop_reasons: tuple[str, ...]
+
+    @property
+    def converged(self) -> bool:
+        """Every run stopped with "converged"."""
+        return all(reason == "converged" for reason in self.stop_reasons)
+
+
+@dataclass(frozen=True, eq=False)
 class SubadditivityRecord:
     masses_m: tuple[float, ...]
     masses_t: tuple[float, ...]
-    i_m: float
-    i_t: float
-    i_sum: float
-    margin: float
-    seeds: tuple[int, ...]
-    converged: bool
+    infima: tuple[Infimum, Infimum, Infimum]  # I(M), I(T), I(M + T)
+
+    @property
+    def margin(self) -> float:
+        i_m, i_t, i_sum = (inf.value for inf in self.infima)
+        return i_m + i_t - i_sum
+
+    @property
+    def converged(self) -> bool:
+        return all(inf.converged for inf in self.infima)
 
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
     records: tuple[SubadditivityRecord, ...]
     excluded: tuple[SubadditivityRecord, ...]
-    infimum_cache: dict
+    infimum_cache: dict  # key (sorted positive masses) -> Infimum
 
     @property
     def min_margin(self) -> float:
@@ -248,6 +268,14 @@ class ScanResult:
 def _stable_seed(key, base_seed: int, tag: int) -> int:
     text = f"{key}|{base_seed}|{tag}".encode()
     return zlib.crc32(text)
+
+
+def _mass_vector(masses) -> tuple[float, ...]:
+    """masses as floats: finite, non-negative and not all zero, else ValueError."""
+    vec = tuple(float(v) for v in masses)
+    if not all(np.isfinite(v) and v >= 0 for v in vec) or not any(vec):
+        raise ValueError(f"masses must be finite, non-negative and not all zero, got {vec}")
+    return vec
 
 
 def _infimum_key(masses) -> tuple[float, ...]:
@@ -264,36 +292,36 @@ def infimum_value(
     max_iters: int = DEFAULT_MAX_ITERS,
     seeds_per_value: int = 2,
     base_seed: int = 0,
-):
-    """Constrained infimum at a mass vector, minimised over several seeded runs.
+) -> Infimum:
+    """The Infimum at a mass vector, the lowest of several seeded runs.
 
     Zero entries reduce the problem to the positive sub-vector: the energy is
-    symmetric in the components, so only the positive masses matter.  Returns
-    (value, converged, seeds, lambdas) where converged requires every seeded
-    run to have converged.
+    symmetric in the components, so only the positive masses matter.  masses
+    must be finite, non-negative and not all zero, and seeds_per_value a
+    positive int, else ValueError.
     """
-    key = _infimum_key(masses)
+    key = _infimum_key(_mass_vector(masses))
     return _infima(
         [key], params, kernel, tol=tol, max_iters=max_iters, seeds_per_value=seeds_per_value, base_seed=base_seed
     )[key]
 
 
 def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds_per_value, base_seed) -> dict:
-    """infimum_value of every key (sorted positive masses), in the order of keys.
+    """The Infimum of every key (sorted positive masses), in the order of keys.
 
     The seeded runs of all keys with one component count are solved in
     stacked ground_state calls of stack_capacity members each; every member's
     iterates are the bits of its solo solve, so no value depends on which
-    runs share a stack.  Only the lowest energy of each key is kept.
+    runs share a stack.  Each key keeps its runs' stop reasons and its lowest run.
     """
-    if seeds_per_value < 1:
-        raise ValueError(f"seeds_per_value must be at least 1, got {seeds_per_value}")
-    seeds = {key: tuple(_stable_seed(key, base_seed, i) for i in range(seeds_per_value)) for key in keys if key}
+    if isinstance(seeds_per_value, bool) or not isinstance(seeds_per_value, (int, np.integer)) or seeds_per_value < 1:
+        raise ValueError(f"seeds_per_value must be a positive int, got {seeds_per_value!r}")
+    seeds = {key: tuple(_stable_seed(key, base_seed, i) for i in range(seeds_per_value)) for key in keys}
     runs_by_count: dict[int, list] = {}  # component count -> (key, seed) of each run
     for key, key_seeds in seeds.items():
         runs_by_count.setdefault(len(key), []).extend((key, seed) for seed in key_seeds)
-    best = {(): (0.0, np.zeros(0))}  # key -> (energy, multipliers) of its lowest run so far
-    converged = dict.fromkeys(keys, True)
+    best = {}  # key -> (energy, multipliers) of its lowest run so far
+    reasons = dict.fromkeys(keys, ())  # key -> stop reason of each run so far
     for count, runs in runs_by_count.items():
         size = stack_capacity(replace(params, component_count=count, masses=runs[0][0]))
         for chunk in (runs[lo : lo + size] for lo in range(0, len(runs), size)):
@@ -305,10 +333,10 @@ def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds
                 seed=[seed for _, seed in chunk],
             )
             for (key, _), gs in zip(chunk, stack.members):
-                converged[key] &= gs.converged
+                reasons[key] += (gs.stop_reason,)
                 if key not in best or gs.energy.total < best[key][0]:
                     best[key] = (gs.energy.total, gs.multipliers)
-    return {key: (best[key][0], converged[key], seeds.get(key, ()), best[key][1]) for key in keys}
+    return {key: Infimum(*best[key], seeds[key], reasons[key]) for key in keys}
 
 
 def default_mass_pairs_m2(values=(0.0, 0.5, 1.0)) -> list[tuple[tuple[float, float], tuple[float, float]]]:
@@ -362,15 +390,13 @@ def subadditivity_scan(
     separately.
     """
     pair_list = []
-    for mv, tv in mass_pairs:
-        mv = tuple(float(v) for v in mv)
-        tv = tuple(float(v) for v in tv)
+    for pair in mass_pairs:
+        try:
+            mv, tv = (_mass_vector(vec) for vec in pair)
+        except ValueError as err:
+            raise ValueError(f"{err} in the pair {pair}") from None
         if len(mv) != len(tv):
             raise ValueError(f"mass vectors of a pair must have one length, got {(mv, tv)}")
-        if not all(np.isfinite(v) and v >= 0 for v in mv + tv):
-            raise ValueError(f"masses must be finite and non-negative, got {(mv, tv)}")
-        if all(v == 0 for v in mv) or all(v == 0 for v in tv):
-            raise ValueError("both mass vectors in a pair must be nonzero")
         sv = tuple(a + b for a, b in zip(mv, tv))
         if any(v <= 0 for v in sv):
             raise ValueError(f"combined masses must be strictly positive, got {sv}")
@@ -382,19 +408,7 @@ def subadditivity_scan(
 
     records, excluded = [], []
     for mv, tv, sv in pair_list:
-        vm, cm, seeds_m, _ = cache[_infimum_key(mv)]
-        vt, ct, seeds_t, _ = cache[_infimum_key(tv)]
-        vs, cs, seeds_s, _ = cache[_infimum_key(sv)]
-        rec = SubadditivityRecord(
-            masses_m=mv,
-            masses_t=tv,
-            i_m=vm,
-            i_t=vt,
-            i_sum=vs,
-            margin=vm + vt - vs,
-            seeds=tuple(seeds_m) + tuple(seeds_t) + tuple(seeds_s),
-            converged=bool(cm and ct and cs),
-        )
+        rec = SubadditivityRecord(mv, tv, tuple(cache[_infimum_key(vec)] for vec in (mv, tv, sv)))
         (records if rec.converged else excluded).append(rec)
     return ScanResult(records=tuple(records), excluded=tuple(excluded), infimum_cache=cache)
 

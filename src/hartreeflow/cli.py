@@ -318,9 +318,7 @@ def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
                 [
                     ";".join(repr(v) for v in rec.masses_m),
                     ";".join(repr(v) for v in rec.masses_t),
-                    repr(rec.i_m),
-                    repr(rec.i_t),
-                    repr(rec.i_sum),
+                    *(repr(inf.value) for inf in rec.infima),
                     repr(rec.margin),
                     rec.converged,
                 ]

@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from functools import cached_property
 
 import numpy as np
@@ -318,7 +318,8 @@ def ground_state(
     seeds = [seed] if single else _one_per_problem(seed, len(problems), "seed")
     inits = [init] if single else _one_per_problem(init, len(problems), "init")
     first = problems[0]
-    if any(_shared_params(q) != _shared_params(first) for q in problems):
+    shared = [f.name for f in dataclass_fields(SystemParams) if f.name != "masses"]
+    if any(getattr(q, name) != getattr(first, name) for q in problems for name in shared):
         raise ValueError("stacked problems must differ only in their masses")
     g = gridmod.grid_for(first)
     if kernel.grid != g:
@@ -377,11 +378,6 @@ def _one_per_problem(values, count: int, name: str) -> list:
     if len(values) != count:
         raise ValueError(f"expected one {name} per problem ({count}), got {len(values)}")
     return values
-
-
-def _shared_params(params: SystemParams) -> dict:
-    """Every parameter but the masses: what the members of one stack must share."""
-    return {**asdict(params), "masses": None}
 
 
 def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: int):

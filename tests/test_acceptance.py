@@ -57,8 +57,8 @@ def test_gradient_correctness():
 
 def test_infimum_negativity(desk_params, desk_kernel, desk_grid, scan_m2, scan_m3):
     """Converged energies are strictly negative and a dilated seed shows it directly."""
-    values = [v for v, conv, _, _ in scan_m2.infimum_cache.values() if conv]
-    values += [v for v, conv, _, _ in scan_m3.infimum_cache.values() if conv]
+    values = [inf.value for inf in scan_m2.infimum_cache.values() if inf.converged]
+    values += [inf.value for inf in scan_m3.infimum_cache.values() if inf.converged]
     max_value = max(values)
     u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=1.0)
     neg = hf.scaling_negativity_test(desk_params, u1, np.linspace(0.4, 1.0, 13), desk_kernel)
@@ -75,11 +75,9 @@ def test_multiplier_positivity(scan_m2, scan_m3):
     """Every converged scan run has strictly positive multipliers."""
     worst = np.inf
     runs = 0
-    for value, conv, _, lambdas in list(scan_m2.infimum_cache.values()) + list(
-        scan_m3.infimum_cache.values()
-    ):
-        if conv and len(lambdas):
-            worst = min(worst, float(np.min(lambdas)))
+    for inf in list(scan_m2.infimum_cache.values()) + list(scan_m3.infimum_cache.values()):
+        if inf.converged and len(inf.multipliers):
+            worst = min(worst, float(np.min(inf.multipliers)))
             runs += 1
     report("multiplier-positivity", worst > 0, f"min lambda over {runs} runs = {worst:.6g}")
 

@@ -213,6 +213,7 @@ class TestSubadditivityScan:
         assert not scan.records
         assert len(scan.excluded) == 1
         assert not scan.excluded[0].converged
+        assert [inf.stop_reasons for inf in scan.excluded[0].infima] == [("max_iters",)] * 3
 
     def test_invalid_pairs_rejected(self, setup128, monkeypatch):
         params, _, kernel = setup128
@@ -232,10 +233,25 @@ class TestSubadditivityScan:
 
     def test_zero_seeds_per_value_rejected(self, setup128):
         params, _, kernel = setup128
-        with pytest.raises(ValueError, match="seeds_per_value"):
-            hf.subadditivity_scan([((1.0, 0.0), (0.0, 1.0))], params, kernel, seeds_per_value=0)
-        with pytest.raises(ValueError, match="seeds_per_value"):
-            hf.infimum_value((1.0, 1.0), params, kernel, seeds_per_value=0)
+        # a float used to fail inside range() and True to count as one seed
+        for bad in (0, 2.0, True):
+            with pytest.raises(ValueError, match="seeds_per_value"):
+                hf.subadditivity_scan([((1.0, 0.0), (0.0, 1.0))], params, kernel, seeds_per_value=bad)
+            with pytest.raises(ValueError, match="seeds_per_value"):
+                hf.infimum_value((1.0, 1.0), params, kernel, seeds_per_value=bad)
+
+    def test_infimum_value_rejects_the_masses_a_scan_rejects(self, setup128, monkeypatch):
+        # a negative or NaN entry used to be dropped, returning I of the other masses
+        params, _, kernel = setup128
+        monkeypatch.setattr(hf.analysis, "ground_state", None)
+        nan, inf = float("nan"), float("inf")
+        for masses in [(-1.0, 1.0), (nan, 1.0), (1.0, inf), (0.0, 0.0)]:
+            with pytest.raises(ValueError) as single:
+                hf.infimum_value(masses, params, kernel)
+            with pytest.raises(ValueError) as scan:
+                hf.subadditivity_scan([(masses, (1.0, 1.0))], params, kernel)
+            assert str(masses) in str(single.value)
+            assert str(single.value) in str(scan.value)
 
     def test_default_m2_grid_shape(self):
         pairs = hf.default_mass_pairs_m2()
@@ -257,10 +273,10 @@ class TestMassScalingOfSingleEnergy:
     def test_doubling_mass_strictly_lowers_energy(self, setup128):
         # I at mass Gamma M sits below Gamma I at mass M (both negative)
         params, _, kernel = setup128
-        e1, c1, _, _ = hf.infimum_value((1.0,), params, kernel, tol=1e-5, seeds_per_value=1)
-        e2, c2, _, _ = hf.infimum_value((2.0,), params, kernel, tol=1e-5, seeds_per_value=1)
-        assert c1 and c2
-        assert e2 < 2 * e1 < e1 < 0
+        i1 = hf.infimum_value((1.0,), params, kernel, tol=1e-5, seeds_per_value=1)
+        i2 = hf.infimum_value((2.0,), params, kernel, tol=1e-5, seeds_per_value=1)
+        assert i1.converged and i2.converged
+        assert i2.value < 2 * i1.value < i1.value < 0
 
 
 class TestStabilityExperiment:
@@ -313,15 +329,15 @@ def _assert_scan_matches_solo_solves(params, kernel, pairs, monkeypatch):
             for s in seeds
         ]
         best = min(runs, key=lambda gs: gs.energy.total)
-        expected[key] = (best.energy.total, all(gs.converged for gs in runs), seeds, best.multipliers)
+        expected[key] = hf.Infimum(best.energy.total, best.multipliers, seeds, tuple(gs.stop_reason for gs in runs))
     assert list(scan.infimum_cache) == list(expected)
-    for key, (value, converged, seeds, lambdas) in expected.items():
-        got = scan.infimum_cache[key]
-        assert got[:3] == (value, converged, seeds)
-        assert np.array_equal(got[3], lambdas)
-        assert hf.infimum_value(key, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)[:3] == got[:3]
+    for key, want in expected.items():
+        for got in (scan.infimum_cache[key],
+                    hf.infimum_value(key, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)):
+            assert (got.value, got.seeds, got.stop_reasons) == (want.value, want.seeds, want.stop_reasons)
+            assert np.array_equal(got.multipliers, want.multipliers)
     for rec in scan.records:
-        i_m, i_t, i_s = (expected[hf.analysis._infimum_key(v)][0] for v in (rec.masses_m, rec.masses_t,
+        i_m, i_t, i_s = (expected[hf.analysis._infimum_key(v)].value for v in (rec.masses_m, rec.masses_t,
                          tuple(a + b for a, b in zip(rec.masses_m, rec.masses_t))))
         assert rec.margin == i_m + i_t - i_s
     return calls

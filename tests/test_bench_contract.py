@@ -79,14 +79,25 @@ def _counted(tmp_path, experiment, params=PARAMS) -> dict:
 
 @pytest.mark.parametrize("hooks", [Tracer, Counter])
 def test_every_patched_name_exists(hooks):
-    solve = analysis.ground_state
+    solve, infimum = analysis.ground_state, analysis.infimum_value
+    params = hf.SystemParams(**{**PARAMS, "component_count": 1, "masses": (1.0,)})
+    kernel = hf.build_kernel(hf.grid_for(params), params.kernel_exponent)
     installed = hooks()
     installed.install()
     try:
         assert analysis.ground_state is not solve
+        # Tracer wraps infimum_value by name; Counter leaves it and counts the solve inside
+        assert (analysis.infimum_value is not infimum) == (hooks is Tracer)
+        assert getattr(analysis.infimum_value, "__wrapped__", infimum) is infimum
+        result = analysis.infimum_value((1.0,), params, kernel, max_iters=5000, seeds_per_value=1)
     finally:
         installed.uninstall()
-    assert analysis.ground_state is solve
+    assert analysis.ground_state is solve and analysis.infimum_value is infimum
+    assert isinstance(result, hf.Infimum) and result.converged
+    if hooks is Tracer:
+        assert [s.name for s in installed.spans[:2]] == ["analysis.infimum_value", "minimize.ground_state"]
+    else:
+        assert installed.counts()["minimize.iters"] > 0
 
 
 # lemmas-2d's experiment at its grid spacing on a smaller box (n=32, L=20,
