@@ -5,7 +5,9 @@ attractive kernel |x|^(-alpha) on a periodic box, propagates the associated
 time-dependent system, and verifies the variational structure numerically:
 negativity of the constrained infimum, strict subadditivity in the masses,
 positivity of the Lagrange multipliers, phase factorisation of complex
-minimisers, and orbital stability of the minimiser set.
+minimisers, and orbital stability of the minimiser set.  Every solve also
+reports its virial residual, how far it is from the identity 2K = sP that
+holds at every constrained critical point of the continuum problem.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +26,6 @@ from .grid import (
     Grid,
     MultiField,
     SizeMismatchError,
-    dilate,
     grad_norm_sq,
     grid_for,
     h1_norm_sq,
@@ -43,6 +44,7 @@ from .hartree import (
     energy_gradient,
     pair_interaction,
     total_energy,
+    virial_residual,
 )
 from .minimize import (
     GroundState,
@@ -64,10 +66,8 @@ from .evolve import (
     write_trace_csv,
 )
 from .analysis import (
-    BoxOverflowError,
     ConcentrationProfile,
     Infimum,
-    NoNegativeEnergyError,
     ScanResult,
     StabilityReport,
     SubadditivityRecord,
@@ -76,7 +76,6 @@ from .analysis import (
     default_cases_m3,
     default_mass_pairs_m2,
     infimum_value,
-    scaling_negativity_test,
     stability_experiment,
     strict_scaling_check,
     subadditivity_scan,

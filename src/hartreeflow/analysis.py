@@ -3,10 +3,6 @@
 Every check here turns an analytic statement about the constrained
 minimisation problem into a computation with an explicit margin:
 
-* scaling_negativity_test exhibits a tuple with negative energy by shrinking a
-  seed profile through the mass-critical dilation, which drives the kinetic
-  term down at rate theta^2 while the interaction decays no faster than
-  theta^(Np - 2N + alpha);
 * strict_scaling_check measures the gap Gamma E(u) - E(Gamma^{1/2} u), which
   equals (Gamma^p - Gamma) F_{2p}(u, u) identically and is strictly positive
   whenever the interaction of u is;
@@ -24,8 +20,11 @@ minimisation problem into a computation with an explicit margin:
 The scan solves the seeded runs of all infima with one component count in
 stacked ground_state calls of up to stack_capacity members; each member's
 iterates are the bits of its solo solve, so no result depends on the
-grouping.  Every randomised sub-run derives its seed from the entry key, so
-a report is deterministic given its inputs.
+grouping.  Each Infimum keeps its best run's EnergyBreakdown, from which
+hartree.virial_residual reads the virial identity 2K = sP; with K, P > 0 and
+s < 2 that identity makes the infimum -(1 - s/2) P < 0, the paper's
+negativity lemma.  Every randomised sub-run derives its seed from the entry
+key, so a report is deterministic given its inputs.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .grid import MultiField
-from .hartree import Kernel, pair_interaction, total_density, total_energy
+from .hartree import EnergyBreakdown, Kernel, pair_interaction, total_density, total_energy
 from .minimize import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -48,14 +47,6 @@ from .minimize import (
 )
 from .evolve import evolve
 from .params import SystemParams
-
-
-class BoxOverflowError(ValueError):
-    """A dilated profile no longer fits in the box; use larger theta or a larger box."""
-
-
-class NoNegativeEnergyError(RuntimeError):
-    """No grid value of theta produced a negative energy; shrink theta or enlarge the box."""
 
 
 # -- concentration ------------------------------------------------------------
@@ -97,75 +88,7 @@ def concentration_profile(mf: MultiField, radii) -> ConcentrationProfile:
     return ConcentrationProfile(radii=radii, q_values=values)
 
 
-# -- dilation experiments -----------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ScalingNegativityResult:
-    theta_star: float
-    energy_at_star: float
-    thetas: np.ndarray
-    energies: np.ndarray
-    kinetics: np.ndarray
-    interactions: np.ndarray
-
-
-def scaling_negativity_test(
-    params: SystemParams,
-    u1: MultiField,
-    theta_grid,
-    kernel: Kernel,
-    mass_tol: float = 1e-6,
-) -> ScalingNegativityResult:
-    """Find the largest dilation factor making the energy negative.
-
-    The tuple is built from one profile, the one-component u1, as u_j =
-    (M_j/M_1)^{1/2} u_1, and each is dilated by theta^{N/2} u(theta x).  Shrinking
-    theta suppresses the kinetic term quadratically while the interaction
-    survives, so a negative energy must appear for small enough theta; the
-    test fails loudly if no grid value works.  A dilated profile whose mass is
-    no longer preserved on the grid has overflowed the box and raises.
-    """
-    thetas = np.sort(np.asarray(theta_grid, dtype=float))
-    if np.any(thetas <= 0) or np.any(thetas > 1):
-        raise ValueError("theta grid must lie in (0, 1]")
-    if u1.m != 1:
-        raise ValueError(f"the seed profile must have one component, got {u1.m}")
-    m1 = float(gridmod.norms_sq(u1.grid, u1.data)[0])
-    masses = np.asarray(params.masses, dtype=float)
-    if abs(m1 - masses[0]) > 1e-8 * masses[0]:
-        raise ValueError(f"seed profile mass {m1:.12g} does not match M_1 = {masses[0]:.12g}")
-    ratios = np.sqrt(masses / masses[0])
-
-    energies = np.empty_like(thetas)
-    kinetics = np.empty_like(thetas)
-    interactions = np.empty_like(thetas)
-    for i, theta in enumerate(thetas):
-        dilated = gridmod.dilate(u1, theta)
-        if abs(gridmod.norms_sq(u1.grid, dilated.data)[0] - m1) > mass_tol * m1:
-            raise BoxOverflowError(
-                f"dilated support overflows the box at theta={theta:g}; "
-                "use larger theta values or a larger box"
-            )
-        mf = MultiField(u1.grid, gridmod.per_component(u1.grid, ratios) * dilated.data)
-        br = total_energy(mf, kernel, params.power)
-        energies[i], kinetics[i], interactions[i] = br.total, br.kinetic, br.interaction
-
-    negative = np.nonzero(energies < 0)[0]
-    if negative.size == 0:
-        raise NoNegativeEnergyError(
-            "no theta in the grid gives a negative energy; extend the grid to smaller theta "
-            "or enlarge the box"
-        )
-    best = int(negative.max())
-    return ScalingNegativityResult(
-        theta_star=float(thetas[best]),
-        energy_at_star=float(energies[best]),
-        thetas=thetas,
-        energies=energies,
-        kinetics=kinetics,
-        interactions=interactions,
-    )
+# -- scaling and cross-term checks --------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -224,13 +147,18 @@ def cross_term_check(gs: GroundState, kernel: Kernel, p: float) -> tuple[float, 
 
 @dataclass(frozen=True, eq=False)
 class Infimum:
-    """The infimum at one mass vector: the lowest of its seeded runs' energies and
-    that run's multipliers, and every run's seed and stop reason, in seed order."""
+    """The infimum at one mass vector: the energy breakdown and multipliers of
+    its lowest seeded run, and every run's seed and stop reason, in seed order."""
 
-    value: float
+    energy: EnergyBreakdown
     multipliers: np.ndarray
     seeds: tuple[int, ...]
     stop_reasons: tuple[str, ...]
+
+    @property
+    def value(self) -> float:
+        """The lowest run's total energy."""
+        return self.energy.total
 
     @property
     def converged(self) -> bool:
@@ -320,7 +248,7 @@ def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds
     runs_by_count: dict[int, list] = {}  # component count -> (key, seed) of each run
     for key, key_seeds in seeds.items():
         runs_by_count.setdefault(len(key), []).extend((key, seed) for seed in key_seeds)
-    best = {}  # key -> (energy, multipliers) of its lowest run so far
+    best = {}  # key -> (energy breakdown, multipliers) of its lowest run so far
     reasons = dict.fromkeys(keys, ())  # key -> stop reason of each run so far
     for count, runs in runs_by_count.items():
         size = stack_capacity(replace(params, component_count=count, masses=runs[0][0]))
@@ -334,8 +262,8 @@ def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds
             )
             for (key, _), gs in zip(chunk, stack.members):
                 reasons[key] += (gs.stop_reason,)
-                if key not in best or gs.energy.total < best[key][0]:
-                    best[key] = (gs.energy.total, gs.multipliers)
+                if key not in best or gs.energy.total < best[key][0].total:
+                    best[key] = (gs.energy, gs.multipliers)
     return {key: Infimum(*best[key], seeds[key], reasons[key]) for key in keys}
 
 

@@ -55,7 +55,7 @@ from .analysis import (
     subadditivity_scan,
 )
 from .evolve import evolve, step_count, write_trace_csv
-from .hartree import build_kernel
+from .hartree import build_kernel, virial_residual
 from .minimize import ground_state, phase_factorize, save_ground_state
 from .params import InvalidParameterError, SystemParams, validate_assumptions
 
@@ -312,7 +312,10 @@ def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
     path = os.path.join(out_dir, "subadditivity.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["masses_m", "masses_t", "i_m", "i_t", "i_sum", "margin", "converged"])
+        writer.writerow(
+            ["masses_m", "masses_t", "i_m", "i_t", "i_sum", "margin", "converged", "virial_m", "virial_t", "virial_sum"]
+        )
+        s = config.params.dilation_exponent
         for rec in result.records + result.excluded:
             writer.writerow(
                 [
@@ -321,6 +324,7 @@ def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
                     *(repr(inf.value) for inf in rec.infima),
                     repr(rec.margin),
                     rec.converged,
+                    *(repr(virial_residual(inf.energy, s)) for inf in rec.infima),
                 ]
             )
     outputs.append(path)
@@ -440,9 +444,12 @@ def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
     else:
         record("concentration-tight", False, "reference solve did not converge")
 
+    # Informational, never an entry of checks: each of those must pass.
+    s = params.dilation_exponent
+    virial = {"dilation_exponent": s, "residual": virial_residual(gs.energy, s)}
     path = os.path.join(out_dir, "lemma_checks.json")
     passed = all(c["passed"] for c in checks)
-    _write_json(path, {"passed": passed, "checks": checks})
+    _write_json(path, {"passed": passed, "checks": checks, "virial": virial})
     outputs.append(path)
     return 0 if passed else 1
 

@@ -1,4 +1,4 @@
-"""Uniform periodic grid with spectral transforms, norms, and dilation.
+"""Uniform periodic grid with spectral transforms, norms, and snapshots.
 
 The box is [-L/2, L/2)^N with n points per axis and midpoint quadrature:
 every integral is cell_volume * sum(samples).  The quadrature-weighted
@@ -16,9 +16,8 @@ convolution.  Parseval reads
 The one field type is MultiField: m components on one grid, stacked as
 data[j, ...].  One profile is a MultiField with m = 1, and
 MultiField.components gives each component as such a view.  inner,
-grad_norm_sq, h1_norm_sq and lp_norm sum over the components, and dilate
-rescales each of them.  The component masses of a MultiField, or of any
-stack, are norms_sq(grid, data).
+grad_norm_sq, h1_norm_sq and lp_norm sum over the components.  The
+component masses of a MultiField, or of any stack, are norms_sq(grid, data).
 
 A real array (a density, or a real field of the minimiser) goes through
 rfftn_grid / irfftn_grid, whose half spectrum holds the first n // 2 + 1 bins
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -363,45 +363,6 @@ def lp_norm(mf: MultiField, s: float) -> float:
     return float((g.cell_volume * np.sum(np.abs(mf.data) ** s)) ** (1.0 / s))
 
 
-# -- dilation -----------------------------------------------------------------
-
-
-def _dilation_matrix(grid: Grid, theta: float) -> np.ndarray:
-    """Per-axis matrix evaluating the trig interpolant at the points theta*x_j.
-
-    Entry [a, b] is exp(i k_b (theta*x_a - x_0)) / n, with the Nyquist column
-    replaced by the cosine so real inputs stay real.  Points theta*x_a outside
-    the box wrap periodically; callers must keep the dilated support inside.
-    """
-    n = grid.points_per_dim
-    k = grid.axis_wavenumbers
-    x0 = grid.axis_coords[0]
-    y = theta * grid.axis_coords
-    phase = np.outer(y - x0, k)
-    mat = np.exp(1j * phase) / n
-    mat[:, n // 2] = np.cos(phase[:, n // 2]) / n
-    return mat
-
-
-def dilate(mf: MultiField, theta: float) -> MultiField:
-    """Mass-critical rescaling u_theta(x) = theta^(N/2) u(theta x) of every component.
-
-    Uses spectral interpolation of the samples, so the result of dilating a
-    smooth well-resolved field is itself smooth; the L^2 mass is preserved up
-    to the (spectrally small) interpolation and wrap-around error.
-    """
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"dilation factor theta must be finite and positive, got {theta}")
-    g = mf.grid
-    if theta == 1.0:
-        return MultiField(g, mf.data.copy())
-    mat = _dilation_matrix(g, theta)
-    out = fftn_grid(g, mf.data)
-    for ax in g.spatial_axes:
-        out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, ax, 0), axes=(1, 0)), 0, ax)
-    return MultiField(g, theta ** (g.space_dim / 2.0) * out)
-
-
 # -- snapshots ----------------------------------------------------------------
 
 
@@ -423,6 +384,12 @@ def write_snapshot(path, mf: MultiField) -> None:
 
 
 def read_snapshot(path) -> MultiField:
+    """The MultiField of a write_snapshot file.
+
+    The header must describe a valid grid, at least one component and a
+    payload of exactly the bytes that follow it, else ValueError; the sizes
+    are compared before any payload is read.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(FIELD_MAGIC))
         if magic != FIELD_MAGIC:
@@ -432,10 +399,16 @@ def read_snapshot(path) -> MultiField:
             raise ValueError("snapshot header truncated")
         n_dim, m, n, box_length = _HEADER.unpack(header)
         grid = Grid(space_dim=n_dim, points_per_dim=n, box_length=box_length)
-        count = 2 * m * grid.total_points
-        raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise ValueError("snapshot payload truncated")
+        if m < 1:
+            raise ValueError(f"snapshot component count m must be at least 1, got {m}")
+        size = 16 * m * grid.total_points
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != size:
+            problem = "truncated" if left < size else "followed by extra bytes"
+            raise ValueError(
+                f"snapshot payload {problem}: N={n_dim}, m={m}, n={n} give {size} bytes, the file holds {left}"
+            )
+        raw = fh.read(size)
     payload = np.frombuffer(raw, dtype="<f8")
     data = (payload[0::2] + 1j * payload[1::2]).reshape((m,) + grid.shape)
     return MultiField(grid, data)

@@ -24,7 +24,8 @@ symbol on the first n // 2 + 1 bins of the last axis, built once per kernel.
 _EnergyState is the one implementation of the energy and its L^2 gradient:
 total_energy, energy_gradient, el_residual, the minimiser and its
 extract_multipliers all evaluate it; the energy of one profile is
-total_energy of a one-component MultiField.  The gradient is formed as a
+total_energy of a one-component MultiField, and virial_residual reads the
+virial identity off its EnergyBreakdown.  The gradient is formed as a
 spectrum, k^2 xhat - F(V phi) (gradient_spectrum), with Re<grad_j, phi_j> =
 2 kinetic_j - Re<V phi_j, phi_j> beside it, so the minimiser needs no
 inverse transform of it; energy_gradient is its inverse transform.  An
@@ -220,6 +221,18 @@ class EnergyBreakdown:
     @classmethod
     def make(cls, kinetic: float, interaction: float) -> "EnergyBreakdown":
         return cls(kinetic=kinetic, interaction=interaction, total=kinetic - interaction)
+
+
+def virial_residual(energy: EnergyBreakdown, s: float) -> float:
+    """r_v = (2K - sP) / |K - P|, with K the kinetic and P the interaction term.
+
+    On R^N, E(b^(N/2) u(b x)) = b^2 K - b^s P with s the dilation exponent
+    (SystemParams.dilation_exponent), so every mass-constrained critical
+    point has 2K = sP, the virial (Pohozaev) identity; on the periodic grid
+    r_v measures how far the discretisation breaks it.  NaN at zero energy.
+    """
+    total = abs(energy.total)
+    return (2 * energy.kinetic - s * energy.interaction) / total if total else math.nan
 
 
 class _EnergyState:

@@ -101,7 +101,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .grid import Grid, MultiField
-from .hartree import Kernel, EnergyBreakdown, _EnergyState, total_density, total_energy
+from .hartree import Kernel, EnergyBreakdown, _EnergyState, total_density, total_energy, virial_residual
 from .params import SystemParams
 
 DEFAULT_TOL = 1e-6
@@ -500,7 +500,7 @@ def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: in
 
 
 def save_ground_state(prefix, gs: GroundState, params: SystemParams) -> tuple[str, str]:
-    """Persist a minimiser as a field snapshot plus a JSON sidecar."""
+    """Persist a minimiser as a field snapshot plus a JSON sidecar, which carries its virial residual."""
     snap_path = f"{prefix}.chfld"
     meta_path = f"{prefix}.json"
     gridmod.write_snapshot(snap_path, gs.fields)
@@ -514,6 +514,7 @@ def save_ground_state(prefix, gs: GroundState, params: SystemParams) -> tuple[st
         "stop_reason": gs.stop_reason,
         "seed": gs.seed,
         "params": asdict(params),
+        "virial_residual": virial_residual(gs.energy, params.dilation_exponent),
     }
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

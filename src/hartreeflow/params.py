@@ -75,6 +75,13 @@ class SystemParams:
     def total_mass(self) -> float:
         return float(sum(self.masses))
 
+    @property
+    def dilation_exponent(self) -> float:
+        """s = Np - 2N + alpha: under u_b = b^(N/2) u(b x) the kinetic term scales
+        as b^2 and the interaction as b^s, the exponent of the virial identity."""
+        n_dim = self.space_dim
+        return n_dim * self.power - 2 * n_dim + self.kernel_exponent
+
 
 @dataclass(frozen=True)
 class ValidationClause:

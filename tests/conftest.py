@@ -49,6 +49,14 @@ def gaussian_field(grid, sigma, mass_value=1.0, center=None):
     return hf.MultiField(grid, data * np.sqrt(mass_value / hf.grid.norms_sq(grid, data)[0]))
 
 
+def rescaled_gaussian(grid, sigma, b=1.0):
+    """Samples of u_b(x) = b^(N/2) u(b x) for the Gaussian u = exp(-|x|^2 / (2 sigma^2)):
+    width sigma / b and amplitude b^(N/2), evaluated in closed form."""
+    rsq = sum(c**2 for c in grid.coordinate_arrays)
+    data = b ** (grid.space_dim / 2) * np.exp(-(b**2) * rsq / (2 * sigma**2))
+    return hf.MultiField(grid, data[None])
+
+
 @pytest.fixture(scope="session")
 def desk_params():
     return hf.SystemParams(**DESK)

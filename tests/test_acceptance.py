@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 
 import hartreeflow as hf
-from conftest import TOL, gaussian_field, trig_field
+from conftest import TOL, trig_field
 from test_hartree import direct_convolution, direct_pair_interaction
 
 
@@ -55,19 +55,22 @@ def test_gradient_correctness():
     report("gradient-correctness", worst <= 1e-6, f"max rel err {worst:.3e} (tol 1e-6, eps 1e-5)")
 
 
-def test_infimum_negativity(desk_params, desk_kernel, desk_grid, scan_m2, scan_m3):
-    """Converged energies are strictly negative and a dilated seed shows it directly."""
-    values = [inf.value for inf in scan_m2.infimum_cache.values() if inf.converged]
-    values += [inf.value for inf in scan_m3.infimum_cache.values() if inf.converged]
-    max_value = max(values)
-    u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=1.0)
-    neg = hf.scaling_negativity_test(desk_params, u1, np.linspace(0.4, 1.0, 13), desk_kernel)
-    ok = max_value < -10 * TOL and neg.energy_at_star < 0
+def test_infimum_negativity(scan_m2, scan_m3):
+    """Converged infima are strictly negative, and positive K and P make them so.
+
+    A critical point satisfies the virial identity 2K = sP with s < 2, so
+    I = K - P = -(1 - s/2) P < 0 once K > 0 and P > 0.
+    """
+    infima = [inf for scan in (scan_m2, scan_m3) for inf in scan.infimum_cache.values() if inf.converged]
+    max_value = max(inf.value for inf in infima)
+    min_kinetic = min(inf.energy.kinetic for inf in infima)
+    min_interaction = min(inf.energy.interaction for inf in infima)
+    ok = max_value < -10 * TOL and min_kinetic > 0 and min_interaction > 0
     report(
         "infimum-negativity",
         ok,
-        f"max scan energy {max_value:.6g} < {-10 * TOL:g}; "
-        f"dilation finds I({neg.theta_star:g}) = {neg.energy_at_star:.6g} < 0",
+        f"max scan energy {max_value:.6g} < {-10 * TOL:g}; over {len(infima)} infima "
+        f"min K {min_kinetic:.6g} > 0, min P {min_interaction:.6g} > 0",
     )
 
 

@@ -3,7 +3,6 @@ import pytest
 from dataclasses import replace
 
 import hartreeflow as hf
-from hartreeflow.analysis import BoxOverflowError, NoNegativeEnergyError
 from hartreeflow.evolve import Propagator
 from conftest import gaussian_field
 
@@ -58,67 +57,6 @@ class TestConcentrationProfile:
         # R = 0 is the origin cell: the largest single-cell mass
         origin = hf.concentration_profile(mf, [0.0, 1.0])
         assert origin.q_values[0] == pytest.approx(grid.cell_volume * np.max(np.abs(mf.data) ** 2), rel=1e-12)
-
-
-class TestScalingNegativity:
-    def test_finds_negative_theta(self, desk_params, desk_kernel, desk_grid):
-        u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=1.0)
-        res = hf.scaling_negativity_test(desk_params, u1, np.linspace(0.4, 1.0, 13), desk_kernel)
-        assert res.energy_at_star < 0
-        assert 0.4 <= res.theta_star <= 1.0
-
-    def test_theta_one_matches_total_energy(self, desk_params, desk_kernel, desk_grid):
-        u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=1.0)
-        res = hf.scaling_negativity_test(desk_params, u1, np.array([0.7, 1.0]), desk_kernel)
-        mf = hf.MultiField(desk_grid, np.concatenate([u1.data, u1.data]))
-        direct = hf.total_energy(mf, desk_kernel, desk_params.power).total
-        assert res.energies[-1] == pytest.approx(direct, rel=1e-12)
-
-    def test_kinetic_scales_quadratically(self, desk_params, desk_kernel, desk_grid):
-        u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=1.0)
-        res = hf.scaling_negativity_test(desk_params, u1, np.linspace(0.4, 1.0, 13), desk_kernel)
-        slope = np.polyfit(np.log(res.thetas), np.log(res.kinetics), 1)[0]
-        assert abs(slope - 2.0) <= 1e-3 * 2.0
-
-    def test_dilation_lower_bound_on_interaction(self, desk_params, desk_kernel, desk_grid):
-        # I(u^theta) <= theta^2/2 sum ||grad u_j||^2
-        #              - Omega theta^(Np - 2N + alpha) int (W * |u_1|^p) |u_1|^p
-        # with Omega collecting the mass ratios; verified pointwise on the grid
-        u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=1.0)
-        res = hf.scaling_negativity_test(desk_params, u1, np.linspace(0.4, 1.0, 13), desk_kernel)
-        p = desk_params.power
-        # Omega = 1/(2p) + (1/p) sum_{j>=2} r_j + 1/(2p) (sum_{j>=2} r_j)^2, r_j = (M_j/M_1)^(p/2)
-        masses = np.asarray(desk_params.masses)
-        ratios = np.sum((masses[1:] / masses[0]) ** (p / 2))
-        omega = 1 / (2 * p) + ratios / p + ratios**2 / (2 * p)
-        assert omega == pytest.approx(1.0)  # masses (1,1), p=2: 1/4 + 1/2 + 1/4
-        base_interaction = p * hf.pair_interaction(p, u1, u1, desk_kernel, p)
-        kin = hf.grad_norm_sq(u1) * len(desk_params.masses)
-        n_dim = desk_params.space_dim
-        expo = n_dim * p - 2 * n_dim + desk_params.kernel_exponent
-        for theta, energy in zip(res.thetas, res.energies):
-            bound = 0.5 * theta**2 * kin - omega * theta**expo * base_interaction
-            assert energy <= bound + 1e-9 * abs(bound)
-
-    def test_box_overflow_raises(self, desk_params, desk_kernel, desk_grid):
-        wide = gaussian_field(desk_grid, sigma=4.0, mass_value=1.0)
-        with pytest.raises(BoxOverflowError):
-            hf.scaling_negativity_test(desk_params, wide, np.array([0.2, 1.0]), desk_kernel)
-
-    def test_no_negative_energy_raises(self, desk_params, desk_kernel, desk_grid):
-        # a tiny-mass profile keeps the energy positive on a theta grid near 1
-        small = replace(desk_params, masses=(1e-4, 1e-4))
-        u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=1e-4)
-        with pytest.raises(NoNegativeEnergyError):
-            hf.scaling_negativity_test(small, u1, np.array([0.9, 1.0]), desk_kernel)
-
-    def test_wrong_mass_rejected(self, desk_params, desk_kernel, desk_grid):
-        u1 = gaussian_field(desk_grid, sigma=1.5, mass_value=0.5)
-        with pytest.raises(ValueError):
-            hf.scaling_negativity_test(desk_params, u1, np.array([1.0]), desk_kernel)
-        pair = hf.MultiField(desk_grid, np.concatenate([u1.data, u1.data]))
-        with pytest.raises(ValueError, match="one component"):
-            hf.scaling_negativity_test(desk_params, pair, np.array([1.0]), desk_kernel)
 
 
 class TestStrictScaling:
@@ -329,12 +267,13 @@ def _assert_scan_matches_solo_solves(params, kernel, pairs, monkeypatch):
             for s in seeds
         ]
         best = min(runs, key=lambda gs: gs.energy.total)
-        expected[key] = hf.Infimum(best.energy.total, best.multipliers, seeds, tuple(gs.stop_reason for gs in runs))
+        expected[key] = hf.Infimum(best.energy, best.multipliers, seeds, tuple(gs.stop_reason for gs in runs))
     assert list(scan.infimum_cache) == list(expected)
     for key, want in expected.items():
         for got in (scan.infimum_cache[key],
                     hf.infimum_value(key, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)):
-            assert (got.value, got.seeds, got.stop_reasons) == (want.value, want.seeds, want.stop_reasons)
+            assert (got.energy, got.seeds, got.stop_reasons) == (want.energy, want.seeds, want.stop_reasons)
+            assert got.value == got.energy.total
             assert np.array_equal(got.multipliers, want.multipliers)
     for rec in scan.records:
         i_m, i_t, i_s = (expected[hf.analysis._infimum_key(v)].value for v in (rec.masses_m, rec.masses_t,

@@ -4,7 +4,8 @@ hfbench/tracer.py patches module bindings by name and reads result fields
 (iterations, converged) of what it wraps; a program change that renames a
 binding or hides the work of a solve breaks the traced benchmark run
 without failing any other test.  These tests install hfbench's own Tracer
-and Counter, read-only, around in-process runs of tiny experiments.
+and Counter, read-only, around in-process runs of tiny experiments, and run
+hfbench's artifact checks, the benchmark's gate, on what those runs wrote.
 hfbench/checks.py and hfbench/micro.py import public names of the package
 (Field, convolve_density, el_residual, h1_norm_sq, ...); the last test runs
 both on a small state, so that deleting such a name fails here too.
@@ -49,6 +50,12 @@ def _config(tmp_path, experiment, tag, params=PARAMS):
             "seed": 5,
         }
     )
+
+
+def _assert_gate_passes(experiment, out_dir) -> None:
+    """hfbench's own artifact checks, which gate the benchmark, pass on a run's outputs."""
+    results = checks.artifact_checks(experiment, str(out_dir), 0)
+    assert len(results) > 1 and [(name, detail) for name, passed, detail in results if not passed] == []
 
 
 def _traced(tmp_path, experiment, params=PARAMS) -> dict:
@@ -118,6 +125,8 @@ PARAMS_2D = {**PARAMS, "space_dim": 2, "kernel_exponent": 1.0, "box_length": 20.
 def test_traced_and_counted_runs_agree(tmp_path, experiment, params):
     layers = _traced(tmp_path, experiment, params)
     counts = _counted(tmp_path, experiment, params)
+    for tag in ("traced", "counted"):
+        _assert_gate_passes(experiment, tmp_path / tag)
     for name in ("minimize.iters", "evolve.steps"):
         assert layers[name] == counts[name], name
     assert counts["minimize.iters"] > 0

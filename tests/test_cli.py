@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -202,6 +203,39 @@ class TestRun:
         assert summary["converged_records"] == 0 and summary["excluded_records"] == 56
         assert summary["min_margin"] is None
         assert summary["all_margins_positive"] is False
+
+    def test_scan_csv_carries_virial_residuals(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(output_dir=str(out)))
+        assert main(["scan", "--config", path]) == 0
+        with open(out / "subadditivity.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        old = ["masses_m", "masses_t", "i_m", "i_t", "i_sum", "margin", "converged"]
+        assert rows[0] == old + ["virial_m", "virial_t", "virial_sum"]
+        config = hf.load_config(path)
+        solver = config.solver
+        scan = hf.subadditivity_scan(
+            cli._scan_pairs_for(config), config.params, cli._kernel(config), tol=solver.tol,
+            max_iters=solver.max_iters, seeds_per_value=solver.seeds, base_seed=config.seed,
+        )
+        s = config.params.dilation_exponent
+        records = scan.records + scan.excluded
+        assert len(rows) == 1 + len(records)
+        for row, rec in zip(rows[1:], records):
+            assert row[2:5] == [repr(inf.value) for inf in rec.infima]
+            assert row[7:] == [repr(hf.virial_residual(inf.energy, s)) for inf in rec.infima]
+
+    def test_check_lemmas_reports_the_reference_virial_residual(self, tmp_path):
+        # the inputs of the benchmark's 2D lemma-check workload, at config seed 0
+        cfg = base_config(seed=0, output_dir=str(tmp_path / "out"))
+        cfg["params"].update({"space_dim": 2, "kernel_exponent": 1.0, "points_per_dim": 64})
+        cfg["solver"] = {"tol": 1e-6, "max_iters": 300000, "seeds": 2}
+        assert main(["check-lemmas", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "lemma_checks.json").read_text())
+        assert report["virial"]["dilation_exponent"] == 1.0
+        assert abs(report["virial"]["residual"] - -3.2348e-2) <= 1e-5
+        # informational only: never one of the pass/fail checks
+        assert all(set(c) == {"name", "passed", "detail"} and "virial" not in c["name"] for c in report["checks"])
 
     def test_check_lemmas_exit_zero(self, tmp_path):
         cfg = base_config()

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hartreeflow as hf
-from conftest import gaussian_field, trig_field
+from conftest import rescaled_gaussian, trig_field
 
 
 @pytest.fixture()
@@ -197,55 +199,24 @@ class TestNorms:
         assert mass(random_field(g, seed)) >= 0.0
 
 
-class TestDilate:
-    def test_identity(self, grid1d):
-        f = random_field(grid1d, seed=5)
-        out = hf.dilate(f, 1.0)
-        assert np.abs(out.data - f.data).max() <= 1e-12 * np.abs(f.data).max()
+class TestDilationLaws:
+    """The laws of the mass-preserving dilation u_b = b^(N/2) u(b x) that the
+    virial residual rests on, on Gaussians sampled in closed form."""
 
-    def test_mass_preserved_on_bump(self):
-        g = hf.Grid(1, 256, 40.0)
-        f = gaussian_field(g, sigma=2.0)
-        out = hf.dilate(f, 0.5)
-        assert abs(mass(out) - mass(f)) <= 1e-6 * mass(f)
+    CASES = [(hf.Grid(1, 256, 40.0), 2.0), (hf.Grid(2, 64, 30.0), 1.5)]
 
-    def test_kinetic_scaling(self):
-        g = hf.Grid(1, 256, 40.0)
-        f = gaussian_field(g, sigma=2.0)
-        base = hf.grad_norm_sq(f)
-        for theta in (0.5, 0.8, 1.5):
-            scaled = hf.grad_norm_sq(hf.dilate(f, theta))
-            assert abs(scaled - theta**2 * base) <= 1e-4 * theta**2 * base
+    @pytest.mark.parametrize("grid, sigma", CASES, ids=["1d", "2d"])
+    @pytest.mark.parametrize("b", [0.5, 0.8, 1.25, 1.5])
+    def test_mass_is_invariant(self, grid, sigma, b):
+        base = mass(rescaled_gaussian(grid, sigma))
+        assert abs(mass(rescaled_gaussian(grid, sigma, b)) - base) <= 1e-9 * base
 
-    def test_acts_on_every_component(self):
-        g = hf.Grid(2, 16, 30.0)
-        mf = trig_field(g, seed=6, m=2)
-        out = hf.dilate(mf, 0.8)
-        for j, c in enumerate(mf.components):
-            alone = hf.dilate(c, 0.8).data[0]
-            assert np.abs(out.data[j] - alone).max() <= 1e-13 * np.abs(alone).max()
-
-    def test_rejects_nonpositive_theta(self, grid1d):
-        with pytest.raises(ValueError):
-            hf.dilate(random_field(grid1d), 0.0)
-
-    @pytest.mark.parametrize("theta", [np.nan, np.inf])
-    def test_rejects_nonfinite_theta(self, grid1d, theta):
-        with pytest.raises(ValueError, match="theta"):
-            hf.dilate(random_field(grid1d), theta)
-
-    @settings(max_examples=15, deadline=None)
-    @given(theta=st.floats(0.5, 1.5))
-    def test_mass_preserved_property(self, theta):
-        g = hf.Grid(1, 128, 40.0)
-        f = gaussian_field(g, sigma=1.5)
-        assert abs(mass(hf.dilate(f, theta)) - mass(f)) <= 1e-6 * mass(f)
-
-    def test_dilate_2d_mass(self):
-        g = hf.Grid(2, 48, 30.0)
-        f = gaussian_field(g, sigma=1.5)
-        out = hf.dilate(f, 0.8)
-        assert abs(mass(out) - mass(f)) <= 1e-6 * mass(f)
+    @pytest.mark.parametrize("grid, sigma", CASES, ids=["1d", "2d"])
+    @pytest.mark.parametrize("b", [0.5, 0.8, 1.25, 1.5])
+    def test_kinetic_scales_as_b_squared(self, grid, sigma, b):
+        base = hf.grad_norm_sq(rescaled_gaussian(grid, sigma))
+        scaled = hf.grad_norm_sq(rescaled_gaussian(grid, sigma, b))
+        assert abs(scaled - b**2 * base) <= 1e-9 * b**2 * base
 
 
 class TestSnapshots:
@@ -264,8 +235,6 @@ class TestSnapshots:
         hf.write_snapshot(path, mf)
         blob = path.read_bytes()
         assert blob[:7] == b"CHFLD1\0"
-        import struct
-
         n_dim, m, n, box = struct.unpack("<IIId", blob[7:27])
         assert (n_dim, m, n, box) == (1, 1, 8, 2.0)
         assert len(blob) == 27 + 2 * 8 * 8
@@ -282,6 +251,29 @@ class TestSnapshots:
         hf.write_snapshot(path, random_field(grid1d))
         path.write_bytes(path.read_bytes()[:size])
         with pytest.raises(ValueError, match=f"snapshot {part} truncated"):
+            hf.read_snapshot(path)
+
+    @staticmethod
+    def crafted(tmp_path, n_dim, m, n, payload=b""):
+        path = tmp_path / "crafted.chfld"
+        path.write_bytes(b"CHFLD1\0" + struct.pack("<IIId", n_dim, m, n, 10.0) + payload)
+        return path
+
+    def test_header_larger_than_the_file_rejected(self, tmp_path):
+        # N=3, m=3, n=2^20 would ask for 48 * 2^60 bytes of payload
+        path = self.crafted(tmp_path, 3, 3, 2**20, b"\0" * 64)
+        with pytest.raises(ValueError, match="payload truncated: N=3, m=3, n=1048576 give 55340232221128654848 bytes, the file holds 64"):
+            hf.read_snapshot(path)
+
+    def test_zero_components_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="component count m must be at least 1, got 0"):
+            hf.read_snapshot(self.crafted(tmp_path, 1, 0, 8))
+
+    def test_trailing_bytes_rejected(self, tmp_path, grid1d):
+        path = tmp_path / "long.chfld"
+        hf.write_snapshot(path, random_field(grid1d))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="payload followed by extra bytes: N=1, m=1, n=64 give 1024 bytes, the file holds 1025"):
             hf.read_snapshot(path)
 
 

@@ -478,6 +478,18 @@ class TestPersistence:
         assert sidecar["converged"] is True
         assert sidecar["stop_reason"] == "converged"
         assert sidecar["params"]["points_per_dim"] == 256
+        assert sidecar["virial_residual"] == hf.virial_residual(gs_m2.energy, desk_params.dilation_exponent)
+
+
+class TestVirialResidual:
+    @pytest.mark.parametrize("n, expected", [(256, -5.2852e-3), (512, -3.8270e-3)])
+    def test_desk_reads_the_kernel_error(self, desk_params, n, expected):
+        # the sampled kernel's h^(1/2) error: r_v falls by ~2^(1/2) per doubling of n
+        params = replace(desk_params, points_per_dim=n)
+        kernel = hf.build_kernel(hf.grid_for(params), params.kernel_exponent)
+        gs = hf.ground_state(params, kernel, tol=TOL, seed=0)
+        assert gs.converged
+        assert abs(hf.virial_residual(gs.energy, params.dilation_exponent) - expected) <= 1e-5
 
 
 def _assert_same_solve(stacked, solo):

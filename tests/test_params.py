@@ -117,6 +117,22 @@ class TestDeriveExponents:
         with pytest.raises(InvalidParameterError):
             hf.derive_exponents(make_params(3, 3.0, 1.0))
 
+    def test_dilation_exponent_values(self):
+        # s = Np - 2N + alpha
+        assert make_params(1, 2.0, 0.5).dilation_exponent == 0.5
+        assert make_params(2, 2.0, 1.0).dilation_exponent == 1.0
+        assert make_params(3, 2.0, 1.0).dilation_exponent == 1.0
+        # a property of the params, defined where derive_exponents refuses them
+        assert make_params(3, 3.0, 1.0).dilation_exponent == 4.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_dim=st.integers(1, 3), alpha=st.floats(0.05, 1.95), p=st.floats(2.0, 4.0))
+    def test_kernel_growth_margin_is_two_minus_dilation_exponent(self, n_dim, alpha, p):
+        # h2.kernel-growth is exactly s < 2, where the virial identity makes I < 0
+        params = make_params(n_dim, p, alpha)
+        margin = hf.validate_assumptions(params).clause("h2.kernel-growth").margin
+        assert margin == pytest.approx(2 - params.dilation_exponent, abs=1e-12)
+
     @settings(max_examples=50, deadline=None)
     @given(n_dim=st.integers(1, 3), alpha=st.floats(0.05, 1.95), p=st.floats(2.0, 4.0))
     def test_boundedness_margin_positive_whenever_valid(self, n_dim, alpha, p):
