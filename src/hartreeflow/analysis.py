@@ -392,12 +392,15 @@ def stability_experiment(
 
     Perturbations are H^1-normalised random fields scaled by epsilon, added to
     the minimiser and projected back onto the mass spheres.  Every start is
-    built (and every epsilon checked) before the ensemble is evolved as one
-    stack.  Integrator instability flags propagate into the entries.
+    built (and every epsilon checked, an empty eps_list refused) before the
+    ensemble is evolved as one stack.  Integrator instability flags
+    propagate into the entries.
     """
     if not gs.converged:
         raise ValueError("stability experiment requires a converged minimiser")
     eps_list = list(eps_list)
+    if not eps_list:
+        raise ValueError("eps_list is empty: give at least one perturbation size")
     if not all(np.isfinite(eps) and eps >= 0 for eps in eps_list):
         raise ValueError(f"perturbation sizes must be finite and nonnegative, got {eps_list}")
     masses = gridmod.norms_sq(gs.fields.grid, gs.fields.data)

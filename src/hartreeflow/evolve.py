@@ -107,9 +107,10 @@ class EvolutionTrace:
 
     @property
     def mass_drift(self) -> float:
-        """Max relative per-component deviation from the initial masses."""
+        """Max per-component deviation from the initial masses: relative to a
+        positive initial mass, absolute for a zero one."""
         ref = self.masses[0]
-        return float(np.max(np.abs(self.masses - ref) / ref))
+        return float(np.max(np.abs(self.masses - ref) / np.where(ref > 0, ref, 1.0)))
 
     @property
     def energy_drift(self) -> float:

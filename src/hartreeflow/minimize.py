@@ -77,9 +77,10 @@ least one.  That holds a reference scan's 20 two-component runs at two
 seeds (10,240 points) or its 30 at three seeds (15,360) in one call, and
 two 2D n=64, m=2 members (8,192 points each).  Pairing the 2D members is a
 trade: a member-iteration costs ~11% less, and a check-lemmas run at the
-lemmas-2d parameters makes 3 calls rather than 5 and takes ~10% less wall
-time, while the loop's peak doubles (721 to 1,435 KiB; the process peak
-rises by ~0.8 MiB).  A 2D n=128, m=2 member (32,768 points) is alone.
+lemmas-2d parameters makes 2 calls (its reference solve and the two runs of
+I(M/2)) rather than 3 solo calls, while the loop's peak doubles (721 to
+1,435 KiB; the process peak rises by ~0.8 MiB).  A 2D n=128, m=2 member
+(32,768 points) is alone.
 ground_state itself stacks every problem it is given (one stack per dtype
 of the starts), as evolve stacks every start.
 

@@ -236,6 +236,15 @@ class TestStabilityExperiment:
         with pytest.raises(ValueError):
             hf.stability_experiment(gs_m2, [-1e-3], 0.1, 1e-2, desk_kernel, desk_params.power)
 
+    def test_empty_eps_list_rejected_before_any_start(self, monkeypatch, gs_m2, desk_params, desk_kernel):
+        built = []
+        perturbation = hf.analysis.random_h1_perturbation
+        monkeypatch.setattr(hf.analysis, "random_h1_perturbation",
+                            lambda *args: built.append(1) or perturbation(*args))
+        with pytest.raises(ValueError, match="eps_list is empty"):
+            hf.stability_experiment(gs_m2, [], 0.1, 1e-2, desk_kernel, desk_params.power)
+        assert built == []
+
     def test_negative_epsilon_rejected_before_any_step(self, monkeypatch, gs_m2, desk_params, desk_kernel):
         steps = []
         step_array = Propagator.step_array
@@ -290,8 +299,9 @@ class TestStackedScan:
         assert calls == [6, 4]  # one call per component count: 3 keys of m=2, then 2 of m=1, 2 seeds each
 
     def test_scan_matches_solo_solves_per_key_2d(self, monkeypatch):
-        # the sample scan of check-lemmas at its 2D parameters (n=64, 8,192 points per
-        # m=2 member): the 4 seeded runs of its 2 keys are solved two to a call
+        # the sample pair of check-lemmas at its 2D parameters (n=64, 8,192 points per
+        # m=2 member): the 4 seeded runs of its 2 keys are solved two to a call.
+        # check-lemmas itself solves only I(M/2)'s two; I(M) is its reference state
         params = hf.SystemParams(
             space_dim=2, component_count=2, power=2.0, kernel_exponent=1.0,
             masses=(1.0, 1.0), box_length=40.0, points_per_dim=64,

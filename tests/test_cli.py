@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -38,6 +38,19 @@ def write_config(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def lemmas_2d_config(tmp_path, seed=0):
+    """The inputs of the benchmark's 2D lemma-check workload, written to tmp_path."""
+    cfg = base_config(seed=seed, output_dir=str(tmp_path / "out"))
+    cfg["params"].update({"space_dim": 2, "kernel_exponent": 1.0, "points_per_dim": 64})
+    cfg["solver"] = {"tol": 1e-6, "max_iters": 300000, "seeds": 2}
+    return write_config(tmp_path, cfg)
+
+
+def lemma_checks(tmp_path):
+    report = json.loads((tmp_path / "out" / "lemma_checks.json").read_text())
+    return {c["name"]: c for c in report["checks"]}
 
 
 class TestLoadConfig:
@@ -226,16 +239,47 @@ class TestRun:
             assert row[7:] == [repr(hf.virial_residual(inf.energy, s)) for inf in rec.infima]
 
     def test_check_lemmas_reports_the_reference_virial_residual(self, tmp_path):
-        # the inputs of the benchmark's 2D lemma-check workload, at config seed 0
-        cfg = base_config(seed=0, output_dir=str(tmp_path / "out"))
-        cfg["params"].update({"space_dim": 2, "kernel_exponent": 1.0, "points_per_dim": 64})
-        cfg["solver"] = {"tol": 1e-6, "max_iters": 300000, "seeds": 2}
-        assert main(["check-lemmas", "--config", write_config(tmp_path, cfg)]) == 0
+        assert main(["check-lemmas", "--config", lemmas_2d_config(tmp_path)]) == 0
         report = json.loads((tmp_path / "out" / "lemma_checks.json").read_text())
         assert report["virial"]["dilation_exponent"] == 1.0
         assert abs(report["virial"]["residual"] - -3.2348e-2) <= 1e-5
         # informational only: never one of the pass/fail checks
         assert all(set(c) == {"name", "passed", "detail"} and "virial" not in c["name"] for c in report["checks"])
+
+    def test_check_lemmas_solves_only_the_half_masses_besides_the_reference(self, tmp_path, monkeypatch, capsys):
+        # the reference solve is I(M) of the sample pair (M/2, M/2): one solo
+        # stack for it, then one stack of the 2 seeded runs of I(M/2)
+        sizes = []
+        loop = hf.minimize._minimize
+
+        def spy(state, *args):
+            sizes.append(len(state.x))
+            return loop(state, *args)
+
+        monkeypatch.setattr(hf.minimize, "_minimize", spy)
+        assert main(["check-lemmas", "--config", lemmas_2d_config(tmp_path)]) == 0
+        assert sizes == [1, 2]
+        capsys.readouterr()
+
+    def test_check_lemmas_sample_margin_uses_the_reference_state(self, tmp_path, capsys):
+        path = lemmas_2d_config(tmp_path)
+        assert main(["check-lemmas", "--config", path]) == 0
+        params = cli.load_config(path).params
+        kernel = hf.build_kernel(hf.grid_for(params), params.kernel_exponent)
+        gs = hf.ground_state(params, kernel, tol=1e-6, max_iters=300000, seed=0)
+        half = hf.infimum_value((0.5, 0.5), params, kernel, tol=1e-6, max_iters=300000, seeds_per_value=2)
+        sample = lemma_checks(tmp_path)["subadditivity-sample"]
+        assert sample["passed"] is True
+        assert sample["detail"] == f"margin={2 * half.value - gs.energy.total:.6g}"
+        capsys.readouterr()
+
+    def test_check_lemmas_sample_fails_with_its_reference_solve(self, tmp_path, monkeypatch, capsys):
+        # the half-mass runs converge, but I(M) is the reference state, which did not
+        solve = cli.ground_state
+        monkeypatch.setattr(cli, "ground_state", lambda *a, **kw: replace(solve(*a, **kw), stop_reason="max_iters"))
+        assert main(["check-lemmas", "--config", lemmas_2d_config(tmp_path)]) == 1
+        assert lemma_checks(tmp_path)["subadditivity-sample"]["passed"] is False
+        capsys.readouterr()
 
     def test_check_lemmas_exit_zero(self, tmp_path):
         cfg = base_config()

@@ -270,6 +270,31 @@ class TestEvolve:
         assert np.array_equal(sparse.energy, every.energy[rows])
         assert np.all(np.isnan(sparse.orbit_distance)) and sparse.orbit_distance.shape == (4,)
 
+    def test_mass_drift_of_a_zero_mass_component_is_absolute(self):
+        params = hf.SystemParams(
+            space_dim=1, component_count=2, power=2.0, kernel_exponent=0.5,
+            masses=(1.0, 1.0), box_length=40.0, points_per_dim=64,
+        )
+        grid = hf.grid_for(params)
+        first = hf.project_masses(trig_field(grid, seed=4), [1.0]).data
+        mf = hf.MultiField(grid, np.concatenate([first, np.zeros_like(first)]))
+        trace = hf.evolve(mf, 0.01, 1e-3, hf.build_kernel(grid, 0.5), 2.0)
+        assert np.all(trace.masses[:, 1] == 0.0)
+        m0 = trace.masses[:, 0]
+        assert trace.mass_drift == np.max(np.abs(m0 - m0[0]) / m0[0])
+        # the drift of a component whose initial mass is zero is absolute
+        masses = trace.masses.copy()
+        masses[1:, 1] = 2e-9
+        assert replace(trace, masses=masses).mass_drift == 2e-9
+
+    def test_mass_drift_of_positive_masses_keeps_its_relative_value(self, setup128):
+        _, grid, kernel = setup128
+        starts = [hf.project_masses(trig_field(grid, seed=s, m=2), [1.0, 0.5]) for s in (5, 6)]
+        trace = hf.evolve(starts, 5e-3, 1e-3, kernel, 2.0)
+        for t in (trace, trace.member(0), trace.member(1)):
+            ref = t.masses[0]
+            assert t.mass_drift == float(np.max(np.abs(t.masses - ref) / ref))
+
     def test_energy_drift_second_order(self, desk_params, desk_kernel, gs_m2):
         grid = gs_m2.fields.grid
         pert = hf.analysis.random_h1_perturbation(grid, 2, 42)
