@@ -13,12 +13,10 @@ holds at every constrained critical point of the continuum problem.
 __version__ = "0.1.0"
 
 from .params import (
-    DerivedExponents,
     InvalidParameterError,
     SystemParams,
     ValidationClause,
     ValidationReport,
-    derive_exponents,
     validate_assumptions,
 )
 from .grid import (

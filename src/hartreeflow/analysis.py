@@ -93,11 +93,8 @@ def concentration_profile(mf: MultiField, radii) -> ConcentrationProfile:
 
 @dataclass(frozen=True)
 class StrictScalingResult:
-    scaled_energy: float  # E(Gamma^(1/2) u)
-    gamma_times_energy: float  # Gamma * E(u)
-    delta_observed: float  # gamma_times_energy - scaled_energy
+    delta_observed: float  # Gamma E(u) - E(Gamma^(1/2) u)
     pair_term: float  # F_{2p}(u, u)
-    note: str = ""
 
 
 def strict_scaling_check(u: MultiField, scale: float, kernel: Kernel, p: float) -> StrictScalingResult:
@@ -114,16 +111,7 @@ def strict_scaling_check(u: MultiField, scale: float, kernel: Kernel, p: float) 
     x = gridmod.stack_of(kernel.grid, u)
     energy = total_energy(np.stack([x, np.sqrt(scale) * x]), kernel, p)
     e_u, e_scaled = float(energy.total[0]), float(energy.total[1])
-    note = ""
-    if p == 2:
-        note = "p=2 boundary power: gap (Gamma^p - Gamma) F_2p is still strictly positive"
-    return StrictScalingResult(
-        scaled_energy=e_scaled,
-        gamma_times_energy=scale * e_u,
-        delta_observed=scale * e_u - e_scaled,
-        pair_term=float(energy.interaction[0]),
-        note=note,
-    )
+    return StrictScalingResult(delta_observed=scale * e_u - e_scaled, pair_term=float(energy.interaction[0]))
 
 
 def cross_term_check(gs: GroundState, kernel: Kernel, p: float) -> tuple[float, float]:
@@ -344,6 +332,10 @@ def subadditivity_scan(
 # -- stability ------------------------------------------------------------------
 
 
+# Steps between the samples of the orbit distance whose maximum each entry reports.
+STABILITY_RECORD_EVERY = 25
+
+
 @dataclass(frozen=True, eq=False)
 class StabilityEntry:
     epsilon: float
@@ -355,8 +347,6 @@ class StabilityEntry:
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
     entries: tuple[StabilityEntry, ...]
-    T: float
-    dt: float
 
 
 def random_h1_perturbation(grid, m: int, seed: int) -> MultiField:
@@ -386,15 +376,14 @@ def stability_experiment(
     p: float,
     *,
     seed: int = 0,
-    record_every: int = 25,
 ) -> StabilityReport:
     """Perturb, propagate, and report sup_t of the orbit distance per epsilon.
 
     Perturbations are H^1-normalised random fields scaled by epsilon, added to
     the minimiser and projected back onto the mass spheres.  Every start is
     built (and every epsilon checked, an empty eps_list refused) before the
-    ensemble is evolved as one stack.  Integrator instability flags
-    propagate into the entries.
+    ensemble is evolved as one stack, sampled every STABILITY_RECORD_EVERY
+    steps.  Integrator instability flags propagate into the entries.
     """
     if not gs.converged:
         raise ValueError("stability experiment requires a converged minimiser")
@@ -413,7 +402,7 @@ def stability_experiment(
             starts.append(
                 project_masses(MultiField(gs.fields.grid, gs.fields.data + eps * pert.data), masses)
             )
-    ensemble = evolve(starts, T, dt, kernel, p, ground_state=gs, record_every=record_every)
+    ensemble = evolve(starts, T, dt, kernel, p, ground_state=gs, record_every=STABILITY_RECORD_EVERY)
     entries = []
     for i, eps in enumerate(eps_list):
         trace = ensemble.member(i)
@@ -426,4 +415,4 @@ def stability_experiment(
                 flags=dict(trace.flags),
             )
         )
-    return StabilityReport(entries=tuple(entries), T=T, dt=dt)
+    return StabilityReport(entries=tuple(entries))

@@ -449,9 +449,17 @@ def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
     # Informational, never an entry of checks: each of those must pass.
     s = params.dilation_exponent
     virial = {"dilation_exponent": s, "residual": virial_residual(gs.energy, s)}
+    # The sample pair lies on the scaling ray: I(M/2) = 2^-gamma I(M) makes its
+    # margin (1 - 2^(1-gamma)) |I(M)| for every negative I(M).
+    gamma = params.mass_scaling_exponent
+    scaling = {
+        "mass_scaling_exponent": gamma,
+        "sample_margin_ratio": sample.margin / abs(i_ref.value) if i_ref.value else math.nan,
+        "predicted_ratio": 1 - 2 ** (1 - gamma),
+    }
     path = os.path.join(out_dir, "lemma_checks.json")
     passed = all(c["passed"] for c in checks)
-    _write_json(path, {"passed": passed, "checks": checks, "virial": virial})
+    _write_json(path, {"passed": passed, "checks": checks, "virial": virial, "scaling": scaling})
     outputs.append(path)
     return 0 if passed else 1
 

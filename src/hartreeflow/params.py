@@ -1,13 +1,12 @@
-"""Parameter validation and derived exponents.
+"""Parameter validation and the exponents the program reads.
 
 The solver treats the attractive kernel W(x) = |x|^(-alpha) on an N-dimensional
 periodic box.  Admissibility of a configuration couples the space dimension N,
 the power p of the nonlinearity, and the kernel exponent alpha through a list
 of strict inequalities.  ``validate_assumptions`` evaluates every clause with
 an explicit numeric margin so a rejected configuration can name the inequality
-that excludes it; ``derive_exponents`` computes the exponents that govern the
-energy estimates (weak-Lebesgue index of the kernel, interpolation exponents,
-and the growth exponent of the kernel under dilation).
+that excludes it.  SystemParams carries the two exponents of the power
+kernel's dilation laws: s of the virial identity and gamma of the mass scaling.
 
 All functions here are pure and safe to call from any thread.
 """
@@ -82,6 +81,19 @@ class SystemParams:
         n_dim = self.space_dim
         return n_dim * self.power - 2 * n_dim + self.kernel_exponent
 
+    @property
+    def mass_scaling_exponent(self) -> float:
+        """gamma = 1 + 2(p - 1)/(2 - s): u -> a u(b x) with a^2 = theta b^N and
+        b^(2-s) = theta^(p-1) scales every mass by theta and the energy by
+        theta^gamma, so I(theta M) = theta^gamma I(M) on R^N.  Defined for
+        s < 2, the clause h2.kernel-growth; InvalidParameterError otherwise."""
+        s = self.dilation_exponent
+        if not s < 2:
+            raise InvalidParameterError(
+                f"the mass-scaling exponent needs s = Np - 2N + alpha < 2 (h2.kernel-growth), got s = {s:.6g}"
+            )
+        return 1 + 2 * (self.power - 1) / (2 - s)
+
 
 @dataclass(frozen=True)
 class ValidationClause:
@@ -124,27 +136,6 @@ class ValidationReport:
             status = "pass" if c.passed else "FAIL"
             lines.append(f"{status:4s}  {c.name:16s} margin={c.margin:+.6g}  {c.description}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class DerivedExponents:
-    """Exponents derived from (N, p, alpha).
-
-    weak_lr_index   r = N/alpha, the weak-Lebesgue index of the kernel
-    hls_dual_index  t = 2r/(2r-1), the dual index pairing |f|^p against W
-    gn_exponent     mu = (N r p - 2 N r + N)/(2 r p), the interpolation weight
-                    of the gradient norm in the kinetic-interaction bound
-    growth_exponent the dilation growth exponent of the kernel; equals alpha
-                    for the power kernel
-    interp_index    s = 2 p r/(2r-1), the Lebesgue exponent the interaction
-                    pairs against
-    """
-
-    weak_lr_index: float
-    hls_dual_index: float
-    gn_exponent: float
-    growth_exponent: float
-    interp_index: float
 
 
 def validate_assumptions(params: SystemParams) -> ValidationReport:
@@ -197,28 +188,3 @@ def validate_assumptions(params: SystemParams) -> ValidationReport:
         ),
     )
     return ValidationReport(clauses=clauses)
-
-
-def derive_exponents(params: SystemParams) -> DerivedExponents:
-    """Compute the derived exponents; requires validate_assumptions to pass."""
-    report = validate_assumptions(params)
-    if not report.passed:
-        names = ", ".join(c.name for c in report.failing())
-        raise InvalidParameterError(f"assumptions fail: {names}")
-    n_dim = params.space_dim
-    p = params.power
-    alpha = params.kernel_exponent
-    r = n_dim / alpha
-    mu = (n_dim * r * p - 2 * n_dim * r + n_dim) / (2 * r * p)
-    exponents = DerivedExponents(
-        weak_lr_index=r,
-        hls_dual_index=2 * r / (2 * r - 1),
-        gn_exponent=mu,
-        growth_exponent=alpha,
-        interp_index=2 * p * r / (2 * r - 1),
-    )
-    if not 2 * mu * p < 2:
-        raise InvalidParameterError(
-            f"internal inconsistency: 2*mu*p = {2 * mu * p:.6g} >= 2 despite passing validation"
-        )
-    return exponents

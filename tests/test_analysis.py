@@ -78,7 +78,6 @@ class TestStrictScaling:
             assert res.delta_observed > 0
             expected = (gamma**2.0 - gamma) * res.pair_term
             assert abs(res.delta_observed - expected) <= 1e-12
-        assert "p=2" in hf.strict_scaling_check(comp, 1.5, desk_kernel, 2.0).note
 
     def test_rejects_scale_below_one(self, desk_kernel, gs_m2):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -279,6 +280,32 @@ class TestRun:
         monkeypatch.setattr(cli, "ground_state", lambda *a, **kw: replace(solve(*a, **kw), stop_reason="max_iters"))
         assert main(["check-lemmas", "--config", lemmas_2d_config(tmp_path)]) == 1
         assert lemma_checks(tmp_path)["subadditivity-sample"]["passed"] is False
+        capsys.readouterr()
+
+    def test_check_lemmas_reports_the_sample_margin_against_the_scaling_law(self, tmp_path, capsys):
+        # I(M/2) = 2^-gamma I(M) predicts margin/|I(M)| = 1 - 2^(1-gamma); the
+        # shipped kernel misses it by its scaling error (measured -1.45e-3)
+        out = tmp_path / "out"
+        assert main(["check-lemmas", "--config", REFERENCE, "--out", str(out)]) == 0
+        report = json.loads((out / "lemma_checks.json").read_text())
+        scaling = report["scaling"]
+        gamma = hf.load_config(REFERENCE).params.mass_scaling_exponent
+        assert scaling["mass_scaling_exponent"] == gamma == pytest.approx(7 / 3)
+        assert scaling["predicted_ratio"] == 1 - 2 ** (1 - gamma)
+        assert -2e-3 <= scaling["sample_margin_ratio"] / scaling["predicted_ratio"] - 1 <= -1e-3
+        # informational only, like virial: beside the checks, never one of them
+        assert set(report) == {"passed", "checks", "virial", "scaling"}
+        capsys.readouterr()
+
+    def test_check_lemmas_scaling_ratio_is_nan_at_zero_energy(self, tmp_path, monkeypatch, capsys):
+        solve = cli.ground_state
+        zero = hf.EnergyBreakdown.make(1.0, 1.0)
+        monkeypatch.setattr(cli, "ground_state", lambda *a, **kw: replace(solve(*a, **kw), energy=zero))
+        out = tmp_path / "out"
+        assert main(["check-lemmas", "--config", write_config(tmp_path, base_config(output_dir=str(out)))]) == 1
+        report = json.loads((out / "lemma_checks.json").read_text())
+        assert math.isnan(report["scaling"]["sample_margin_ratio"])
+        assert math.isnan(report["virial"]["residual"])
         capsys.readouterr()
 
     def test_check_lemmas_exit_zero(self, tmp_path):

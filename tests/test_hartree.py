@@ -367,11 +367,12 @@ class TestElResidual:
 
 class TestInequalityShapes:
     def test_hls_shape_bound_stable_under_refinement(self, desk_params):
-        # ratio F_q(f,f) / ||f||_{L^s}^{2p} with s the interpolation index;
-        # finite on a random family and stable within a factor 2 across meshes
-        exps = hf.derive_exponents(desk_params)
-        s = exps.interp_index
+        # ratio F_q(f,f) / ||f||_{L^s}^{2p} with s = 2pr/(2r-1) the
+        # interpolation index, r = N/alpha (8/3 on the desk); finite on a
+        # random family and stable within a factor 2 across meshes
         p = desk_params.power
+        r = desk_params.space_dim / desk_params.kernel_exponent
+        s = 2 * p * r / (2 * r - 1)
 
         def max_ratio(n):
             g = hf.Grid(1, n, 20.0)
@@ -392,8 +393,8 @@ class TestInequalityShapes:
         # ||u||_{L^s}^2 / (||grad u||^(2 theta) ||u||^(2(1-theta))) is invariant
         # under the mass-critical dilation when theta = N(s-2)/(2s); the
         # rescaled Gaussians are sampled in closed form
-        exps = hf.derive_exponents(desk_params)
-        s = exps.interp_index
+        r = desk_params.space_dim / desk_params.kernel_exponent
+        s = 2 * desk_params.power * r / (2 * r - 1)
         n_dim = 1
         theta = n_dim * (s - 2) / (2 * s)
         g = hf.Grid(1, 256, 40.0)

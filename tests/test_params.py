@@ -98,31 +98,43 @@ class TestValidateAssumptions:
 
 
 class TestDeriveExponents:
+    """The exponents SystemParams derives from (N, p, alpha): s and gamma."""
+
     def test_n3_p2_alpha1_values(self):
-        # arithmetic from the definitions: r = 3, t = 6/5, mu = 3/12 = 0.25
-        exps = hf.derive_exponents(make_params(3, 2.0, 1.0))
-        assert exps.weak_lr_index == pytest.approx(3.0)
-        assert exps.hls_dual_index == pytest.approx(6 / 5)
-        assert exps.gn_exponent == pytest.approx(0.25)
-        assert 2 * exps.gn_exponent * 2.0 == pytest.approx(1.0)
-        assert exps.growth_exponent == 1.0
+        # s = 6 - 6 + 1 = 1, gamma = 1 + 2/(2 - 1) = 3
+        params = make_params(3, 2.0, 1.0)
+        assert params.dilation_exponent == 1.0
+        assert params.mass_scaling_exponent == pytest.approx(3.0)
 
     def test_n1_p2_alpha_half_values(self):
-        exps = hf.derive_exponents(make_params(1, 2.0, 0.5))
-        assert exps.weak_lr_index == pytest.approx(2.0)
-        assert exps.gn_exponent == pytest.approx(0.125)
-        assert exps.interp_index == pytest.approx(8 / 3)
+        # the desk: s = 1/2, gamma = 1 + 2/(3/2) = 7/3
+        params = make_params(1, 2.0, 0.5)
+        assert params.dilation_exponent == 0.5
+        assert params.mass_scaling_exponent == pytest.approx(7 / 3)
+
+    @pytest.mark.parametrize("p, gamma", [(2.5, 4.0), (3.0, 9.0), (3.25, 19.0)])
+    def test_mass_scaling_exponent_values(self, p, gamma):
+        # gamma = 1 + 2(p - 1)/(2 - s) at N = 1, alpha = 1/2, where s = p - 3/2
+        assert make_params(1, p, 0.5).mass_scaling_exponent == pytest.approx(gamma, rel=1e-12)
 
     def test_requires_passing_validation(self):
-        with pytest.raises(InvalidParameterError):
-            hf.derive_exponents(make_params(3, 3.0, 1.0))
+        # s = 4 at N = 3, p = 3, alpha = 1, which h2.kernel-growth refuses
+        with pytest.raises(InvalidParameterError, match=r"\(h2\.kernel-growth\), got s = 4$"):
+            make_params(3, 3.0, 1.0).mass_scaling_exponent
+
+    def test_mass_scaling_exponent_undefined_at_s_two(self):
+        # N = 1, p = 3.5, alpha = 1/2 is the critical power: s = 2 exactly
+        params = make_params(1, 3.5, 0.5)
+        assert params.dilation_exponent == 2.0
+        with pytest.raises(InvalidParameterError, match=r"h2\.kernel-growth"):
+            params.mass_scaling_exponent
 
     def test_dilation_exponent_values(self):
         # s = Np - 2N + alpha
         assert make_params(1, 2.0, 0.5).dilation_exponent == 0.5
         assert make_params(2, 2.0, 1.0).dilation_exponent == 1.0
         assert make_params(3, 2.0, 1.0).dilation_exponent == 1.0
-        # a property of the params, defined where derive_exponents refuses them
+        # a property of the params, defined where mass_scaling_exponent refuses them
         assert make_params(3, 3.0, 1.0).dilation_exponent == 4.0
 
     @settings(max_examples=50, deadline=None)
@@ -136,11 +148,22 @@ class TestDeriveExponents:
     @settings(max_examples=50, deadline=None)
     @given(n_dim=st.integers(1, 3), alpha=st.floats(0.05, 1.95), p=st.floats(2.0, 4.0))
     def test_boundedness_margin_positive_whenever_valid(self, n_dim, alpha, p):
+        # every valid config has s < 2, so gamma is finite and above 1: the
+        # infimum scales superlinearly in the masses
         params = make_params(n_dim, p, alpha)
         if not hf.validate_assumptions(params).passed:
             return
-        exps = hf.derive_exponents(params)
-        # 2 mu p < 2 holds with strictly positive margin for every valid config
-        assert 2 * exps.gn_exponent * p < 2
-        assert math.isfinite(exps.hls_dual_index)
-        assert exps.gn_exponent > 0
+        assert params.dilation_exponent < 2
+        gamma = params.mass_scaling_exponent
+        assert math.isfinite(gamma) and gamma > 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_dim=st.integers(1, 3), alpha=st.floats(0.05, 1.95), p=st.floats(2.0, 4.0))
+    def test_power_upper_is_kernel_growth_over_n(self, n_dim, alpha, p):
+        # for W = |x|^(-alpha), r = N/alpha makes (2r-1)/r + 2/N - p equal to
+        # (2 + 2N - pN - alpha)/N: the two clauses are one inequality, kept
+        # apart as the paper's separate hypotheses for a general W
+        report = hf.validate_assumptions(make_params(n_dim, p, alpha))
+        power_upper = report.clause("h0.power-upper").margin
+        kernel_growth = report.clause("h2.kernel-growth").margin
+        assert n_dim * power_upper == pytest.approx(kernel_growth, abs=1e-12)
