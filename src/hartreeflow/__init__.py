@@ -54,14 +54,12 @@ from .minimize import (
     ground_state,
     phase_factorize,
     project_masses,
-    save_ground_state,
 )
 from .evolve import (
     EvolutionTrace,
     NanAbortError,
     evolve,
     orbit_distance,
-    write_trace_csv,
 )
 from .analysis import (
     ConcentrationProfile,

@@ -195,8 +195,9 @@ def _mass_vector(masses) -> tuple[float, ...]:
 
 
 def _infimum_key(masses) -> tuple[float, ...]:
+    """The sorted positive masses, each rounded to 12 significant digits, so that a tiny mass stays positive."""
     positive = sorted(float(v) for v in masses if v > 0)
-    return tuple(round(v, 12) for v in positive)
+    return tuple(float(f"{v:.12g}") for v in positive)
 
 
 def infimum_value(

@@ -2,7 +2,10 @@
 
 A run is fully described by a JSON config plus a seed; outputs are
 deterministic given (config, seed) and are written under the output directory
-together with a manifest listing inputs, versions, and content hashes.
+together with a manifest listing inputs, versions, and content hashes.  This
+module writes every artifact: JSON and CSV files through _write_json and
+_write_csv, which register each file for the manifest, and the ground-state
+snapshot through grid.write_snapshot.
 
 The config schema is the fields of four dataclasses: RunConfig at the top,
 SystemParams under "params", SolverConfig under "solver" and EvolutionConfig
@@ -57,9 +60,9 @@ from .analysis import (
     strict_scaling_check,
     subadditivity_scan,
 )
-from .evolve import evolve, step_count, write_trace_csv
+from .evolve import evolve, step_count
 from .hartree import build_kernel, virial_residual
-from .minimize import ground_state, phase_factorize, save_ground_state
+from .minimize import ground_state, phase_factorize
 from .params import InvalidParameterError, SystemParams, validate_assumptions
 
 
@@ -203,10 +206,23 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path, obj) -> None:
+def _write_json(out_dir, name, obj, outputs: list) -> None:
+    """Write obj as out_dir/name (sorted keys, indent 2, trailing newline) and register it in outputs."""
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    outputs.append(path)
+
+
+def _write_csv(out_dir, name, header, rows, outputs: list) -> None:
+    """Write the header and rows as the CSV out_dir/name and register it in outputs."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    outputs.append(path)
 
 
 def _write_manifest(out_dir, config: RunConfig, inputs: dict, outputs: list) -> None:
@@ -220,7 +236,8 @@ def _write_manifest(out_dir, config: RunConfig, inputs: dict, outputs: list) -> 
         },
         "outputs": {os.path.basename(p): _sha256(p) for p in sorted(outputs)},
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    # the manifest hashes the registered outputs and is not one of them
+    _write_json(out_dir, "manifest.json", manifest, [])
 
 
 # -- experiments ----------------------------------------------------------------
@@ -243,9 +260,9 @@ def _solve_reference(config: RunConfig, kernel):
 def _run_validate(config: RunConfig, out_dir: str, outputs: list) -> int:
     report = validate_assumptions(config.params)
     print(report.summary())
-    path = os.path.join(out_dir, "validation.json")
     _write_json(
-        path,
+        out_dir,
+        "validation.json",
         {
             "passed": report.passed,
             "clauses": [
@@ -253,15 +270,29 @@ def _run_validate(config: RunConfig, out_dir: str, outputs: list) -> int:
                 for c in report.clauses
             ],
         },
+        outputs,
     )
-    outputs.append(path)
     return 0
 
 
 def _run_minimize(config: RunConfig, out_dir: str, outputs: list) -> int:
     gs = _solve_reference(config, _kernel(config))
-    snap, meta = save_ground_state(os.path.join(out_dir, "ground_state"), gs, config.params)
-    outputs.extend([snap, meta])
+    snapshot = os.path.join(out_dir, "ground_state.chfld")
+    gridmod.write_snapshot(snapshot, gs.fields)
+    outputs.append(snapshot)
+    sidecar = {
+        "masses": [float(v) for v in gridmod.norms_sq(gs.fields.grid, gs.fields.data)],
+        "lambda": [float(v) for v in gs.multipliers],
+        "energy": asdict(gs.energy),
+        "residuals": [float(v) for v in gs.residuals],
+        "iterations": gs.iterations,
+        "converged": gs.converged,
+        "stop_reason": gs.stop_reason,
+        "seed": gs.seed,
+        "params": asdict(config.params),
+        "virial_residual": virial_residual(gs.energy, config.params.dilation_exponent),
+    }
+    _write_json(out_dir, "ground_state.json", sidecar, outputs)
     status = "converged" if gs.converged else "NOT converged"
     print(
         f"minimize: {status} in {gs.iterations} iterations, "
@@ -282,9 +313,17 @@ def _run_evolve(config: RunConfig, out_dir: str, outputs: list) -> int:
         ground_state=gs,
         record_every=max(1, step_count(config.evolution.T, config.evolution.dt) // 200),
     )
-    path = os.path.join(out_dir, "trace.csv")
-    write_trace_csv(path, trace)
-    outputs.append(path)
+    masses = [f"mass_{j + 1}" for j in range(config.params.component_count)]
+    _write_csv(
+        out_dir,
+        "trace.csv",
+        ["t", *masses, "energy", "orbit_distance"],
+        (
+            [repr(float(v)) for v in (t, *mass, e, d)]
+            for t, mass, e, d in zip(trace.times, trace.masses, trace.energy, trace.orbit_distance)
+        ),
+        outputs,
+    )
     print(
         f"evolve: T={trace.T}, mass drift={trace.mass_drift:.3e}, "
         f"energy drift={trace.energy_drift:.3e}, flags={trace.flags}"
@@ -312,29 +351,28 @@ def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
         seeds_per_value=config.solver.seeds,
         base_seed=config.seed,
     )
-    path = os.path.join(out_dir, "subadditivity.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["masses_m", "masses_t", "i_m", "i_t", "i_sum", "margin", "converged", "virial_m", "virial_t", "virial_sum"]
-        )
-        s = config.params.dilation_exponent
-        for rec in result.records + result.excluded:
-            writer.writerow(
-                [
-                    ";".join(repr(v) for v in rec.masses_m),
-                    ";".join(repr(v) for v in rec.masses_t),
-                    *(repr(inf.value) for inf in rec.infima),
-                    repr(rec.margin),
-                    rec.converged,
-                    *(repr(virial_residual(inf.energy, s)) for inf in rec.infima),
-                ]
-            )
-    outputs.append(path)
-    summary_path = os.path.join(out_dir, "subadditivity_summary.json")
+    s = config.params.dilation_exponent
+    _write_csv(
+        out_dir,
+        "subadditivity.csv",
+        ["masses_m", "masses_t", "i_m", "i_t", "i_sum", "margin", "converged", "virial_m", "virial_t", "virial_sum"],
+        (
+            [
+                ";".join(repr(v) for v in rec.masses_m),
+                ";".join(repr(v) for v in rec.masses_t),
+                *(repr(inf.value) for inf in rec.infima),
+                repr(rec.margin),
+                rec.converged,
+                *(repr(virial_residual(inf.energy, s)) for inf in rec.infima),
+            ]
+            for rec in result.records + result.excluded
+        ),
+        outputs,
+    )
     # With no converged record there is no margin to report, and no claim.
     _write_json(
-        summary_path,
+        out_dir,
+        "subadditivity_summary.json",
         {
             "pairs": len(pairs),
             "converged_records": len(result.records),
@@ -342,8 +380,8 @@ def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
             "min_margin": result.min_margin if result.records else None,
             "all_margins_positive": bool(result.records) and all(r.margin > 0 for r in result.records),
         },
+        outputs,
     )
-    outputs.append(summary_path)
     print(
         f"scan: {len(result.records)} records, {len(result.excluded)} excluded, "
         f"min margin = {result.min_margin:.6g}"
@@ -363,13 +401,13 @@ def _run_stability(config: RunConfig, out_dir: str, outputs: list) -> int:
         config.params.power,
         seed=config.seed,
     )
-    path = os.path.join(out_dir, "stability.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "max_distance", "ratio", "flags"])
-        for e in report.entries:
-            writer.writerow([repr(e.epsilon), repr(e.max_distance), repr(e.ratio), ";".join(sorted(e.flags))])
-    outputs.append(path)
+    _write_csv(
+        out_dir,
+        "stability.csv",
+        ["epsilon", "max_distance", "ratio", "flags"],
+        ([repr(e.epsilon), repr(e.max_distance), repr(e.ratio), ";".join(sorted(e.flags))] for e in report.entries),
+        outputs,
+    )
     for e in report.entries:
         print(f"stability: eps={e.epsilon:g} max_distance={e.max_distance:.6g} ratio={e.ratio:.6g}")
     return 0
@@ -457,10 +495,9 @@ def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
         "sample_margin_ratio": sample.margin / abs(i_ref.value) if i_ref.value else math.nan,
         "predicted_ratio": 1 - 2 ** (1 - gamma),
     }
-    path = os.path.join(out_dir, "lemma_checks.json")
     passed = all(c["passed"] for c in checks)
-    _write_json(path, {"passed": passed, "checks": checks, "virial": virial, "scaling": scaling})
-    outputs.append(path)
+    report = {"passed": passed, "checks": checks, "virial": virial, "scaling": scaling}
+    _write_json(out_dir, "lemma_checks.json", report, outputs)
     return 0 if passed else 1
 
 

@@ -23,8 +23,8 @@ Propagator.step_array keeps the closing phase beside the array it returns and
 reuses it when the next call receives that very array (any other input is a
 cold start), so a step costs one density->potential convolution, not two:
 two real transforms of the density, and the complex transform pair of the
-kinetic sub-step.  The identity test is sound because step outputs, and the
-snapshots evolve hands to observers, are read-only; copy one to modify it.
+kinetic sub-step.  The identity test is sound because step outputs are
+read-only; copy one to modify it.
 A step allocates one array, its output x * phase, and runs the kinetic
 sub-step and the closing half-kick in place on it, so the caller's array is
 never written.  A half-kick phase is cos + i sin of the real angle
@@ -38,12 +38,11 @@ step_array also steps a stack of fields, shape (..., m, *grid.shape): the
 total density sums the component axis, so every member sees only its own
 potential.  evolve steps its starts as one stack, one call per time step, and
 records them alike: one total_energy and one orbit_distance call per sample
-cover every member, paying numpy's per-call overhead once; only observers see
-the members one at a time.  A single start is a 1-member stack on the same
-path, so each member's arrays are the same bits as evolving it alone.  The
-trace arrays are allocated once, (samples, members, ...), and orbit_distance
-takes the minimiser's side of its cross-correlation from the GroundState,
-which computes it once.
+cover every member, paying numpy's per-call overhead once.  A single start
+is a 1-member stack on the same path, so each member's arrays are the same
+bits as evolving it alone.  The trace arrays are allocated once, (samples,
+members, ...), and orbit_distance takes the minimiser's side of its
+cross-correlation from the GroundState, which computes it once.
 
 Well-posedness of the initial-value problem is assumed; blow-up detection is
 heuristic (NaN aborts, a >10% energy drift flags the trace).
@@ -51,7 +50,6 @@ heuristic (NaN aborts, a >10% energy drift flags the trace).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +101,6 @@ class EvolutionTrace:
     dt: float
     T: float
     flags: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     @property
     def mass_drift(self) -> float:
@@ -128,7 +125,6 @@ class EvolutionTrace:
             dt=self.dt,
             T=self.T,
             flags=_drift_flags(energy),
-            extras={k: v[:, b] for k, v in self.extras.items()},
         )
 
 
@@ -227,7 +223,6 @@ def evolve(
     *,
     ground_state: GroundState | None = None,
     record_every: int = 1,
-    observers: dict | None = None,
 ) -> EvolutionTrace:
     """Propagate to time T, recording conserved quantities every record_every steps.
 
@@ -251,7 +246,6 @@ def evolve(
     if ground_state is not None and ground_state.fields.grid != grid:
         raise ValueError("ground_state lives on a different grid than the starts")
     prop = Propagator(grid, kernel, p, dt)
-    observers = observers or {}
     x = np.stack([s.data for s in starts])  # a ValueError unless all have one m
     x.setflags(write=False)
     # samples at steps 0, record_every, 2 record_every, ... and steps; step k
@@ -261,17 +255,14 @@ def evolve(
     masses = np.empty((samples,) + x.shape[:2])
     energy = np.empty((samples, len(x)))
     distances = np.full((samples, len(x)), np.nan)
-    extras = {name: [] for name in observers}
 
     def record(k: int, x: np.ndarray) -> None:
-        i, t = -(-k // record_every), k * dt
-        times[i] = t
+        i = -(-k // record_every)
+        times[i] = k * dt
         masses[i] = gridmod.norms_sq(grid, x)
         energy[i] = total_energy(x, kernel, p).total
         if ground_state is not None:
             distances[i] = orbit_distance(x, ground_state)
-        for name, fn in observers.items():
-            extras[name].append([fn(t, MultiField(grid, member)) for member in x])
 
     record(0, x)
     for k in range(1, steps + 1):
@@ -287,25 +278,6 @@ def evolve(
         dt=dt,
         T=steps * dt,
         flags=_drift_flags(energy),
-        extras={k: np.asarray(v) for k, v in extras.items()},
     )
     return trace.member(0) if single else trace
 
-
-def write_trace_csv(path, trace: EvolutionTrace) -> None:
-    """Trace as CSV with columns t, mass_1..mass_m, energy, orbit_distance.
-
-    A stacked trace is written one member at a time, trace.member(b).
-    """
-    if trace.energy.ndim != 1:
-        raise ValueError("write_trace_csv takes the trace of one start; pass trace.member(b) of a stacked trace")
-    m = trace.masses.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *[f"mass_{j + 1}" for j in range(m)], "energy", "orbit_distance"])
-        for i, t in enumerate(trace.times):
-            row = [repr(float(t))]
-            row += [repr(float(v)) for v in trace.masses[i]]
-            row.append(repr(float(trace.energy[i])))
-            row.append(repr(float(trace.orbit_distance[i])))
-            writer.writerow(row)

@@ -93,16 +93,15 @@ One run mutates only its own state; independent runs may execute concurrently.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 
 import numpy as np
 
 from . import grid as gridmod
 from .grid import Grid, MultiField
-from .hartree import Kernel, EnergyBreakdown, _EnergyState, total_density, total_energy, virial_residual
+from .hartree import Kernel, EnergyBreakdown, _EnergyState, total_density, total_energy
 from .params import SystemParams
 
 DEFAULT_TOL = 1e-6
@@ -499,25 +498,3 @@ def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: in
 
     return fields, lambdas_out, residuals_out, iterations, reasons
 
-
-def save_ground_state(prefix, gs: GroundState, params: SystemParams) -> tuple[str, str]:
-    """Persist a minimiser as a field snapshot plus a JSON sidecar, which carries its virial residual."""
-    snap_path = f"{prefix}.chfld"
-    meta_path = f"{prefix}.json"
-    gridmod.write_snapshot(snap_path, gs.fields)
-    sidecar = {
-        "masses": [float(v) for v in gridmod.norms_sq(gs.fields.grid, gs.fields.data)],
-        "lambda": [float(v) for v in gs.multipliers],
-        "energy": asdict(gs.energy),
-        "residuals": [float(v) for v in gs.residuals],
-        "iterations": gs.iterations,
-        "converged": gs.converged,
-        "stop_reason": gs.stop_reason,
-        "seed": gs.seed,
-        "params": asdict(params),
-        "virial_residual": virial_residual(gs.energy, params.dilation_exponent),
-    }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return snap_path, meta_path

@@ -5,11 +5,13 @@ tests share one set of converged states.
 """
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import hartreeflow as hf
+from hartreeflow.evolve import Propagator
 
 DESK = dict(
     space_dim=1,
@@ -120,29 +122,38 @@ def scan_m3(desk_params, desk_kernel):
     )
 
 
+class StandingTrace(NamedTuple):
+    times: np.ndarray
+    mass_drift: float  # largest relative deviation of a component's mass
+    modulus_error: np.ndarray  # worst L2 deviation of a component's modulus from the minimiser's
+    overlaps: np.ndarray  # (samples, m): sum of conj(phi_j) psi_j over the grid
+
+
 @pytest.fixture(scope="session")
 def standing_trace(desk_params, desk_kernel, gs_m2):
-    """T = 5 standing-wave run recording overlaps with the minimiser and the
-    worst modulus deviation per sample."""
+    """T = 5 standing-wave run from the minimiser, dt = 1e-3, sampled every 10 steps."""
     phi = gs_m2.fields
-    cell = phi.grid.cell_volume
+    grid = phi.grid
     moduli = np.abs(phi.data)
 
-    def modulus_error(t, mf):
-        diff = np.abs(mf.data) - moduli
-        return float(np.sqrt(cell * np.max(np.sum(diff**2, axis=tuple(range(1, diff.ndim))))))
+    def sample(x):
+        diff = np.abs(x) - moduli
+        modulus_error = np.sqrt(grid.cell_volume * np.max(np.sum(diff**2, axis=1)))
+        return hf.grid.norms_sq(grid, x), modulus_error, np.sum(np.conj(phi.data) * x, axis=1)
 
-    observers = {"modulus_error": modulus_error}
-    for j in range(phi.m):
-        observers[f"overlap_re_{j}"] = (
-            lambda jj: lambda t, mf: float(np.sum(np.conj(phi.data[jj]) * mf.data[jj]).real)
-        )(j)
-        observers[f"overlap_im_{j}"] = (
-            lambda jj: lambda t, mf: float(np.sum(np.conj(phi.data[jj]) * mf.data[jj]).imag)
-        )(j)
-    return hf.evolve(
-        phi, 5.0, 1e-3, desk_kernel, desk_params.power,
-        ground_state=gs_m2, record_every=10, observers=observers,
+    prop = Propagator(grid, desk_kernel, desk_params.power, 1e-3)
+    x = phi.data
+    rows = [sample(x)]
+    for k in range(1, 5001):
+        x = prop.step_array(x)
+        if k % 10 == 0:
+            rows.append(sample(x))
+    masses, modulus_error, overlaps = (np.array(column) for column in zip(*rows))
+    return StandingTrace(
+        times=np.arange(0, 5001, 10) * 1e-3,
+        mass_drift=float(np.max(np.abs(masses - masses[0]) / masses[0])),
+        modulus_error=modulus_error,
+        overlaps=overlaps,
     )
 
 

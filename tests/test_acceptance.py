@@ -156,14 +156,10 @@ def test_conservation(desk_params, desk_kernel, gs_m2, standing_trace):
 
 def test_standing_wave_fidelity(gs_m2, standing_trace):
     """Moduli stay fixed over T=5 and the overlap phase rotates at -lambda_j."""
-    modulus_sup = float(np.max(standing_trace.extras["modulus_error"]))
+    modulus_sup = float(np.max(standing_trace.modulus_error))
     worst_rate = 0.0
     for j in range(2):
-        overlap = (
-            standing_trace.extras[f"overlap_re_{j}"]
-            + 1j * standing_trace.extras[f"overlap_im_{j}"]
-        )
-        phase = np.unwrap(np.angle(overlap))
+        phase = np.unwrap(np.angle(standing_trace.overlaps[:, j]))
         rate = np.polyfit(standing_trace.times, phase, 1)[0]
         worst_rate = max(worst_rate, abs(rate + gs_m2.multipliers[j]) / gs_m2.multipliers[j])
     ok = modulus_sup <= 1e-4 and worst_rate <= 1e-2

@@ -190,6 +190,15 @@ class TestSubadditivityScan:
             assert str(masses) in str(single.value)
             assert str(single.value) in str(scan.value)
 
+    def test_infimum_value_keeps_a_tiny_positive_mass(self, setup128):
+        # rounding to 12 decimal places made 1e-13 a zero mass, which the solve rejected
+        params, _, kernel = setup128
+        assert hf.analysis._infimum_key((1.0, 1e-300)) == (1e-300, 1.0)
+        tiny = hf.infimum_value((1e-13, 1.0), params, kernel)
+        assert tiny.converged and len(tiny.multipliers) == 2
+        # the p = 2 reduction: I(M_1, M_2) = I_1(M_1 + M_2)
+        assert tiny.value == pytest.approx(hf.infimum_value((1.0,), params, kernel).value, rel=1e-10)
+
     def test_default_m2_grid_shape(self):
         pairs = hf.default_mass_pairs_m2()
         assert len(pairs) == 56

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -188,6 +189,19 @@ class TestRun:
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "t,mass_1,mass_2,energy,orbit_distance"
         assert len(lines) > 2
+
+    @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+    def test_output_dir_holds_exactly_the_manifest_outputs(self, tmp_path, experiment):
+        # a runner that writes a file without registering it for the manifest fails here
+        cfg = base_config(experiment=experiment, output_dir=str(tmp_path / "out"))
+        if experiment == "scan-subadditivity":  # one component: 3 pairs, not 56
+            cfg["params"].update({"component_count": 1, "masses": [1.0]})
+        assert cli.run(parse_config(cfg)) in (0, 1)
+        out = tmp_path / "out"
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs and sorted(os.listdir(out)) == sorted([*outputs, "manifest.json"])
+        for name, digest in outputs.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_scan_single_component(self, tmp_path):
         cfg = base_config()

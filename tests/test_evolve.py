@@ -1,3 +1,4 @@
+import csv
 import importlib
 from dataclasses import replace
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 import hartreeflow as hf
+from hartreeflow import cli
+from hartreeflow.cli import EvolutionConfig, RunConfig, SolverConfig
 from hartreeflow.evolve import NanAbortError, Propagator
 from hartreeflow.hartree import _convolve_array, abs_power, total_density
 from conftest import gaussian_field, trig_field
@@ -114,16 +117,6 @@ class TestFusedStep:
         with pytest.raises(ValueError):
             out[0, 0] = 0.0
         assert perturbed_m2.data.flags.writeable
-
-    def test_observer_cannot_corrupt_trajectory(self, setup128):
-        _, grid, kernel = setup128
-        mf = hf.project_masses(trig_field(grid, seed=8, m=2), [1.0, 1.0])
-
-        def vandal(t, snapshot):
-            snapshot.data[0, 0] = 0.0
-
-        with pytest.raises(ValueError):
-            hf.evolve(mf, 5e-3, 1e-3, kernel, 2.0, observers={"vandal": vandal})
 
     @staticmethod
     def count_transforms(monkeypatch) -> list:
@@ -317,38 +310,23 @@ class TestEvolve:
         tr = hf.evolve(start, 10.0, 0.5, desk_kernel, desk_params.power, record_every=1)
         assert tr.flags.get("unstable") is True
 
-    def test_observers_recorded(self, setup128):
-        _, grid, kernel = setup128
-        mf = hf.project_masses(trig_field(grid, seed=6, m=2), [1.0, 1.0])
-        trace = hf.evolve(
-            mf, 5e-3, 1e-3, kernel, 2.0,
-            observers={"peak": lambda t, m: float(np.abs(m.data).max())},
-        )
-        assert len(trace.extras["peak"]) == len(trace.times)
-
     def test_trace_csv_round_trip(self, tmp_path, setup128):
-        _, grid, kernel = setup128
-        mf = hf.project_masses(trig_field(grid, seed=7, m=2), [1.0, 1.0])
-        trace = hf.evolve(mf, 5e-3, 1e-3, kernel, 2.0)
-        path = tmp_path / "trace.csv"
-        hf.write_trace_csv(path, trace)
-        import csv
-
-        with open(path) as fh:
+        # the CLI's evolve runner writes trace.csv: a header, then one row per recorded sample
+        params, _, kernel = setup128
+        config = RunConfig(
+            params, SolverConfig(tol=1e-4), EvolutionConfig(T=5e-3, dt=1e-3),
+            experiment="evolve", output_dir=str(tmp_path), seed=7,
+        )
+        assert cli.run(config) == 0
+        with open(tmp_path / "trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "mass_1", "mass_2", "energy", "orbit_distance"]
-        assert len(rows) == 1 + len(trace.times)
+        gs = cli._solve_reference(config, kernel)
+        trace = hf.evolve(gs.fields, 5e-3, 1e-3, kernel, 2.0, ground_state=gs)
+        assert len(rows) == 1 + len(trace.times) == 7
+        for row, t, mass, e, d in zip(rows[1:], trace.times, trace.masses, trace.energy, trace.orbit_distance):
+            assert [float(v) for v in row] == [t, *mass, e, d]
         assert float(rows[1][1]) == pytest.approx(1.0, rel=1e-12)
-
-    def test_trace_csv_takes_one_member(self, tmp_path, setup128):
-        _, grid, kernel = setup128
-        mf = hf.project_masses(trig_field(grid, seed=7, m=2), [1.0, 1.0])
-        stacked = hf.evolve([mf, mf], 5e-3, 1e-3, kernel, 2.0)
-        with pytest.raises(ValueError, match=r"trace\.member\(b\)"):
-            hf.write_trace_csv(tmp_path / "stacked.csv", stacked)
-        hf.write_trace_csv(tmp_path / "member.csv", stacked.member(1))
-        hf.write_trace_csv(tmp_path / "alone.csv", hf.evolve(mf, 5e-3, 1e-3, kernel, 2.0))
-        assert (tmp_path / "member.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def small_ground_state(space_dim, m, n, p):
@@ -378,9 +356,6 @@ def assert_members_match_single_runs(trace, starts, *args, **kwargs):
         member, alone = trace.member(b), hf.evolve(start, *args, **kwargs)
         for name in ("times", "masses", "energy", "orbit_distance"):
             assert np.array_equal(getattr(member, name), getattr(alone, name)), name
-        assert member.extras.keys() == alone.extras.keys()
-        for name in alone.extras:
-            assert np.array_equal(member.extras[name], alone.extras[name]), name
         assert member.flags == alone.flags
         assert (member.T, member.dt) == (alone.T, alone.dt)
 
@@ -394,13 +369,11 @@ class TestStackedEvolve:
     def test_members_bit_equal_to_single_runs(self, space_dim, m, n, p):
         gs, kernel = small_ground_state(space_dim, m, n, p)
         starts = perturbed_starts(gs, [0.0, 1e-3, 1e-2], [1.0] * m)
-        peak = lambda t, mf: np.abs(mf.data).reshape(mf.m, -1).max(axis=1)
         args = (0.1, 1e-2, kernel, p)
-        kwargs = dict(ground_state=gs, record_every=3, observers={"peak": peak})
+        kwargs = dict(ground_state=gs, record_every=3)
         trace = hf.evolve(starts, *args, **kwargs)
         assert trace.masses.shape == (5, 3, m)
         assert trace.energy.shape == trace.orbit_distance.shape == (5, 3)
-        assert trace.extras["peak"].shape == (5, 3, m)
         assert_members_match_single_runs(trace, starts, *args, **kwargs)
 
     def test_flags_are_per_member(self, desk_params, desk_kernel, gs_m2):
@@ -568,11 +541,7 @@ class TestStandingWave:
         # the overlap <phi_j, psi_j(t)> rotates at rate -lambda_j
         mask = standing_trace.times <= 1.0
         for j in range(2):
-            overlap = (
-                standing_trace.extras[f"overlap_re_{j}"][mask]
-                + 1j * standing_trace.extras[f"overlap_im_{j}"][mask]
-            )
-            phase = np.unwrap(np.angle(overlap))
+            phase = np.unwrap(np.angle(standing_trace.overlaps[mask, j]))
             rate = np.polyfit(standing_trace.times[mask], phase, 1)[0]
             lam = gs_m2.multipliers[j]
             assert abs(rate + lam) <= 1e-2 * lam

@@ -1,10 +1,13 @@
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hartreeflow as hf
+from hartreeflow import cli
+from hartreeflow.cli import RunConfig, SolverConfig
 from hartreeflow.minimize import EnergyNanError, ZeroMassError
 from conftest import TOL, gaussian_field, trig_field
 
@@ -466,17 +469,25 @@ class TestSingleComponentGround:
 
 class TestPersistence:
     def test_save_round_trip(self, tmp_path, desk_params, gs_m2):
-        snap, meta = hf.save_ground_state(tmp_path / "gs", gs_m2, desk_params)
-        back = hf.read_snapshot(snap)
+        # the CLI's minimize runner writes the snapshot and its JSON sidecar; gs_m2's solve, seed 1
+        config = RunConfig(desk_params, SolverConfig(tol=TOL), experiment="minimize", output_dir=str(tmp_path), seed=1)
+        assert cli.run(config) == 0
+        back = hf.read_snapshot(tmp_path / "ground_state.chfld")
         assert np.array_equal(back.data, gs_m2.fields.data)
-        import json
-
-        with open(meta) as fh:
+        with open(tmp_path / "ground_state.json") as fh:
             sidecar = json.load(fh)
+        assert sidecar.keys() == {
+            "masses", "lambda", "energy", "residuals", "iterations", "converged", "stop_reason", "seed", "params",
+            "virial_residual",
+        }
         assert sidecar["masses"] == pytest.approx([1.0, 1.0])
-        assert sidecar["lambda"] == pytest.approx(list(gs_m2.multipliers))
+        assert sidecar["lambda"] == list(gs_m2.multipliers)
+        assert sidecar["energy"] == asdict(gs_m2.energy)
+        assert sidecar["residuals"] == list(gs_m2.residuals)
+        assert (sidecar["iterations"], sidecar["seed"]) == (gs_m2.iterations, 1)
         assert sidecar["converged"] is True
         assert sidecar["stop_reason"] == "converged"
+        assert sidecar["params"] == json.loads(json.dumps(asdict(desk_params)))
         assert sidecar["params"]["points_per_dim"] == 256
         assert sidecar["virial_residual"] == hf.virial_residual(gs_m2.energy, desk_params.dilation_exponent)
 
