@@ -62,15 +62,12 @@ from .evolve import (
     orbit_distance,
 )
 from .analysis import (
-    ConcentrationProfile,
     Infimum,
     ScanResult,
-    StabilityReport,
     SubadditivityRecord,
     concentration_profile,
     cross_term_check,
-    default_cases_m3,
-    default_mass_pairs_m2,
+    default_pairs,
     infimum_value,
     stability_experiment,
     strict_scaling_check,

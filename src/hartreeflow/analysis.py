@@ -8,14 +8,14 @@ minimisation problem into a computation with an explicit margin:
   whenever the interaction of u is;
 * cross_term_check evaluates E(phi_j) - F_p(phi_1, phi_2) on a converged
   two-component minimiser, which must come out strictly negative;
-* subadditivity_scan verifies I(M + T) < I(M) + I(T) over a grid of mass
-  splittings, evaluating boundary cases with zero sub-masses as reduced
-  problems in fewer components;
+* subadditivity_scan verifies I(M + T) < I(M) + I(T) over a list of mass
+  splittings (the CLI's is default_pairs(m, seed)), evaluating boundary
+  cases with zero sub-masses as reduced problems in fewer components;
 * concentration_profile computes the Levy concentration function
-  Q(R) = sup_y int_{B_R(y)} sum_j |u_j|^2, whose saturation at moderate R
-  diagnoses tightness of the computed minimiser;
-* stability_experiment perturbs a minimiser, propagates, and reports the
-  worst-case distance to the gauge orbit per perturbation size.
+  Q(R) = sup_y int_{B_R(y)} sum_j |u_j|^2 at each radius, whose saturation
+  at moderate R diagnoses tightness of the computed minimiser;
+* stability_experiment perturbs a minimiser, propagates, and gives one
+  StabilityEntry per perturbation size: its worst distance to the orbit.
 
 The scan solves the seeded runs of all infima with one component count in
 stacked ground_state calls of up to stack_capacity members; each member's
@@ -52,24 +52,14 @@ from .params import SystemParams
 # -- concentration ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ConcentrationProfile:
-    """Levy concentration function sampled on a list of radii.
-
-    q_values is nondecreasing in R; once the ball covers the box the value
-    equals the total mass.
-    """
-
-    radii: np.ndarray
-    q_values: np.ndarray
-
-
-def concentration_profile(mf: MultiField, radii) -> ConcentrationProfile:
-    """Q(R) = sup over grid centres y of the mass of B_R(y).
+def concentration_profile(mf: MultiField, radii) -> np.ndarray:
+    """Q(R) = sup over grid centres y of the mass of B_R(y), one value per radius.
 
     The sup is realised exactly over all grid centres by convolving the total
     density with the ball indicator.  Radii must be finite, nonnegative,
-    strictly increasing and at most L/2; R = 0 is the cell at the centre.
+    strictly increasing and at most L/2; R = 0 is the cell at the centre.  The
+    values are nondecreasing in R and equal the total mass once a ball
+    covers the box.
     """
     radii = np.asarray(radii, dtype=float)
     if not np.all(np.isfinite(radii)) or np.any(radii < 0):
@@ -85,7 +75,7 @@ def concentration_profile(mf: MultiField, radii) -> ConcentrationProfile:
         ball = (g.radius <= r).astype(float)
         conv = gridmod.irfftn_grid(g, gridmod.rfftn_grid(g, ball) * rho_hat)
         values[i] = g.cell_volume * conv.max()
-    return ConcentrationProfile(radii=radii, q_values=values)
+    return values
 
 
 # -- scaling and cross-term checks --------------------------------------------
@@ -256,35 +246,34 @@ def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds
     return {key: Infimum(*best[key], seeds[key], reasons[key]) for key in keys}
 
 
-def default_mass_pairs_m2(values=(0.0, 0.5, 1.0)) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """All (M, T) from the grid with M, T nonzero and M + T strictly positive."""
-    vecs = [(a, b) for a in values for b in values if (a, b) != (0.0, 0.0)]
-    pairs = []
-    for mv in vecs:
-        for tv in vecs:
-            if mv[0] + tv[0] > 0 and mv[1] + tv[1] > 0:
-                pairs.append((mv, tv))
-    return pairs
+def default_pairs(m: int, seed: int = 0) -> list:
+    """The (M, T) mass pairs that a scan with m components checks.
 
-
-CANONICAL_M3_CASES = (
-    ("A9", (0.5, 0.5, 0.5), (0.5, 0.5, 0.5)),
-    ("A3", (0.5, 0.0, 0.5), (0.5, 0.5, 0.5)),
-    ("B3", (0.0, 1.0, 1.0), (1.0, 0.0, 1.0)),
-    ("B5", (0.0, 0.0, 1.0), (0.5, 0.5, 0.5)),
-    ("B2", (0.0, 1.0, 0.0), (1.0, 0.0, 1.0)),
-)
-
-
-def default_cases_m3(seed: int = 0, extra_random: int = 2):
-    """Five canonical zero-pattern cases plus seeded random positive pairs."""
-    cases = [(name, m, t) for name, m, t in CANONICAL_M3_CASES]
-    rng = np.random.default_rng(seed)
-    for i in range(extra_random):
-        m = tuple(round(float(v), 3) for v in rng.uniform(0.4, 1.2, size=3))
-        t = tuple(round(float(v), 3) for v in rng.uniform(0.4, 1.2, size=3))
-        cases.append((f"R{i + 1}", m, t))
-    return cases
+    m = 1: three splittings.  m = 2: every (M, T) on {0, 0.5, 1}^2 with M, T
+    nonzero and M + T > 0 componentwise, 56 pairs.  m = 3: five zero-pattern
+    cases, then two positive pairs drawn from default_rng(seed).  Any other m
+    raises ValueError.
+    """
+    if m == 1:
+        return [((0.5,), (0.5,)), ((1.0,), (1.0,)), ((0.5,), (1.0,))]
+    if m == 2:
+        vecs = [(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0) if (a, b) != (0.0, 0.0)]
+        return [(mv, tv) for mv in vecs for tv in vecs if mv[0] + tv[0] > 0 and mv[1] + tv[1] > 0]
+    if m == 3:
+        pairs = [
+            ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5)),  # A9
+            ((0.5, 0.0, 0.5), (0.5, 0.5, 0.5)),  # A3
+            ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0)),  # B3
+            ((0.0, 0.0, 1.0), (0.5, 0.5, 0.5)),  # B5
+            ((0.0, 1.0, 0.0), (1.0, 0.0, 1.0)),  # B2
+        ]
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            mv = tuple(round(float(v), 3) for v in rng.uniform(0.4, 1.2, size=3))
+            tv = tuple(round(float(v), 3) for v in rng.uniform(0.4, 1.2, size=3))
+            pairs.append((mv, tv))
+        return pairs
+    raise ValueError(f"default pairs exist for 1, 2 or 3 components, got {m}")
 
 
 def subadditivity_scan(
@@ -345,11 +334,6 @@ class StabilityEntry:
     flags: dict
 
 
-@dataclass(frozen=True, eq=False)
-class StabilityReport:
-    entries: tuple[StabilityEntry, ...]
-
-
 def random_h1_perturbation(grid, m: int, seed: int) -> MultiField:
     """Smooth random multifield normalised to unit H^1 norm.
 
@@ -377,8 +361,8 @@ def stability_experiment(
     p: float,
     *,
     seed: int = 0,
-) -> StabilityReport:
-    """Perturb, propagate, and report sup_t of the orbit distance per epsilon.
+) -> tuple[StabilityEntry, ...]:
+    """Perturb, propagate, and give sup_t of the orbit distance per epsilon.
 
     Perturbations are H^1-normalised random fields scaled by epsilon, added to
     the minimiser and projected back onto the mass spheres.  Every start is
@@ -408,12 +392,6 @@ def stability_experiment(
     for i, eps in enumerate(eps_list):
         trace = ensemble.member(i)
         max_distance = float(np.nanmax(trace.orbit_distance))
-        entries.append(
-            StabilityEntry(
-                epsilon=float(eps),
-                max_distance=max_distance,
-                ratio=max_distance / eps if eps > 0 else float("inf"),
-                flags=dict(trace.flags),
-            )
-        )
-    return StabilityReport(entries=tuple(entries))
+        ratio = max_distance / eps if eps > 0 else float("inf")
+        entries.append(StabilityEntry(float(eps), max_distance, ratio, dict(trace.flags)))
+    return tuple(entries)

@@ -53,8 +53,7 @@ from .analysis import (
     SubadditivityRecord,
     concentration_profile,
     cross_term_check,
-    default_cases_m3,
-    default_mass_pairs_m2,
+    default_pairs,
     infimum_value,
     stability_experiment,
     strict_scaling_check,
@@ -331,17 +330,9 @@ def _run_evolve(config: RunConfig, out_dir: str, outputs: list) -> int:
     return 0
 
 
-def _scan_pairs_for(config: RunConfig):
-    if config.params.component_count == 3:
-        return [(m, t) for _, m, t in default_cases_m3(seed=config.seed)]
-    if config.params.component_count == 2:
-        return default_mass_pairs_m2()
-    return [((0.5,), (0.5,)), ((1.0,), (1.0,)), ((0.5,), (1.0,))]
-
-
 def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
     kernel = _kernel(config)
-    pairs = _scan_pairs_for(config)
+    pairs = default_pairs(config.params.component_count, config.seed)
     result = subadditivity_scan(
         pairs,
         config.params,
@@ -392,7 +383,7 @@ def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
 def _run_stability(config: RunConfig, out_dir: str, outputs: list) -> int:
     kernel = _kernel(config)
     gs = _solve_reference(config, kernel)
-    report = stability_experiment(
+    entries = stability_experiment(
         gs,
         [0.0, 1e-3, 1e-2],
         config.evolution.T,
@@ -405,10 +396,10 @@ def _run_stability(config: RunConfig, out_dir: str, outputs: list) -> int:
         out_dir,
         "stability.csv",
         ["epsilon", "max_distance", "ratio", "flags"],
-        ([repr(e.epsilon), repr(e.max_distance), repr(e.ratio), ";".join(sorted(e.flags))] for e in report.entries),
+        ([repr(e.epsilon), repr(e.max_distance), repr(e.ratio), ";".join(sorted(e.flags))] for e in entries),
         outputs,
     )
-    for e in report.entries:
+    for e in entries:
         print(f"stability: eps={e.epsilon:g} max_distance={e.max_distance:.6g} ratio={e.ratio:.6g}")
     return 0
 
@@ -452,7 +443,10 @@ def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
             v1, v2 = cross_term_check(gs, kernel, p)
             record("cross-term-negative", v1 < 0 and v2 < 0, f"values=({v1:.6g}, {v2:.6g})")
     else:
-        for name in ("phase-factorization", "scaling-gap-positive", "cross-term-negative"):
+        names = ["phase-factorization", "scaling-gap-positive"]
+        if params.component_count == 2:
+            names.append("cross-term-negative")
+        for name in names:
             record(name, False, "reference solve did not converge")
 
     # The sample pair is (M/2, M/2): I(M) is the reference state, so only I(M/2) is solved.
@@ -475,7 +469,7 @@ def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
     )
 
     if gs.converged:
-        q_quarter = concentration_profile(gs.fields, [gs.fields.grid.box_length / 4]).q_values[0]
+        q_quarter = concentration_profile(gs.fields, [gs.fields.grid.box_length / 4])[0]
         record(
             "concentration-tight",
             q_quarter >= 0.99 * params.total_mass,

@@ -42,7 +42,9 @@ cover every member, paying numpy's per-call overhead once.  A single start
 is a 1-member stack on the same path, so each member's arrays are the same
 bits as evolving it alone.  The trace arrays are allocated once, (samples,
 members, ...), and orbit_distance takes the minimiser's side of its
-cross-correlation from the GroundState, which computes it once.
+cross-correlation from the GroundState, which computes it once.  An
+EvolutionTrace holds the sample times, the series and the final time T
+with its drift flags; the step size stays with the caller.
 
 Well-posedness of the initial-value problem is assumed; blow-up detection is
 heuristic (NaN aborts, a >10% energy drift flags the trace).
@@ -98,7 +100,6 @@ class EvolutionTrace:
     masses: np.ndarray  # shape (samples, m), or (samples, members, m)
     energy: np.ndarray
     orbit_distance: np.ndarray
-    dt: float
     T: float
     flags: dict = field(default_factory=dict)
 
@@ -122,7 +123,6 @@ class EvolutionTrace:
             masses=self.masses[:, b],
             energy=energy,
             orbit_distance=self.orbit_distance[:, b],
-            dt=self.dt,
             T=self.T,
             flags=_drift_flags(energy),
         )
@@ -275,7 +275,6 @@ def evolve(
         masses=masses,
         energy=energy,
         orbit_distance=distances,
-        dt=dt,
         T=steps * dt,
         flags=_drift_flags(energy),
     )

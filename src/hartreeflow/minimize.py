@@ -302,7 +302,8 @@ def ground_state(
     per problem; seed and init are then sequences with one entry per problem
     (None: no seed, or the Gaussian start, for every member).  Exhausting
     max_iters returns an unconverged result (flagged, never an exception); a
-    non-finite energy aborts with EnergyNanError.  tol must be finite and
+    non-finite energy aborts with EnergyNanError, and an init with a
+    zero-mass component raises ZeroMassError.  tol must be finite and
     positive and max_iters a non-negative int, else ValueError.  A start
     whose imaginary part is zero is solved in float64 arithmetic throughout;
     the returned fields are complex128 either way.
@@ -327,11 +328,13 @@ def ground_state(
     masses = np.array([q.masses for q in problems], dtype=float)
 
     starts = []
-    for member_masses, member_seed, start in zip(masses, seeds, inits):
+    for b, (member_masses, member_seed, start) in enumerate(zip(masses, seeds, inits)):
         if start is None:
             start = gaussian_init(g, member_masses, seed=member_seed)
         elif start.m != first.component_count or start.grid != g:
             raise ValueError("init does not match params (component count or grid)")
+        elif np.any(gridmod.norms_sq(g, start.data) <= 0):
+            raise ZeroMassError(f"the init of problem {b} has a component with zero mass")
         starts.append(start.data if np.any(start.data.imag) else start.data.real)
 
     p = first.power

@@ -106,19 +106,16 @@ def gs_m1(desk_params, desk_kernel):
 
 @pytest.fixture(scope="session")
 def scan_m2(desk_params, desk_kernel):
-    pairs = hf.default_mass_pairs_m2()
     return hf.subadditivity_scan(
-        pairs, desk_params, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0
+        hf.default_pairs(2), desk_params, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0
     )
 
 
 @pytest.fixture(scope="session")
 def scan_m3(desk_params, desk_kernel):
     params3 = replace(desk_params, component_count=3, masses=(1.0, 1.0, 1.0))
-    cases = hf.default_cases_m3(seed=0, extra_random=2)
-    pairs = [(m, t) for _, m, t in cases]
     return hf.subadditivity_scan(
-        pairs, params3, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0
+        hf.default_pairs(3, 0), params3, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0
     )
 
 
@@ -158,7 +155,7 @@ def standing_trace(desk_params, desk_kernel, gs_m2):
 
 
 @pytest.fixture(scope="session")
-def stability_report(desk_params, desk_kernel, gs_m2):
+def stability_entries(desk_params, desk_kernel, gs_m2):
     return hf.stability_experiment(
         gs_m2, [0.0, 1e-3, 1e-2], 10.0, 1e-3, desk_kernel, desk_params.power, seed=5
     )

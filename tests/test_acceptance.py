@@ -170,9 +170,9 @@ def test_standing_wave_fidelity(gs_m2, standing_trace):
     )
 
 
-def test_orbital_stability(stability_report):
+def test_orbital_stability(stability_entries):
     """Perturbed states stay within 10 eps of the orbit; ratios do not blow up."""
-    entries = {e.epsilon: e for e in stability_report.entries}
+    entries = {e.epsilon: e for e in stability_entries}
     small, large = entries[1e-3], entries[1e-2]
     ok = (
         small.max_distance <= 10 * 1e-3
@@ -190,8 +190,7 @@ def test_orbital_stability(stability_report):
 def test_tightness_and_box_bias(desk_params, desk_kernel, gs_m2):
     """Minimiser mass concentrates in a quarter box; doubling L barely moves the energy."""
     grid = gs_m2.fields.grid
-    prof = hf.concentration_profile(gs_m2.fields, np.array([grid.box_length / 4]))
-    q_quarter = float(prof.q_values[0])
+    q_quarter = float(hf.concentration_profile(gs_m2.fields, np.array([grid.box_length / 4]))[0])
     big = replace(desk_params, box_length=80.0, points_per_dim=512)
     big_kernel = hf.build_kernel(hf.grid_for(big), big.kernel_exponent)
     gs_big = hf.ground_state(big, big_kernel, tol=TOL, seed=1)

@@ -22,10 +22,10 @@ class TestConcentrationProfile:
         _, grid, _ = setup128
         mf = gaussian_field(grid, sigma=1.5, mass_value=2.0)
         radii = np.linspace(grid.spacing, grid.box_length / 2, 30)
-        prof = hf.concentration_profile(mf, radii)
-        assert np.all(np.diff(prof.q_values) >= -1e-12)
-        assert prof.q_values[0] < 2.0
-        assert prof.q_values[-1] == pytest.approx(2.0, rel=1e-10)
+        q = hf.concentration_profile(mf, radii)
+        assert np.all(np.diff(q) >= -1e-12)
+        assert q[0] < 2.0
+        assert q[-1] == pytest.approx(2.0, rel=1e-10)
 
     def test_two_separated_bumps_plateau(self, setup128):
         # equal bumps of mass 1 separated by 20: Q ~ 1 for radii between the
@@ -35,14 +35,14 @@ class TestConcentrationProfile:
         b = gaussian_field(grid, sigma=1.0, mass_value=1.0, center=[10.0])
         mf = hf.MultiField(grid, a.data + b.data)
         mid = hf.concentration_profile(mf, np.array([5.0]))
-        assert mid.q_values[0] == pytest.approx(1.0, abs=1e-6)
+        assert mid[0] == pytest.approx(1.0, abs=1e-6)
         full = hf.concentration_profile(mf, np.array([grid.box_length / 2]))
-        assert full.q_values[0] == pytest.approx(2.0, rel=1e-6)
+        assert full[0] == pytest.approx(2.0, rel=1e-6)
 
     def test_ground_state_tight(self, gs_m2):
         grid = gs_m2.fields.grid
-        prof = hf.concentration_profile(gs_m2.fields, np.array([grid.box_length / 4]))
-        assert prof.q_values[0] >= 0.99 * 2.0
+        q = hf.concentration_profile(gs_m2.fields, np.array([grid.box_length / 4]))
+        assert q[0] >= 0.99 * 2.0
 
     def test_radii_validation(self, setup128):
         _, grid, _ = setup128
@@ -56,7 +56,7 @@ class TestConcentrationProfile:
                 hf.concentration_profile(mf, bad)
         # R = 0 is the origin cell: the largest single-cell mass
         origin = hf.concentration_profile(mf, [0.0, 1.0])
-        assert origin.q_values[0] == pytest.approx(grid.cell_volume * np.max(np.abs(mf.data) ** 2), rel=1e-12)
+        assert origin[0] == pytest.approx(grid.cell_volume * np.max(np.abs(mf.data) ** 2), rel=1e-12)
 
 
 class TestStrictScaling:
@@ -200,19 +200,30 @@ class TestSubadditivityScan:
         assert tiny.value == pytest.approx(hf.infimum_value((1.0,), params, kernel).value, rel=1e-10)
 
     def test_default_m2_grid_shape(self):
-        pairs = hf.default_mass_pairs_m2()
+        pairs = hf.default_pairs(2)
         assert len(pairs) == 56
         for mv, tv in pairs:
             assert any(v > 0 for v in mv) and any(v > 0 for v in tv)
             assert mv[0] + tv[0] > 0 and mv[1] + tv[1] > 0
 
     def test_default_m3_cases(self):
-        cases = hf.default_cases_m3(seed=0, extra_random=2)
-        assert len(cases) == 7
-        names = [c[0] for c in cases]
-        assert names[:5] == ["A9", "A3", "B3", "B5", "B2"]
-        for _, mv, tv in cases:
+        pairs = hf.default_pairs(3, seed=0)
+        assert len(pairs) == 7
+        for mv, tv in pairs:
             assert all(a + b > 0 for a, b in zip(mv, tv))
+        # the two seeded pairs: M is drawn before T, each entry rounded to 3 places
+        assert pairs[5:] == [
+            ((0.91, 0.616, 0.433), (0.413, 1.051, 1.13)),
+            ((0.885, 0.984, 0.835), (1.148, 1.053, 0.402)),
+        ]
+        other = hf.default_pairs(3, seed=7)
+        assert other[:5] == pairs[:5] and other[5:] != pairs[5:]
+
+    def test_default_m1_pairs_and_unknown_component_counts(self):
+        assert hf.default_pairs(1) == [((0.5,), (0.5,)), ((1.0,), (1.0,)), ((0.5,), (1.0,))]
+        for m in (0, 4):
+            with pytest.raises(ValueError, match="1, 2 or 3 components"):
+                hf.default_pairs(m)
 
 
 class TestMassScalingOfSingleEnergy:
@@ -226,12 +237,12 @@ class TestMassScalingOfSingleEnergy:
 
 
 class TestStabilityExperiment:
-    def test_report_structure_and_bounds(self, stability_report):
-        eps = [e.epsilon for e in stability_report.entries]
+    def test_report_structure_and_bounds(self, stability_entries):
+        eps = [e.epsilon for e in stability_entries]
         assert eps == [0.0, 1e-3, 1e-2]
-        unperturbed = stability_report.entries[0]
+        unperturbed = stability_entries[0]
         assert unperturbed.max_distance <= 1e-4
-        for entry in stability_report.entries[1:]:
+        for entry in stability_entries[1:]:
             assert entry.max_distance <= 10 * entry.epsilon
             assert not entry.flags
 
@@ -329,7 +340,7 @@ class TestStackedScan:
 
         monkeypatch.setattr(hf.analysis, "ground_state", spy)
         # the default m=2 grid: 2 keys of m=1 and 10 of m=2, at 3 seeds each
-        hf.subadditivity_scan(hf.default_mass_pairs_m2(), params, kernel, tol=1e-3, seeds_per_value=3)
+        hf.subadditivity_scan(hf.default_pairs(2), params, kernel, tol=1e-3, seeds_per_value=3)
         cap = hf.minimize._STACK_POINTS
         assert all(b * m * grid.total_points <= cap for b, m in sizes)
         assert sizes == [(6, 1), (30, 2)]
@@ -352,7 +363,7 @@ class TestStackedScan:
             return stacked(problems, *args, **kwargs)
 
         monkeypatch.setattr(hf.analysis, "ground_state", spy)
-        scan = hf.subadditivity_scan(hf.default_mass_pairs_m2(), desk_params, desk_kernel, tol=1e-6,
+        scan = hf.subadditivity_scan(hf.default_pairs(2), desk_params, desk_kernel, tol=1e-6,
                                      seeds_per_value=seeds)
         assert sizes == calls
         assert not scan.excluded

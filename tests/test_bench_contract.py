@@ -7,10 +7,15 @@ without failing any other test.  These tests install hfbench's own Tracer
 and Counter, read-only, around in-process runs of tiny experiments, and run
 hfbench's artifact checks, the benchmark's gate, on what those runs wrote.
 hfbench/checks.py and hfbench/micro.py import public names of the package
-(Field, convolve_density, el_residual, h1_norm_sq, ...); the last test runs
-both on a small state, so that deleting such a name fails here too.
+(Field, convolve_density, el_residual, h1_norm_sq, ...); one test runs both
+on a small state, so that deleting such a name fails here too.  Another
+reads every `from hartreeflow... import` of hfbench/*.py without running it
+(run.py imports SystemParams only in its full benchmark run).
 """
 
+import ast
+import glob
+import importlib
 import json
 import os
 import sys
@@ -23,7 +28,8 @@ import hartreeflow as hf
 from hartreeflow import analysis, cli
 from hartreeflow.evolve import step_count
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "hfbench"))
+HFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "hfbench")
+sys.path.insert(0, HFBENCH)
 import checks  # noqa: E402
 import micro  # noqa: E402
 from tracer import Counter, Tracer, layer_metrics  # noqa: E402
@@ -147,9 +153,8 @@ def test_scan_iterations_are_the_solo_iterations(tmp_path):
     config = _config(tmp_path, "scan-subadditivity", "solo")
     kernel = hf.build_kernel(hf.grid_for(config.params), config.params.kernel_exponent)
     solver = config.solver
-    keys = dict.fromkeys(
-        analysis._infimum_key(v) for mv, tv in cli._scan_pairs_for(config) for v in (mv, tv, np.add(mv, tv))
-    )
+    pairs = hf.default_pairs(config.params.component_count, config.seed)
+    keys = dict.fromkeys(analysis._infimum_key(v) for mv, tv in pairs for v in (mv, tv, np.add(mv, tv)))
     solo = 0
     for key in keys:
         problem = replace(config.params, component_count=len(key), masses=key)
@@ -168,3 +173,16 @@ def test_reference_checks_and_micro_timings_run(monkeypatch):
     timings = micro.micro_timings(gs, kernel, params.power, 1e-3)
     assert len(timings) == 5
     assert all(np.isfinite(us) and us > 0 for us in timings.values())
+
+
+def test_every_name_hfbench_imports_exists():
+    imported = []
+    for path in sorted(glob.glob(os.path.join(HFBENCH, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hartreeflow":
+                imported += [(os.path.basename(path), node.module, alias.name) for alias in node.names]
+    assert ("run.py", "hartreeflow", "SystemParams") in imported
+    missing = [entry for entry in imported if not hasattr(importlib.import_module(entry[1]), entry[2])]
+    assert missing == []

@@ -243,8 +243,8 @@ class TestRun:
         config = hf.load_config(path)
         solver = config.solver
         scan = hf.subadditivity_scan(
-            cli._scan_pairs_for(config), config.params, cli._kernel(config), tol=solver.tol,
-            max_iters=solver.max_iters, seeds_per_value=solver.seeds, base_seed=config.seed,
+            hf.default_pairs(config.params.component_count, config.seed), config.params, cli._kernel(config),
+            tol=solver.tol, max_iters=solver.max_iters, seeds_per_value=solver.seeds, base_seed=config.seed,
         )
         s = config.params.dilation_exponent
         records = scan.records + scan.excluded
@@ -344,6 +344,31 @@ class TestRun:
         assert main(["check-lemmas", "--config", path]) == 1
         report = json.loads((out / "lemma_checks.json").read_text())
         assert report["passed"] is False
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_check_lemmas_unconverged_reference_keeps_the_entry_names(self, tmp_path, capsys, m):
+        # a reference solve stopped at max_iters fails each check that needs it,
+        # and the report lists the entries of a converged run at the same m
+        reports = {}
+        for max_iters in (1, 50000):
+            out = tmp_path / f"out{max_iters}"
+            cfg = base_config(output_dir=str(out))
+            cfg["params"].update(component_count=m, masses=[1.0] * m)
+            cfg["solver"]["max_iters"] = max_iters
+            status = main(["check-lemmas", "--config", write_config(tmp_path, cfg)])
+            reports[max_iters] = (status, json.loads((out / "lemma_checks.json").read_text())["checks"])
+        status, checks = reports[1]
+        assert status == 1
+        needs_reference = ["phase-factorization", "scaling-gap-positive", "concentration-tight"]
+        if m == 2:
+            needs_reference.append("cross-term-negative")
+        outcome = {c["name"]: (c["passed"], c["detail"]) for c in checks}
+        for name in needs_reference:
+            assert outcome[name] == (False, "reference solve did not converge")
+        converged = reports[50000][1]
+        assert "converged=True" in converged[0]["detail"]
+        assert [c["name"] for c in checks] == [c["name"] for c in converged]
         capsys.readouterr()
 
     def test_bad_config_exit_two(self, tmp_path, capsys):

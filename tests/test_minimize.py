@@ -226,6 +226,17 @@ class TestGroundState:
         with pytest.raises(EnergyNanError):
             hf.ground_state(params, kernel, init=hf.MultiField(grid, data), max_iters=10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_mass_init_raises_zero_mass_error(self, small_setup):
+        # checked before the projection, which would divide by the zero mass
+        params, grid, kernel = small_setup
+        good = hf.gaussian_init(grid, params.masses)
+        zero = hf.MultiField(grid, np.concatenate([good.data[:1], np.zeros((1,) + grid.shape)]))
+        with pytest.raises(ZeroMassError, match="problem 0"):
+            hf.ground_state(params, kernel, init=zero)
+        with pytest.raises(ZeroMassError, match="problem 1"):
+            hf.ground_state([params, params], kernel, init=[good, zero], seed=[0, 1])
+
     def test_init_shape_mismatch_rejected(self, small_setup):
         params, grid, kernel = small_setup
         bad = hf.MultiField(grid, np.ones((3,) + grid.shape, dtype=complex))
