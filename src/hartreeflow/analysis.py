@@ -3,9 +3,9 @@
 Every check here turns an analytic statement about the constrained
 minimisation problem into a computation with an explicit margin:
 
-* strict_scaling_check measures the gap Gamma E(u) - E(Gamma^{1/2} u), which
-  equals (Gamma^p - Gamma) F_{2p}(u, u) identically and is strictly positive
-  whenever the interaction of u is;
+* strict_scaling_check returns the gap Gamma E(u) - E(Gamma^{1/2} u) with
+  F_{2p}(u, u): the gap equals (Gamma^p - Gamma) F_{2p}(u, u) identically and
+  is strictly positive whenever the interaction of u is;
 * cross_term_check evaluates E(phi_j) - F_p(phi_1, phi_2) on a converged
   two-component minimiser, which must come out strictly negative;
 * subadditivity_scan verifies I(M + T) < I(M) + I(T) over a list of mass
@@ -81,16 +81,10 @@ def concentration_profile(mf: MultiField, radii) -> np.ndarray:
 # -- scaling and cross-term checks --------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrictScalingResult:
-    delta_observed: float  # Gamma E(u) - E(Gamma^(1/2) u)
-    pair_term: float  # F_{2p}(u, u)
+def strict_scaling_check(u: MultiField, scale: float, kernel: Kernel, p: float) -> tuple[float, float]:
+    """(delta, F_{2p}(u, u)): the gap delta = Gamma E(u) - E(Gamma^{1/2} u) and the pair term.
 
-
-def strict_scaling_check(u: MultiField, scale: float, kernel: Kernel, p: float) -> StrictScalingResult:
-    """Gap in the scaling inequality E(Gamma^{1/2} u) <= Gamma E(u) - delta.
-
-    delta_observed equals (Gamma^p - Gamma) F_{2p}(u, u) identically; on a
+    delta equals (Gamma^p - Gamma) F_{2p}(u, u) identically; on a
     minimiser component the pair term is bounded away from zero, making the
     gap strictly positive for every Gamma > 1.  E(u) and E(Gamma^{1/2} u) are
     one stacked total_energy call, and F_{2p}(u, u) is the interaction of u.
@@ -101,7 +95,7 @@ def strict_scaling_check(u: MultiField, scale: float, kernel: Kernel, p: float) 
     x = gridmod.stack_of(kernel.grid, u)
     energy = total_energy(np.stack([x, np.sqrt(scale) * x]), kernel, p)
     e_u, e_scaled = float(energy.total[0]), float(energy.total[1])
-    return StrictScalingResult(delta_observed=scale * e_u - e_scaled, pair_term=float(energy.interaction[0]))
+    return scale * e_u - e_scaled, float(energy.interaction[0])
 
 
 def cross_term_check(gs: GroundState, kernel: Kernel, p: float) -> tuple[float, float]:

@@ -28,7 +28,8 @@ example, with every optional key at its default:
 
 Subcommands: validate | minimize | evolve | scan | stability | check-lemmas,
 each taking --config PATH and optional --out DIR, --seed N.  check-lemmas
-exits nonzero if any assertion fails.
+exits nonzero if any assertion fails; an unconverged reference solve fails
+every entry, computing none.  stability exits 1 on an unconverged reference.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ import numpy as np
 from . import __version__
 from . import grid as gridmod
 from .analysis import (
-    Infimum,
-    SubadditivityRecord,
     concentration_profile,
     cross_term_check,
     default_pairs,
@@ -383,6 +382,9 @@ def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
 def _run_stability(config: RunConfig, out_dir: str, outputs: list) -> int:
     kernel = _kernel(config)
     gs = _solve_reference(config, kernel)
+    if not gs.converged:
+        print(f"error: stability needs a converged reference solve; it stopped with {gs.stop_reason}", file=sys.stderr)
+        return 1
     entries = stability_experiment(
         gs,
         [0.0, 1e-3, 1e-2],
@@ -408,75 +410,58 @@ def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
     """Battery of the analytically guaranteed facts at the configured scale."""
     kernel = _kernel(config)
     params = config.params
-    p = params.power
-    checks = []
+    p, solver = params.power, config.solver
+    gs = _solve_reference(config, kernel)
+    sample_margin = math.nan
 
-    def record(name, passed, detail):
+    def phase():
+        worst = float(np.max(phase_factorize(gs.fields).deviation))
+        return worst <= 1e-6, f"max deviation={worst:.3e}"
+
+    def scaling_gap():
+        delta, pair_term = strict_scaling_check(gs.fields.components[0], 1.5, kernel, p)
+        identity_err = abs(delta - (1.5**p - 1.5) * pair_term)
+        return delta > 0 and identity_err <= 1e-10 * max(abs(delta), 1.0), f"delta={delta:.8g}"
+
+    def cross_term():
+        v1, v2 = cross_term_check(gs, kernel, p)
+        return v1 < 0 and v2 < 0, f"values=({v1:.6g}, {v2:.6g})"
+
+    def subadditivity_sample():
+        # The sample pair is (M/2, M/2): I(M) is the reference state, so only I(M/2) is solved.
+        nonlocal sample_margin
+        half = tuple(m / 2 for m in params.masses)
+        i_half = infimum_value(
+            half, params, kernel, tol=solver.tol, max_iters=solver.max_iters, seeds_per_value=solver.seeds,
+            base_seed=config.seed,
+        )
+        sample_margin = 2 * i_half.value - gs.energy.total
+        return i_half.converged and sample_margin > 10 * solver.tol, f"margin={sample_margin:.6g}"
+
+    def concentration():
+        q_quarter = concentration_profile(gs.fields, [gs.fields.grid.box_length / 4])[0]
+        return q_quarter >= 0.99 * params.total_mass, f"Q(L/4)={q_quarter:.8g} of total={params.total_mass}"
+
+    entries = [
+        (
+            "infimum-negative",
+            lambda: (gs.energy.total < -10 * solver.tol, f"energy={gs.energy.total:.8g} converged={gs.converged}"),
+        ),
+        (
+            "multipliers-positive",
+            lambda: (np.all(gs.multipliers > 0), f"lambda={[round(float(v), 6) for v in gs.multipliers]}"),
+        ),
+        ("phase-factorization", phase),
+        ("scaling-gap-positive", scaling_gap),
+        *([("cross-term-negative", cross_term)] if params.component_count == 2 else []),
+        ("subadditivity-sample", subadditivity_sample),
+        ("concentration-tight", concentration),
+    ]
+    checks = []
+    for name, check in entries:
+        passed, detail = check() if gs.converged else (False, "reference solve did not converge")
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-
-    gs = _solve_reference(config, kernel)
-    record(
-        "infimum-negative",
-        gs.converged and gs.energy.total < -10 * config.solver.tol,
-        f"energy={gs.energy.total:.8g} converged={gs.converged}",
-    )
-    record(
-        "multipliers-positive",
-        gs.converged and bool(np.all(gs.multipliers > 0)),
-        f"lambda={[round(float(v), 6) for v in gs.multipliers]}",
-    )
-    if gs.converged:
-        worst = float(np.max(phase_factorize(gs.fields).deviation))
-        record("phase-factorization", worst <= 1e-6, f"max deviation={worst:.3e}")
-
-        comp = gs.fields.components[0]
-        sc = strict_scaling_check(comp, 1.5, kernel, p)
-        identity_err = abs(sc.delta_observed - (1.5**p - 1.5) * sc.pair_term)
-        record(
-            "scaling-gap-positive",
-            sc.delta_observed > 0 and identity_err <= 1e-10 * max(abs(sc.delta_observed), 1.0),
-            f"delta={sc.delta_observed:.8g}",
-        )
-
-        if params.component_count == 2:
-            v1, v2 = cross_term_check(gs, kernel, p)
-            record("cross-term-negative", v1 < 0 and v2 < 0, f"values=({v1:.6g}, {v2:.6g})")
-    else:
-        names = ["phase-factorization", "scaling-gap-positive"]
-        if params.component_count == 2:
-            names.append("cross-term-negative")
-        for name in names:
-            record(name, False, "reference solve did not converge")
-
-    # The sample pair is (M/2, M/2): I(M) is the reference state, so only I(M/2) is solved.
-    half = tuple(m / 2 for m in params.masses)
-    i_half = infimum_value(
-        half,
-        params,
-        kernel,
-        tol=config.solver.tol,
-        max_iters=config.solver.max_iters,
-        seeds_per_value=config.solver.seeds,
-        base_seed=config.seed,
-    )
-    i_ref = Infimum(gs.energy, gs.multipliers, (config.seed,), (gs.stop_reason,))
-    sample = SubadditivityRecord(half, half, (i_half, i_half, i_ref))
-    record(
-        "subadditivity-sample",
-        sample.converged and sample.margin > 10 * config.solver.tol,
-        f"margin={sample.margin:.6g}",
-    )
-
-    if gs.converged:
-        q_quarter = concentration_profile(gs.fields, [gs.fields.grid.box_length / 4])[0]
-        record(
-            "concentration-tight",
-            q_quarter >= 0.99 * params.total_mass,
-            f"Q(L/4)={q_quarter:.8g} of total={params.total_mass}",
-        )
-    else:
-        record("concentration-tight", False, "reference solve did not converge")
 
     # Informational, never an entry of checks: each of those must pass.
     s = params.dilation_exponent
@@ -486,7 +471,7 @@ def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
     gamma = params.mass_scaling_exponent
     scaling = {
         "mass_scaling_exponent": gamma,
-        "sample_margin_ratio": sample.margin / abs(i_ref.value) if i_ref.value else math.nan,
+        "sample_margin_ratio": sample_margin / abs(gs.energy.total) if gs.energy.total else math.nan,
         "predicted_ratio": 1 - 2 ** (1 - gamma),
     }
     passed = all(c["passed"] for c in checks)
@@ -510,7 +495,10 @@ _SUBCOMMAND_NAMES = {"scan-subadditivity": "scan", "lemma-checks": "check-lemmas
 def run(config: RunConfig, config_path: str | None = None) -> int:
     """Execute one experiment; writes artifacts plus a manifest, returns exit status."""
     out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"cannot create output directory {out_dir}: a file is in the way") from None
     outputs: list = []
     inputs = {"config_path": config_path or "<inline>"}
     if config_path and os.path.exists(config_path):

@@ -63,21 +63,21 @@ class TestStrictScaling:
     def test_identity_p2(self, desk_params, desk_kernel, gs_m2):
         # for p = 2, Gamma = 2: the gap equals 2 F_4(u, u) exactly
         comp = gs_m2.fields.components[0]
-        res = hf.strict_scaling_check(comp, 2.0, desk_kernel, 2.0)
-        assert res.delta_observed == pytest.approx(2.0 * res.pair_term, abs=1e-12)
+        delta, pair_term = hf.strict_scaling_check(comp, 2.0, desk_kernel, 2.0)
+        assert delta == pytest.approx(2.0 * pair_term, abs=1e-12)
 
     def test_gap_vanishes_at_unit_scale(self, desk_kernel, gs_m2):
         comp = gs_m2.fields.components[0]
-        res = hf.strict_scaling_check(comp, 1.0 + 1e-9, desk_kernel, 2.0)
-        assert abs(res.delta_observed) <= 1e-8 * res.pair_term
+        delta, pair_term = hf.strict_scaling_check(comp, 1.0 + 1e-9, desk_kernel, 2.0)
+        assert abs(delta) <= 1e-8 * pair_term
 
     def test_strictly_positive_on_minimiser(self, desk_kernel, gs_m2):
         comp = gs_m2.fields.components[0]
         for gamma in (1.1, 1.5, 2.0):
-            res = hf.strict_scaling_check(comp, gamma, desk_kernel, 2.0)
-            assert res.delta_observed > 0
-            expected = (gamma**2.0 - gamma) * res.pair_term
-            assert abs(res.delta_observed - expected) <= 1e-12
+            delta, pair_term = hf.strict_scaling_check(comp, gamma, desk_kernel, 2.0)
+            assert delta > 0
+            expected = (gamma**2.0 - gamma) * pair_term
+            assert abs(delta - expected) <= 1e-12
 
     def test_rejects_scale_below_one(self, desk_kernel, gs_m2):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import asdict, fields, replace
 
+import numpy as np
 import pytest
 
 import hartreeflow as hf
@@ -53,6 +54,44 @@ def lemmas_2d_config(tmp_path, seed=0):
 def lemma_checks(tmp_path):
     report = json.loads((tmp_path / "out" / "lemma_checks.json").read_text())
     return {c["name"]: c for c in report["checks"]}
+
+
+def ramped(gs):
+    """gs with its fields turned by the phase ramp exp(2 pi i x_1 / L)."""
+    g = gs.fields.grid
+    ramp = np.exp(2j * np.pi * g.coordinate_arrays[0] / g.box_length)
+    return replace(gs, fields=hf.MultiField(g, gs.fields.data * ramp))
+
+
+def far_apart(gs):
+    """gs with component 1 replaced, at its mass, by a narrow Gaussian half a box from the origin."""
+    g = gs.fields.grid
+    bump = np.roll(np.exp(-((g.radius / (2 * g.spacing)) ** 2)), g.points_per_dim // 2, axis=g.spatial_axes)
+    data = gs.fields.data.copy()
+    data[0] = bump * np.sqrt(hf.grid.norms_sq(g, data[:1])[0] / hf.grid.norms_sq(g, bump[None])[0])
+    return replace(gs, fields=hf.MultiField(g, data))
+
+
+def spread(gs):
+    """gs with every component replaced by the constant field of its mass."""
+    g = gs.fields.grid
+    masses = hf.grid.norms_sq(g, gs.fields.data)
+    constant = np.sqrt(masses / g.box_length**g.space_dim)
+    return replace(gs, fields=hf.MultiField(g, np.ones_like(gs.fields.data) * constant[:, None]))
+
+
+# A converged reference state, altered so that one entry's claim is false.
+# scaling-gap-positive has none: its delta = (1.5^p - 1.5) F(u, u) is positive
+# for every nonzero first component at p > 1.
+NEGATIVE_CONTROLS = {
+    "infimum-negative": lambda gs: replace(gs, energy=hf.EnergyBreakdown.make(2.0, 1.0)),
+    "multipliers-positive": lambda gs: replace(gs, multipliers=-gs.multipliers),
+    "phase-factorization": ramped,
+    "cross-term-negative": far_apart,
+    # I(M) = 0 makes the sample margin 2 I(M/2) < 0
+    "subadditivity-sample": lambda gs: replace(gs, energy=hf.EnergyBreakdown.make(1.0, 1.0)),
+    "concentration-tight": spread,
+}
 
 
 class TestLoadConfig:
@@ -289,11 +328,12 @@ class TestRun:
         capsys.readouterr()
 
     def test_check_lemmas_sample_fails_with_its_reference_solve(self, tmp_path, monkeypatch, capsys):
-        # the half-mass runs converge, but I(M) is the reference state, which did not
+        # the half-mass runs would converge, but I(M) is the reference state, which did not
         solve = cli.ground_state
         monkeypatch.setattr(cli, "ground_state", lambda *a, **kw: replace(solve(*a, **kw), stop_reason="max_iters"))
         assert main(["check-lemmas", "--config", lemmas_2d_config(tmp_path)]) == 1
-        assert lemma_checks(tmp_path)["subadditivity-sample"]["passed"] is False
+        sample = lemma_checks(tmp_path)["subadditivity-sample"]
+        assert (sample["passed"], sample["detail"]) == (False, "reference solve did not converge")
         capsys.readouterr()
 
     def test_check_lemmas_reports_the_sample_margin_against_the_scaling_law(self, tmp_path, capsys):
@@ -347,9 +387,13 @@ class TestRun:
         capsys.readouterr()
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_check_lemmas_unconverged_reference_keeps_the_entry_names(self, tmp_path, capsys, m):
-        # a reference solve stopped at max_iters fails each check that needs it,
-        # and the report lists the entries of a converged run at the same m
+    def test_check_lemmas_unconverged_reference_keeps_the_entry_names(self, tmp_path, monkeypatch, capsys, m):
+        # a reference solve stopped at max_iters fails every entry with that
+        # reason and computes none: I(M/2) is not solved and its ratio is NaN;
+        # the report lists the entries of a converged run at the same m
+        half_solves = []
+        solve = hf.analysis.ground_state
+        monkeypatch.setattr(hf.analysis, "ground_state", lambda *a, **kw: half_solves.append(a) or solve(*a, **kw))
         reports = {}
         for max_iters in (1, 50000):
             out = tmp_path / f"out{max_iters}"
@@ -357,19 +401,64 @@ class TestRun:
             cfg["params"].update(component_count=m, masses=[1.0] * m)
             cfg["solver"]["max_iters"] = max_iters
             status = main(["check-lemmas", "--config", write_config(tmp_path, cfg)])
-            reports[max_iters] = (status, json.loads((out / "lemma_checks.json").read_text())["checks"])
-        status, checks = reports[1]
-        assert status == 1
-        needs_reference = ["phase-factorization", "scaling-gap-positive", "concentration-tight"]
-        if m == 2:
-            needs_reference.append("cross-term-negative")
-        outcome = {c["name"]: (c["passed"], c["detail"]) for c in checks}
-        for name in needs_reference:
-            assert outcome[name] == (False, "reference solve did not converge")
-        converged = reports[50000][1]
+            reports[max_iters] = (status, json.loads((out / "lemma_checks.json").read_text()), len(half_solves))
+        status, report, solves = reports[1]
+        assert (status, solves) == (1, 0)
+        assert all((c["passed"], c["detail"]) == (False, "reference solve did not converge") for c in report["checks"])
+        assert math.isnan(report["scaling"]["sample_margin_ratio"])
+        converged = reports[50000][1]["checks"]
         assert "converged=True" in converged[0]["detail"]
-        assert [c["name"] for c in checks] == [c["name"] for c in converged]
+        assert [c["name"] for c in report["checks"]] == [c["name"] for c in converged]
+        assert reports[50000][2] == 1  # the converged run solves I(M/2), and the spy sees it
         capsys.readouterr()
+
+    @pytest.mark.parametrize("entry", list(NEGATIVE_CONTROLS))
+    def test_check_lemmas_entry_fails_on_its_negative_control(self, tmp_path, monkeypatch, capsys, entry):
+        # every entry passes on this config unaltered (test_check_lemmas_exit_zero)
+        solve = cli.ground_state
+        monkeypatch.setattr(cli, "ground_state", lambda *a, **kw: NEGATIVE_CONTROLS[entry](solve(*a, **kw)))
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["params"]["points_per_dim"] = 128
+        assert main(["check-lemmas", "--config", write_config(tmp_path, cfg)]) == 1
+        assert lemma_checks(tmp_path)[entry]["passed"] is False
+        capsys.readouterr()
+
+    def test_stability_unconverged_reference_exits_one(self, tmp_path, capsys):
+        # the error names the stop reason, and the manifest lists no outputs
+        out = tmp_path / "out"
+        cfg = base_config(output_dir=str(out))
+        cfg["solver"]["max_iters"] = 1
+        assert main(["stability", "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: stability needs a converged reference solve; it stopped with max_iters\n"
+        assert os.listdir(out) == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == {}
+
+    @pytest.mark.parametrize(
+        "command, status",
+        [("validate", 0), ("minimize", 0), ("evolve", 0), ("scan", 0), ("stability", 1), ("check-lemmas", 1)],
+    )
+    def test_no_subcommand_crashes_on_an_unconverged_solve(self, tmp_path, capsys, command, status):
+        out = tmp_path / "out"
+        cfg = base_config(output_dir=str(out))
+        cfg["solver"]["max_iters"] = 1
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == status
+        err = capsys.readouterr().err
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+        assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("out", ["taken", os.path.join("taken", "out")])
+    def test_out_naming_a_file_exit_two(self, tmp_path, capsys, out):
+        # a file where the output directory should be: one error line, nothing written
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        path = write_config(tmp_path, base_config())
+        assert main(["validate", "--config", path, "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot create output directory {tmp_path / out}: a file is in the way\n"
+        assert taken.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["run.json", "taken"]
 
     def test_bad_config_exit_two(self, tmp_path, capsys):
         cfg = base_config()
