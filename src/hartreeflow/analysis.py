@@ -15,7 +15,8 @@ minimisation problem into a computation with an explicit margin:
   Q(R) = sup_y int_{B_R(y)} sum_j |u_j|^2 at each radius, whose saturation
   at moderate R diagnoses tightness of the computed minimiser;
 * stability_experiment perturbs a minimiser, propagates, and gives one
-  StabilityEntry per perturbation size: its worst distance to the orbit.
+  StabilityEntry per perturbation size: its worst distance to the orbit and
+  its sampled trace (StabilityEntry.trace, the member's EvolutionTrace).
 
 The scan solves the seeded runs of all infima with one component count in
 stacked ground_state calls of up to stack_capacity members; each member's
@@ -45,7 +46,7 @@ from .minimize import (
     project_masses,
     stack_capacity,
 )
-from .evolve import evolve
+from .evolve import EvolutionTrace, evolve
 from .params import SystemParams
 
 
@@ -326,6 +327,7 @@ class StabilityEntry:
     max_distance: float
     ratio: float  # max_distance / epsilon (inf for epsilon = 0)
     flags: dict
+    trace: EvolutionTrace  # the member's samples, every STABILITY_RECORD_EVERY steps
 
 
 def random_h1_perturbation(grid, m: int, seed: int) -> MultiField:
@@ -387,5 +389,5 @@ def stability_experiment(
         trace = ensemble.member(i)
         max_distance = float(np.nanmax(trace.orbit_distance))
         ratio = max_distance / eps if eps > 0 else float("inf")
-        entries.append(StabilityEntry(float(eps), max_distance, ratio, dict(trace.flags)))
+        entries.append(StabilityEntry(float(eps), max_distance, ratio, dict(trace.flags), trace))
     return tuple(entries)

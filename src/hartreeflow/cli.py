@@ -26,10 +26,11 @@ example, with every optional key at its default:
       "seed": 0
     }
 
-Subcommands: validate | minimize | evolve | scan | stability | check-lemmas,
-each taking --config PATH and optional --out DIR, --seed N.  check-lemmas
-exits nonzero if any assertion fails; an unconverged reference solve fails
-every entry, computing none.  stability exits 1 on an unconverged reference.
+Subcommands: validate | minimize | scan | stability | check-lemmas, each
+taking --config PATH and optional --out DIR, --seed N.  check-lemmas exits
+nonzero if any assertion fails; an unconverged reference solve fails every
+entry, computing none.  stability exits 1 on an unconverged reference, else
+writes stability.csv and trace.csv, every member's samples.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import numpy as np
 from . import __version__
 from . import grid as gridmod
 from .analysis import (
+    STABILITY_RECORD_EVERY,
     concentration_profile,
     cross_term_check,
     default_pairs,
@@ -58,7 +60,7 @@ from .analysis import (
     strict_scaling_check,
     subadditivity_scan,
 )
-from .evolve import evolve, step_count
+from .evolve import step_count
 from .hartree import build_kernel, virial_residual
 from .minimize import ground_state, phase_factorize
 from .params import InvalidParameterError, SystemParams, validate_assumptions
@@ -126,29 +128,46 @@ def _from_json(kind, value, where: str):
     return value
 
 
-def _check_grid_fits(params: SystemParams) -> None:
-    """Refuse a grid whose one complex field stack exceeds physical memory, before any array exists.
+# The stability experiment's perturbation sizes; 0 is the unperturbed minimiser.
+STABILITY_EPSILONS = (0.0, 1e-3, 1e-2)
 
-    Every experiment holds at least one such stack, 16 m n^N bytes; the
-    size is compared in log2 so that no huge integer is formed.
+
+def _check_memory(config: RunConfig, steps: int) -> None:
+    """Refuse a config whose arrays exceed physical memory, before any array exists.
+
+    Every experiment holds a complex field stack of 16 m n^N bytes, and
+    stability a trace of 1 + ceil(steps / STABILITY_RECORD_EVERY) samples,
+    each a time and, per perturbation size, m masses, an energy and an orbit
+    distance in float64; every config is sized as if it ran stability.
+    Sizes are compared in log2, so that n^N is never formed.
     """
-    needed_log2 = math.log2(16 * params.component_count) + params.space_dim * math.log2(params.points_per_dim)
     try:
         available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return  # the platform does not report its memory size
-    if needed_log2 > math.log2(available):
-        raise ConfigError(
-            f"config.params.points_per_dim = {params.points_per_dim} with space_dim = {params.space_dim} "
-            f"is too large: one field stack needs 2^{needed_log2:.1f} bytes, more than the "
-            f"{available:.3g} bytes of memory on this machine"
-        )
+    params, evolution, m = config.params, config.evolution, config.params.component_count
+    samples = 1 + -(-steps // STABILITY_RECORD_EVERY)
+    needs = {
+        f"config.params.points_per_dim = {params.points_per_dim} with space_dim = {params.space_dim} is too "
+        "large: one field stack": math.log2(16 * m) + params.space_dim * math.log2(params.points_per_dim),
+        f"config.evolution: T = {evolution.T} with dt = {evolution.dt} is too long: the stability trace of "
+        f"{samples} samples": math.log2(8 * samples * (1 + len(STABILITY_EPSILONS) * (m + 2))),
+    }
+    for what, needed_log2 in needs.items():
+        if needed_log2 > math.log2(available):
+            raise ConfigError(
+                f"{what} needs 2^{needed_log2:.1f} bytes, more than the {available:.3g} bytes of memory on this machine"
+            )
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON object, then apply the checks that span fields."""
     config = _from_json(RunConfig, raw, "config")
-    _check_grid_fits(config.params)
+    try:
+        steps = step_count(config.evolution.T, config.evolution.dt)
+    except ValueError as exc:
+        raise ConfigError(f"config.evolution: {exc}") from None
+    _check_memory(config, steps)
     report = validate_assumptions(config.params)
     if not report.passed:
         names = ", ".join(c.name for c in report.failing())
@@ -165,10 +184,6 @@ def parse_config(raw: dict) -> RunConfig:
     solver = config.solver
     if not (np.isfinite(solver.tol) and solver.tol > 0) or solver.max_iters <= 0 or solver.seeds <= 0:
         raise ConfigError("config.solver values must be finite and positive")
-    try:
-        step_count(config.evolution.T, config.evolution.dt)
-    except ValueError as exc:
-        raise ConfigError(f"config.evolution: {exc}") from None
     if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config.experiment!r}; expected one of {', '.join(EXPERIMENTS)}")
     return config
@@ -299,36 +314,6 @@ def _run_minimize(config: RunConfig, out_dir: str, outputs: list) -> int:
     return 0
 
 
-def _run_evolve(config: RunConfig, out_dir: str, outputs: list) -> int:
-    kernel = _kernel(config)
-    gs = _solve_reference(config, kernel)
-    trace = evolve(
-        gs.fields,
-        config.evolution.T,
-        config.evolution.dt,
-        kernel,
-        config.params.power,
-        ground_state=gs,
-        record_every=max(1, step_count(config.evolution.T, config.evolution.dt) // 200),
-    )
-    masses = [f"mass_{j + 1}" for j in range(config.params.component_count)]
-    _write_csv(
-        out_dir,
-        "trace.csv",
-        ["t", *masses, "energy", "orbit_distance"],
-        (
-            [repr(float(v)) for v in (t, *mass, e, d)]
-            for t, mass, e, d in zip(trace.times, trace.masses, trace.energy, trace.orbit_distance)
-        ),
-        outputs,
-    )
-    print(
-        f"evolve: T={trace.T}, mass drift={trace.mass_drift:.3e}, "
-        f"energy drift={trace.energy_drift:.3e}, flags={trace.flags}"
-    )
-    return 0
-
-
 def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
     kernel = _kernel(config)
     pairs = default_pairs(config.params.component_count, config.seed)
@@ -387,7 +372,7 @@ def _run_stability(config: RunConfig, out_dir: str, outputs: list) -> int:
         return 1
     entries = stability_experiment(
         gs,
-        [0.0, 1e-3, 1e-2],
+        STABILITY_EPSILONS,
         config.evolution.T,
         config.evolution.dt,
         kernel,
@@ -399,6 +384,18 @@ def _run_stability(config: RunConfig, out_dir: str, outputs: list) -> int:
         "stability.csv",
         ["epsilon", "max_distance", "ratio", "flags"],
         ([repr(e.epsilon), repr(e.max_distance), repr(e.ratio), ";".join(sorted(e.flags))] for e in entries),
+        outputs,
+    )
+    masses = [f"mass_{j + 1}" for j in range(config.params.component_count)]
+    _write_csv(
+        out_dir,
+        "trace.csv",
+        ["epsilon", "t", *masses, "energy", "orbit_distance"],
+        (
+            [repr(float(v)) for v in (e.epsilon, t, *mass, energy, d)]
+            for e in entries
+            for t, mass, energy, d in zip(e.trace.times, e.trace.masses, e.trace.energy, e.trace.orbit_distance)
+        ),
         outputs,
     )
     for e in entries:
@@ -484,7 +481,6 @@ def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
 EXPERIMENTS = {
     "validate": _run_validate,
     "minimize": _run_minimize,
-    "evolve": _run_evolve,
     "scan-subadditivity": _run_scan,
     "stability": _run_stability,
     "lemma-checks": _run_lemma_checks,

@@ -125,7 +125,6 @@ PARAMS_2D = {**PARAMS, "space_dim": 2, "kernel_exponent": 1.0, "box_length": 20.
     "experiment, params",
     [
         pytest.param("minimize", PARAMS, id="minimize"),
-        pytest.param("evolve", PARAMS, id="evolve"),
         pytest.param("scan-subadditivity", PARAMS, id="scan-subadditivity"),
         pytest.param("stability", PARAMS, id="stability"),
         pytest.param("lemma-checks", PARAMS_2D, id="lemma-checks-2d"),
@@ -138,13 +137,10 @@ def test_traced_and_counted_runs_agree(tmp_path, experiment, params):
     for tag in ("traced", "counted"):
         _assert_gate_passes(experiment, tmp_path / tag)
     assert layers["minimize.iters"] == counts["minimize.iters"] > 0
-    # The tracer counts each step in the innermost open span.  It opens
-    # evolve.evolve spans only at analysis' binding of evolve, so the evolve
-    # experiment's steps count in cli.run, outside the evolve.steps metric.
-    assert sum(s.steps for s in spans) == counts["evolve.steps"]
-    if experiment != "evolve":
-        assert layers["evolve.steps"] == counts["evolve.steps"]
-    if experiment in ("stability", "evolve"):
+    # The tracer counts each step in the innermost open span; every step of
+    # every experiment lies in an evolve.evolve span, inside the metric.
+    assert sum(s.steps for s in spans) == layers["evolve.steps"] == counts["evolve.steps"]
+    if experiment == "stability":
         assert counts["evolve.steps"] == step_count(0.1, 1e-3) > 0
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
@@ -222,12 +223,21 @@ class TestRun:
         assert sidecar["seed"] == 11
 
     def test_evolve_writes_trace(self, tmp_path):
+        # stability writes every member's trace, in epsilon order: T = 0.05 and
+        # dt = 1e-3 take 50 steps, sampled every 25; each member's largest
+        # distance is its max_distance in stability.csv
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(output_dir=str(out)))
-        assert main(["evolve", "--config", path]) == 0
-        lines = (out / "trace.csv").read_text().splitlines()
-        assert lines[0] == "t,mass_1,mass_2,energy,orbit_distance"
-        assert len(lines) > 2
+        assert main(["stability", "--config", path]) == 0
+        with open(out / "trace.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["epsilon", "t", "mass_1", "mass_2", "energy", "orbit_distance"]
+        epsilons = cli.STABILITY_EPSILONS
+        assert [row[:2] for row in rows] == [[repr(eps), repr(k * 1e-3)] for eps in epsilons for k in (0, 25, 50)]
+        with open(out / "stability.csv", newline="", encoding="utf-8") as fh:
+            entries = list(csv.DictReader(fh))
+        for eps, entry in zip(epsilons, entries):
+            assert entry["max_distance"] == repr(max(float(row[-1]) for row in rows if row[0] == repr(eps)))
 
     @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
     def test_output_dir_holds_exactly_the_manifest_outputs(self, tmp_path, experiment):
@@ -436,7 +446,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "command, status",
-        [("validate", 0), ("minimize", 0), ("evolve", 0), ("scan", 0), ("stability", 1), ("check-lemmas", 1)],
+        [("validate", 0), ("minimize", 0), ("scan", 0), ("stability", 1), ("check-lemmas", 1)],
     )
     def test_no_subcommand_crashes_on_an_unconverged_solve(self, tmp_path, capsys, command, status):
         out = tmp_path / "out"
@@ -473,7 +483,7 @@ class TestRun:
         cfg = base_config(output_dir=str(tmp_path / "out"))
         cfg[section][key] = value
         path = write_config(tmp_path, cfg)
-        command = "evolve" if section == "evolution" else "minimize"
+        command = "stability" if section == "evolution" else "minimize"
         assert main([command, "--config", path]) == 2
         assert "finite" in capsys.readouterr().err
 
@@ -482,8 +492,36 @@ class TestRun:
         cfg = base_config(output_dir=str(tmp_path / "out"))
         cfg["evolution"] = {"T": 1e300, "dt": 1e-10}
         path = write_config(tmp_path, cfg)
-        assert main(["evolve", "--config", path]) == 2
+        assert main(["stability", "--config", path]) == 2
         assert "T/dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "stability"])
+    def test_stability_trace_too_large_exit_two(self, tmp_path, capsys, monkeypatch, command):
+        # T/dt is finite, but a stability trace of 4e13 samples exceeds any
+        # memory: every config is refused before any solve, nothing written
+        monkeypatch.setattr(cli, "ground_state", lambda *a, **kw: pytest.fail("solved"))
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["evolution"] = {"T": 1e12, "dt": 1e-3}
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.evolution: T = 1000000000000.0 with dt = 0.001 is too long")
+        assert "stability trace of 40000000000001 samples" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_evolve_is_not_an_experiment(self, tmp_path, capsys):
+        # stability is the one evolution experiment: no subcommand, no config value
+        path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))
+        with pytest.raises(SystemExit) as exited:
+            main(["evolve", "--config", path])
+        assert exited.value.code == 2
+        assert "invalid choice: 'evolve'" in capsys.readouterr().err
+        valid = "validate, minimize, scan-subadditivity, stability, lemma-checks"
+        with pytest.raises(ConfigError, match=f"unknown experiment 'evolve'; expected one of {valid}$"):
+            parse_config(base_config(experiment="evolve"))
+        path = write_config(tmp_path, base_config(experiment="evolve", output_dir=str(tmp_path / "out")))
+        assert main(["stability", "--config", path]) == 2
+        assert valid in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -580,7 +618,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "command,experiment",
-        [("validate", "validate"), ("minimize", "minimize"), ("evolve", "evolve"),
+        [("validate", "validate"), ("minimize", "minimize"),
          ("scan", "scan-subadditivity"), ("stability", "stability"), ("check-lemmas", "lemma-checks")],
     )
     def test_subcommand_runs_its_experiment(self, tmp_path, capsys, command, experiment):
@@ -594,3 +632,10 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["experiment"] == experiment
         capsys.readouterr()
+
+
+def test_readme_command_block_lists_every_subcommand():
+    # the README's `python -m hartreeflow <command>` lines are the parser's subcommands
+    with open(os.path.join(os.path.dirname(REFERENCE), os.pardir, "README.md"), encoding="utf-8") as fh:
+        listed = re.findall(r"^python -m hartreeflow (\S+)", fh.read(), re.MULTILINE)
+    assert sorted(listed) == sorted(cli._SUBCOMMAND_NAMES.get(e, e) for e in cli.EXPERIMENTS)

@@ -311,22 +311,26 @@ class TestEvolve:
         assert tr.flags.get("unstable") is True
 
     def test_trace_csv_round_trip(self, tmp_path, setup128):
-        # the CLI's evolve runner writes trace.csv: a header, then one row per recorded sample
+        # stability's trace.csv: a header, then one row per member per sample in
+        # epsilon order; the epsilon = 0 rows are the minimiser evolved alone
         params, _, kernel = setup128
         config = RunConfig(
-            params, SolverConfig(tol=1e-4), EvolutionConfig(T=5e-3, dt=1e-3),
-            experiment="evolve", output_dir=str(tmp_path), seed=7,
+            params, SolverConfig(tol=1e-4), EvolutionConfig(T=0.1, dt=1e-3),
+            experiment="stability", output_dir=str(tmp_path), seed=7,
         )
         assert cli.run(config) == 0
         with open(tmp_path / "trace.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "mass_1", "mass_2", "energy", "orbit_distance"]
+            header, *rows = csv.reader(fh)
+        assert header == ["epsilon", "t", "mass_1", "mass_2", "energy", "orbit_distance"]
         gs = cli._solve_reference(config, kernel)
-        trace = hf.evolve(gs.fields, 5e-3, 1e-3, kernel, 2.0, ground_state=gs)
-        assert len(rows) == 1 + len(trace.times) == 7
-        for row, t, mass, e, d in zip(rows[1:], trace.times, trace.masses, trace.energy, trace.orbit_distance):
-            assert [float(v) for v in row] == [t, *mass, e, d]
-        assert float(rows[1][1]) == pytest.approx(1.0, rel=1e-12)
+        record_every = hf.analysis.STABILITY_RECORD_EVERY
+        trace = hf.evolve(gs.fields, 0.1, 1e-3, kernel, 2.0, ground_state=gs, record_every=record_every)
+        assert len(trace.times) == 5
+        assert [float(row[0]) for row in rows] == [eps for eps in cli.STABILITY_EPSILONS for _ in trace.times]
+        unperturbed = [[float(v) for v in row[1:]] for row in rows if float(row[0]) == 0]
+        samples = zip(trace.times, trace.masses, trace.energy, trace.orbit_distance)
+        assert unperturbed == [[t, *mass, e, d] for t, mass, e, d in samples]
+        assert unperturbed[0][1] == pytest.approx(1.0, rel=1e-12)
 
 
 def small_ground_state(space_dim, m, n, p):
