@@ -15,8 +15,9 @@ minimisation problem into a computation with an explicit margin:
   Q(R) = sup_y int_{B_R(y)} sum_j |u_j|^2 at each radius, whose saturation
   at moderate R diagnoses tightness of the computed minimiser;
 * stability_experiment perturbs a minimiser, propagates, and gives one
-  StabilityEntry per perturbation size: its worst distance to the orbit and
-  its sampled trace (StabilityEntry.trace, the member's EvolutionTrace).
+  StabilityEntry per perturbation size: epsilon and the member's sampled
+  EvolutionTrace, from which the entry reads its worst distance to the orbit
+  and its ratio to epsilon.
 
 The scan solves the seeded runs of all infima with one component count in
 stacked ground_state calls of up to stack_capacity members; each member's
@@ -324,10 +325,17 @@ STABILITY_RECORD_EVERY = 25
 @dataclass(frozen=True, eq=False)
 class StabilityEntry:
     epsilon: float
-    max_distance: float
-    ratio: float  # max_distance / epsilon (inf for epsilon = 0)
-    flags: dict
     trace: EvolutionTrace  # the member's samples, every STABILITY_RECORD_EVERY steps
+
+    @property
+    def max_distance(self) -> float:
+        """The largest sampled orbit distance."""
+        return float(np.nanmax(self.trace.orbit_distance))
+
+    @property
+    def ratio(self) -> float:
+        """max_distance / epsilon, inf for epsilon = 0."""
+        return self.max_distance / self.epsilon if self.epsilon > 0 else float("inf")
 
 
 def random_h1_perturbation(grid, m: int, seed: int) -> MultiField:
@@ -341,8 +349,7 @@ def random_h1_perturbation(grid, m: int, seed: int) -> MultiField:
     mask = grid.k_squared <= cutoff**2
     spec = np.zeros((m,) + grid.shape, dtype=complex)
     coeffs = rng.standard_normal((m, int(mask.sum()))) + 1j * rng.standard_normal((m, int(mask.sum())))
-    for j in range(m):
-        spec[j][mask] = coeffs[j]
+    spec[:, mask] = coeffs
     mf = MultiField(grid, gridmod.ifftn_grid(grid, spec))
     h1 = np.sqrt(sum(gridmod.h1_norm_sq(c) for c in mf.components))
     return MultiField(grid, mf.data / h1)
@@ -364,7 +371,7 @@ def stability_experiment(
     the minimiser and projected back onto the mass spheres.  Every start is
     built (and every epsilon checked, an empty eps_list refused) before the
     ensemble is evolved as one stack, sampled every STABILITY_RECORD_EVERY
-    steps.  Integrator instability flags propagate into the entries.
+    steps.  Each entry's trace tells whether its member went unstable.
     """
     if not gs.converged:
         raise ValueError("stability experiment requires a converged minimiser")
@@ -384,10 +391,4 @@ def stability_experiment(
                 project_masses(MultiField(gs.fields.grid, gs.fields.data + eps * pert.data), masses)
             )
     ensemble = evolve(starts, T, dt, kernel, p, ground_state=gs, record_every=STABILITY_RECORD_EVERY)
-    entries = []
-    for i, eps in enumerate(eps_list):
-        trace = ensemble.member(i)
-        max_distance = float(np.nanmax(trace.orbit_distance))
-        ratio = max_distance / eps if eps > 0 else float("inf")
-        entries.append(StabilityEntry(float(eps), max_distance, ratio, dict(trace.flags), trace))
-    return tuple(entries)
+    return tuple(StabilityEntry(float(eps), ensemble.member(i)) for i, eps in enumerate(eps_list))

@@ -60,7 +60,7 @@ from .analysis import (
     strict_scaling_check,
     subadditivity_scan,
 )
-from .evolve import step_count
+from .evolve import sample_count, step_count
 from .hartree import build_kernel, virial_residual
 from .minimize import ground_state, phase_factorize
 from .params import InvalidParameterError, SystemParams, validate_assumptions
@@ -136,7 +136,7 @@ def _check_memory(config: RunConfig, steps: int) -> None:
     """Refuse a config whose arrays exceed physical memory, before any array exists.
 
     Every experiment holds a complex field stack of 16 m n^N bytes, and
-    stability a trace of 1 + ceil(steps / STABILITY_RECORD_EVERY) samples,
+    stability a trace of sample_count(steps, STABILITY_RECORD_EVERY) samples,
     each a time and, per perturbation size, m masses, an energy and an orbit
     distance in float64; every config is sized as if it ran stability.
     Sizes are compared in log2, so that n^N is never formed.
@@ -146,7 +146,7 @@ def _check_memory(config: RunConfig, steps: int) -> None:
     except (AttributeError, OSError, ValueError):
         return  # the platform does not report its memory size
     params, evolution, m = config.params, config.evolution, config.params.component_count
-    samples = 1 + -(-steps // STABILITY_RECORD_EVERY)
+    samples = sample_count(steps, STABILITY_RECORD_EVERY)
     needs = {
         f"config.params.points_per_dim = {params.points_per_dim} with space_dim = {params.space_dim} is too "
         "large: one field stack": math.log2(16 * m) + params.space_dim * math.log2(params.points_per_dim),
@@ -383,7 +383,10 @@ def _run_stability(config: RunConfig, out_dir: str, outputs: list) -> int:
         out_dir,
         "stability.csv",
         ["epsilon", "max_distance", "ratio", "flags"],
-        ([repr(e.epsilon), repr(e.max_distance), repr(e.ratio), ";".join(sorted(e.flags))] for e in entries),
+        (
+            [repr(e.epsilon), repr(e.max_distance), repr(e.ratio), "unstable" if e.trace.unstable else ""]
+            for e in entries
+        ),
         outputs,
     )
     masses = [f"mass_{j + 1}" for j in range(config.params.component_count)]
@@ -495,6 +498,8 @@ def run(config: RunConfig, config_path: str | None = None) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"cannot create output directory {out_dir}: a file is in the way") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from None
     outputs: list = []
     inputs = {"config_path": config_path or "<inline>"}
     if config_path and os.path.exists(config_path):

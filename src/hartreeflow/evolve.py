@@ -43,16 +43,16 @@ is a 1-member stack on the same path, so each member's arrays are the same
 bits as evolving it alone.  The trace arrays are allocated once, (samples,
 members, ...), and orbit_distance takes the minimiser's side of its
 cross-correlation from the GroundState, which computes it once.  An
-EvolutionTrace holds the sample times, the series and the final time T
-with its drift flags; the step size stays with the caller.
+EvolutionTrace holds the sample times and the series; its drifts and its
+unstable flag are read off them, and the step size stays with the caller.
 
 Well-posedness of the initial-value problem is assumed; blow-up detection is
-heuristic (NaN aborts, a >10% energy drift flags the trace).
+heuristic (NaN aborts, a >10% energy drift makes the trace unstable).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,12 +79,9 @@ def step_count(T: float, dt: float) -> int:
     return max(1, int(round(ratio)))
 
 
-def _drift_flags(energy: np.ndarray) -> dict:
-    """{"unstable": True} when some energy series leaves 10% of its start (axis 0 is time)."""
-    scale = np.maximum(np.abs(energy[0]), 1e-30)
-    if np.any(np.max(np.abs(energy - energy[0]), axis=0) > ENERGY_DRIFT_FLAG * scale):
-        return {"unstable": True}
-    return {}
+def sample_count(steps: int, record_every: int) -> int:
+    """Samples that evolve records: steps 0, record_every, 2 record_every, ... and the last step."""
+    return 1 + -(-steps // record_every)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +90,21 @@ class EvolutionTrace:
 
     A trace of several starts evolved together carries a member axis right
     after the sample axis in every array but times; member(b) is the trace of
-    start b alone.  The drifts of such a trace are the largest over members.
+    start b alone.  The drifts of such a trace are the largest over members,
+    and it is unstable if any member is.
     """
 
     times: np.ndarray
     masses: np.ndarray  # shape (samples, m), or (samples, members, m)
     energy: np.ndarray
     orbit_distance: np.ndarray
-    T: float
-    flags: dict = field(default_factory=dict)
+
+    @property
+    def unstable(self) -> bool:
+        """Some energy series leaves ENERGY_DRIFT_FLAG (10%) of its start."""
+        e0 = self.energy[0]
+        scale = np.maximum(np.abs(e0), 1e-30)
+        return bool(np.any(np.max(np.abs(self.energy - e0), axis=0) > ENERGY_DRIFT_FLAG * scale))
 
     @property
     def mass_drift(self) -> float:
@@ -116,16 +119,8 @@ class EvolutionTrace:
         return float(np.max(np.abs(self.energy - e0)))
 
     def member(self, b: int) -> "EvolutionTrace":
-        """The trace of start b of a stacked evolution, flagged on its own energy."""
-        energy = self.energy[:, b]
-        return EvolutionTrace(
-            times=self.times,
-            masses=self.masses[:, b],
-            energy=energy,
-            orbit_distance=self.orbit_distance[:, b],
-            T=self.T,
-            flags=_drift_flags(energy),
-        )
+        """The trace of start b of a stacked evolution."""
+        return EvolutionTrace(self.times, self.masses[:, b], self.energy[:, b], self.orbit_distance[:, b])
 
 
 class Propagator:
@@ -231,7 +226,7 @@ def evolve(
     a member axis (see EvolutionTrace.member).  The trace starts at t = 0 and
     always includes the final time.  If a reference minimiser is supplied the
     orbit distance is recorded alongside; otherwise that column is NaN.  An
-    energy drift beyond 10% flags the trace as unstable instead of raising.
+    energy drift beyond 10% makes the trace unstable instead of raising.
     """
     steps = step_count(T, dt)
     if isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer)) or record_every < 1:
@@ -248,9 +243,8 @@ def evolve(
     prop = Propagator(grid, kernel, p, dt)
     x = np.stack([s.data for s in starts])  # a ValueError unless all have one m
     x.setflags(write=False)
-    # samples at steps 0, record_every, 2 record_every, ... and steps; step k
-    # lands in sample ceil(k / record_every)
-    samples = 1 + -(-steps // record_every)
+    # step k lands in sample ceil(k / record_every)
+    samples = sample_count(steps, record_every)
     times = np.empty(samples)
     masses = np.empty((samples,) + x.shape[:2])
     energy = np.empty((samples, len(x)))
@@ -270,13 +264,6 @@ def evolve(
         if k % record_every == 0 or k == steps:
             record(k, x)
 
-    trace = EvolutionTrace(
-        times=times,
-        masses=masses,
-        energy=energy,
-        orbit_distance=distances,
-        T=steps * dt,
-        flags=_drift_flags(energy),
-    )
+    trace = EvolutionTrace(times, masses, energy, distances)
     return trace.member(0) if single else trace
 

@@ -244,7 +244,7 @@ class TestStabilityExperiment:
         assert unperturbed.max_distance <= 1e-4
         for entry in stability_entries[1:]:
             assert entry.max_distance <= 10 * entry.epsilon
-            assert not entry.flags
+            assert not entry.trace.unstable
 
     def test_unconverged_input_rejected(self, desk_params, desk_kernel):
         bad = hf.ground_state(desk_params, desk_kernel, seed=0, tol=1e-12, max_iters=2)

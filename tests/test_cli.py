@@ -222,7 +222,7 @@ class TestRun:
         sidecar = json.loads((out / "ground_state.json").read_text())
         assert sidecar["seed"] == 11
 
-    def test_evolve_writes_trace(self, tmp_path):
+    def test_stability_writes_trace(self, tmp_path):
         # stability writes every member's trace, in epsilon order: T = 0.05 and
         # dt = 1e-3 take 50 steps, sampled every 25; each member's largest
         # distance is its max_distance in stability.csv
@@ -238,6 +238,24 @@ class TestRun:
             entries = list(csv.DictReader(fh))
         for eps, entry in zip(epsilons, entries):
             assert entry["max_distance"] == repr(max(float(row[-1]) for row in rows if row[0] == repr(eps)))
+
+    def test_stability_flags_only_the_drifting_member(self, tmp_path, monkeypatch):
+        # the largest epsilon's energy doubles at its last sample, a drift far
+        # beyond 10%: its row reads unstable, the other rows are empty
+        real = cli.stability_experiment
+
+        def last_drifts(*args, **kwargs):
+            *kept, last = real(*args, **kwargs)
+            energy = last.trace.energy.copy()
+            energy[-1] *= 2
+            return (*kept, replace(last, trace=replace(last.trace, energy=energy)))
+
+        monkeypatch.setattr(cli, "stability_experiment", last_drifts)
+        out = tmp_path / "out"
+        assert main(["stability", "--config", write_config(tmp_path, base_config(output_dir=str(out)))]) == 0
+        with open(out / "stability.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["flags"] for row in rows] == ["", "", "unstable"]
 
     @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
     def test_output_dir_holds_exactly_the_manifest_outputs(self, tmp_path, experiment):
@@ -469,6 +487,19 @@ class TestRun:
         assert captured.err == f"error: cannot create output directory {tmp_path / out}: a file is in the way\n"
         assert taken.read_text() == "kept\n"
         assert sorted(os.listdir(tmp_path)) == ["run.json", "taken"]
+
+    def test_uncreatable_output_dir_exit_two(self, tmp_path, capsys, monkeypatch):
+        # any OSError of makedirs (here a refused permission): one error line, nothing written
+        def refuse(path, exist_ok=False):
+            raise PermissionError(13, "Permission denied", path)
+
+        path = write_config(tmp_path, base_config())
+        monkeypatch.setattr(os, "makedirs", refuse)
+        assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot create output directory {tmp_path / 'out'}: Permission denied\n"
+        assert os.listdir(tmp_path) == ["run.json"]
 
     def test_bad_config_exit_two(self, tmp_path, capsys):
         cfg = base_config()
