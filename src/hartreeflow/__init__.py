@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 
 from .params import (
     InvalidParameterError,
+    SolverConfig,
     SystemParams,
     ValidationClause,
     ValidationReport,

@@ -39,16 +39,9 @@ import numpy as np
 from . import grid as gridmod
 from .grid import MultiField
 from .hartree import EnergyBreakdown, Kernel, pair_interaction, total_density, total_energy
-from .minimize import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
-    GroundState,
-    ground_state,
-    project_masses,
-    stack_capacity,
-)
+from .minimize import GroundState, ground_state, project_masses, stack_capacity
 from .evolve import EvolutionTrace, evolve
-from .params import SystemParams
+from .params import SolverConfig, SystemParams
 
 
 # -- concentration ------------------------------------------------------------
@@ -191,25 +184,20 @@ def infimum_value(
     params: SystemParams,
     kernel: Kernel,
     *,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    seeds_per_value: int = 2,
+    solver: SolverConfig = SolverConfig(),
     base_seed: int = 0,
 ) -> Infimum:
-    """The Infimum at a mass vector, the lowest of several seeded runs.
+    """The Infimum at a mass vector, the lowest of solver.seeds seeded runs.
 
     Zero entries reduce the problem to the positive sub-vector: the energy is
     symmetric in the components, so only the positive masses matter.  masses
-    must be finite, non-negative and not all zero, and seeds_per_value a
-    positive int, else ValueError.
+    must be finite, non-negative and not all zero, else ValueError.
     """
     key = _infimum_key(_mass_vector(masses))
-    return _infima(
-        [key], params, kernel, tol=tol, max_iters=max_iters, seeds_per_value=seeds_per_value, base_seed=base_seed
-    )[key]
+    return _infima([key], params, kernel, solver=solver, base_seed=base_seed)[key]
 
 
-def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds_per_value, base_seed) -> dict:
+def _infima(keys, params: SystemParams, kernel: Kernel, *, solver: SolverConfig, base_seed) -> dict:
     """The Infimum of every key (sorted positive masses), in the order of keys.
 
     The seeded runs of all keys with one component count are solved in
@@ -217,9 +205,7 @@ def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds
     iterates are the bits of its solo solve, so no value depends on which
     runs share a stack.  Each key keeps its runs' stop reasons and its lowest run.
     """
-    if isinstance(seeds_per_value, bool) or not isinstance(seeds_per_value, (int, np.integer)) or seeds_per_value < 1:
-        raise ValueError(f"seeds_per_value must be a positive int, got {seeds_per_value!r}")
-    seeds = {key: tuple(_stable_seed(key, base_seed, i) for i in range(seeds_per_value)) for key in keys}
+    seeds = {key: tuple(_stable_seed(key, base_seed, i) for i in range(solver.seeds)) for key in keys}
     runs_by_count: dict[int, list] = {}  # component count -> (key, seed) of each run
     for key, key_seeds in seeds.items():
         runs_by_count.setdefault(len(key), []).extend((key, seed) for seed in key_seeds)
@@ -231,8 +217,8 @@ def _infima(keys, params: SystemParams, kernel: Kernel, *, tol, max_iters, seeds
             stack = ground_state(
                 [replace(params, component_count=count, masses=key) for key, _ in chunk],
                 kernel,
-                tol=tol,
-                max_iters=max_iters,
+                tol=solver.tol,
+                max_iters=solver.max_iters,
                 seed=[seed for _, seed in chunk],
             )
             for (key, _), gs in zip(chunk, stack.members):
@@ -277,9 +263,7 @@ def subadditivity_scan(
     params: SystemParams,
     kernel: Kernel,
     *,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    seeds_per_value: int = 2,
+    solver: SolverConfig = SolverConfig(),
     base_seed: int = 0,
 ) -> ScanResult:
     """Margins I(M) + I(T) - I(M + T) over a list of mass splittings.
@@ -304,9 +288,7 @@ def subadditivity_scan(
             raise ValueError(f"combined masses must be strictly positive, got {sv}")
         pair_list.append((mv, tv, sv))
     keys = list(dict.fromkeys(_infimum_key(vec) for triple in pair_list for vec in triple))
-    cache = _infima(
-        keys, params, kernel, tol=tol, max_iters=max_iters, seeds_per_value=seeds_per_value, base_seed=base_seed
-    )
+    cache = _infima(keys, params, kernel, solver=solver, base_seed=base_seed)
 
     records, excluded = [], []
     for mv, tv, sv in pair_list:

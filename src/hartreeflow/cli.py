@@ -26,11 +26,16 @@ example, with every optional key at its default:
       "seed": 0
     }
 
+parse_config is that schema walk alone: each record checks its own values
+when built and raises InvalidParameterError, so a config built in Python or
+changed by dataclasses.replace (as --out and --seed do) meets the same rules.
+
 Subcommands: validate | minimize | scan | stability | check-lemmas, each
 taking --config PATH and optional --out DIR, --seed N.  check-lemmas exits
 nonzero if any assertion fails; an unconverged reference solve fails every
 entry, computing none.  stability exits 1 on an unconverged reference, else
-writes stability.csv and trace.csv, every member's samples.
+writes stability.csv and trace.csv, every member's samples.  A non-finite
+energy or field exits 1 with one error line.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import typing
@@ -60,10 +66,10 @@ from .analysis import (
     strict_scaling_check,
     subadditivity_scan,
 )
-from .evolve import sample_count, step_count
+from .evolve import NanAbortError, sample_count, step_count
 from .hartree import build_kernel, virial_residual
-from .minimize import ground_state, phase_factorize
-from .params import InvalidParameterError, SystemParams, validate_assumptions
+from .minimize import EnergyNanError, ground_state, phase_factorize
+from .params import InvalidParameterError, SolverConfig, SystemParams, _check_type, validate_assumptions
 
 
 class ConfigError(ValueError):
@@ -71,26 +77,50 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-6
-    max_iters: int = 300_000
-    seeds: int = 2
-
-
-@dataclass(frozen=True)
 class EvolutionConfig:
     T: float = 5.0
     dt: float = 1e-3
 
+    def __post_init__(self):
+        _check_type(self, numbers.Real, "T", "dt")
+        try:
+            step_count(self.T, self.dt)
+        except ValueError as exc:
+            raise InvalidParameterError(str(exc)) from None
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run.  Construction checks what spans its records (memory, validate_assumptions,
+    kernel_exponent < space_dim), its seed and its experiment; messages name config paths."""
+
     params: SystemParams
     solver: SolverConfig = field(default_factory=SolverConfig)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     experiment: str = "validate"
     output_dir: str = "out"
     seed: int = 0
+
+    def __post_init__(self):
+        _check_memory(self)
+        report = validate_assumptions(self.params)
+        if not report.passed:
+            names = ", ".join(c.name for c in report.failing())
+            raise InvalidParameterError(f"parameter assumptions violated: {names}")
+        # The kernel's origin cell carries a finite average only below this bound;
+        # it is a limit of build_kernel, not one of the paper's clauses.
+        alpha, n_dim = self.params.kernel_exponent, self.params.space_dim
+        if alpha >= n_dim:
+            raise InvalidParameterError(
+                f"config.params.kernel_exponent = {alpha} must be below config.params.space_dim = {n_dim}: "
+                "|x|^(-alpha) is not integrable at the origin"
+            )
+        _check_type(self, numbers.Integral, "seed")
+        if self.seed < 0:
+            raise InvalidParameterError(f"config.seed must be non-negative, got {self.seed}")
+        if self.experiment not in EXPERIMENTS:
+            expected = ", ".join(EXPERIMENTS)
+            raise InvalidParameterError(f"unknown experiment {self.experiment!r}; expected one of {expected}")
 
 
 _type_hints = functools.cache(typing.get_type_hints)
@@ -113,7 +143,8 @@ def _from_json(kind, value, where: str):
         try:
             return kind(**{key: _from_json(hints[key], v, f"{where}.{key}") for key, v in value.items()})
         except InvalidParameterError as exc:
-            raise ConfigError(f"{where} invalid: {exc}") from exc
+            # RunConfig's messages name their values from "config" down
+            raise ConfigError(str(exc) if kind is RunConfig else f"{where} invalid: {exc}") from exc
     if typing.get_origin(kind) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{where} has wrong type: expected list, got {type(value).__name__}")
@@ -132,7 +163,7 @@ def _from_json(kind, value, where: str):
 STABILITY_EPSILONS = (0.0, 1e-3, 1e-2)
 
 
-def _check_memory(config: RunConfig, steps: int) -> None:
+def _check_memory(config: RunConfig) -> None:
     """Refuse a config whose arrays exceed physical memory, before any array exists.
 
     Every experiment holds a complex field stack of 16 m n^N bytes, and
@@ -146,7 +177,7 @@ def _check_memory(config: RunConfig, steps: int) -> None:
     except (AttributeError, OSError, ValueError):
         return  # the platform does not report its memory size
     params, evolution, m = config.params, config.evolution, config.params.component_count
-    samples = sample_count(steps, STABILITY_RECORD_EVERY)
+    samples = sample_count(step_count(evolution.T, evolution.dt), STABILITY_RECORD_EVERY)
     needs = {
         f"config.params.points_per_dim = {params.points_per_dim} with space_dim = {params.space_dim} is too "
         "large: one field stack": math.log2(16 * m) + params.space_dim * math.log2(params.points_per_dim),
@@ -155,43 +186,14 @@ def _check_memory(config: RunConfig, steps: int) -> None:
     }
     for what, needed_log2 in needs.items():
         if needed_log2 > math.log2(available):
-            raise ConfigError(
+            raise InvalidParameterError(
                 f"{what} needs 2^{needed_log2:.1f} bytes, more than the {available:.3g} bytes of memory on this machine"
             )
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON object, then apply the checks that span fields."""
-    config = _from_json(RunConfig, raw, "config")
-    try:
-        steps = step_count(config.evolution.T, config.evolution.dt)
-    except ValueError as exc:
-        raise ConfigError(f"config.evolution: {exc}") from None
-    _check_memory(config, steps)
-    report = validate_assumptions(config.params)
-    if not report.passed:
-        names = ", ".join(c.name for c in report.failing())
-        raise ConfigError(f"parameter assumptions violated: {names}")
-    # The kernel's origin cell carries a finite average only below this bound;
-    # it is a limit of build_kernel, not one of the paper's clauses.
-    alpha, n_dim = config.params.kernel_exponent, config.params.space_dim
-    if alpha >= n_dim:
-        raise ConfigError(
-            f"config.params.kernel_exponent = {alpha} must be below config.params.space_dim = {n_dim}: "
-            "|x|^(-alpha) is not integrable at the origin"
-        )
-    _check_seed(config.seed)
-    solver = config.solver
-    if not (np.isfinite(solver.tol) and solver.tol > 0) or solver.max_iters <= 0 or solver.seeds <= 0:
-        raise ConfigError("config.solver values must be finite and positive")
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}; expected one of {', '.join(EXPERIMENTS)}")
-    return config
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ConfigError(f"config.seed must be non-negative, got {seed}")
+    """The RunConfig of a parsed JSON object: _from_json's schema walk; each record checks its own values."""
+    return _from_json(RunConfig, raw, "config")
 
 
 def load_config(path) -> RunConfig:
@@ -317,15 +319,7 @@ def _run_minimize(config: RunConfig, out_dir: str, outputs: list) -> int:
 def _run_scan(config: RunConfig, out_dir: str, outputs: list) -> int:
     kernel = _kernel(config)
     pairs = default_pairs(config.params.component_count, config.seed)
-    result = subadditivity_scan(
-        pairs,
-        config.params,
-        kernel,
-        tol=config.solver.tol,
-        max_iters=config.solver.max_iters,
-        seeds_per_value=config.solver.seeds,
-        base_seed=config.seed,
-    )
+    result = subadditivity_scan(pairs, config.params, kernel, solver=config.solver, base_seed=config.seed)
     s = config.params.dilation_exponent
     _write_csv(
         out_dir,
@@ -431,10 +425,7 @@ def _run_lemma_checks(config: RunConfig, out_dir: str, outputs: list) -> int:
         # The sample pair is (M/2, M/2): I(M) is the reference state, so only I(M/2) is solved.
         nonlocal sample_margin
         half = tuple(m / 2 for m in params.masses)
-        i_half = infimum_value(
-            half, params, kernel, tol=solver.tol, max_iters=solver.max_iters, seeds_per_value=solver.seeds,
-            base_seed=config.seed,
-        )
+        i_half = infimum_value(half, params, kernel, solver=solver, base_seed=config.seed)
         sample_margin = 2 * i_half.value - gs.energy.total
         return i_half.converged and sample_margin > 10 * solver.tol, f"margin={sample_margin:.6g}"
 
@@ -504,7 +495,11 @@ def run(config: RunConfig, config_path: str | None = None) -> int:
     inputs = {"config_path": config_path or "<inline>"}
     if config_path and os.path.exists(config_path):
         inputs["config_sha256"] = _sha256(config_path)
-    status = EXPERIMENTS[config.experiment](config, out_dir, outputs)
+    try:
+        status = EXPERIMENTS[config.experiment](config, out_dir, outputs)
+    except (EnergyNanError, NanAbortError) as exc:
+        print(f"error: {config.experiment} stopped: {exc}", file=sys.stderr)
+        status = 1
     _write_manifest(out_dir, config, inputs, outputs)
     return status
 
@@ -519,15 +514,11 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
+    overrides = {"experiment": args.experiment, "output_dir": args.out, "seed": args.seed}
     try:
-        config = replace(load_config(args.config), experiment=args.experiment)
-        if args.out is not None:
-            config = replace(config, output_dir=args.out)
-        if args.seed is not None:
-            _check_seed(args.seed)
-            config = replace(config, seed=args.seed)
+        config = replace(load_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
         return run(config, config_path=args.config)
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,6 +52,7 @@ heuristic (NaN aborts, a >10% energy drift makes the trace unstable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,10 @@ class NanAbortError(RuntimeError):
 def step_count(T: float, dt: float) -> int:
     """Number of steps of size dt that evolve takes to reach T (at least 1)."""
     for name, value in (("T", T), ("dt", dt)):
-        if not (np.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     ratio = T / dt
-    if not np.isfinite(ratio):
+    if not math.isfinite(ratio):
         raise ValueError(f"T/dt must give a finite step count, got T={T}, dt={dt}")
     return max(1, int(round(ratio)))
 

@@ -102,10 +102,8 @@ import numpy as np
 from . import grid as gridmod
 from .grid import Grid, MultiField
 from .hartree import Kernel, EnergyBreakdown, _EnergyState, total_density, total_energy
-from .params import SystemParams
+from .params import SolverConfig, SystemParams
 
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITERS = 300_000
 _BACKTRACK_LIMIT = 60
 _SHIFT_FLOOR = 1e-2  # lower bound of c_j in the preconditioner (c_j - lap)^(-1)
 _STEP_MIN, _STEP_MAX = 1e-3, 1.0  # clamp of the Barzilai-Borwein step
@@ -290,8 +288,8 @@ def ground_state(
     kernel: Kernel,
     init: MultiField | Sequence[MultiField | None] | None = None,
     *,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
+    tol: float = SolverConfig.tol,
+    max_iters: int = SolverConfig.max_iters,
     seed: int | Sequence[int | None] | None = None,
     center: bool = True,
 ) -> GroundState | GroundStateStack:
@@ -304,7 +302,8 @@ def ground_state(
     max_iters returns an unconverged result (flagged, never an exception); a
     non-finite energy aborts with EnergyNanError, and an init with a
     zero-mass component raises ZeroMassError.  tol must be finite and
-    positive and max_iters a non-negative int, else ValueError.  A start
+    positive and max_iters a non-negative int, else ValueError; both default
+    to SolverConfig's.  A start
     whose imaginary part is zero is solved in float64 arithmetic throughout;
     the returned fields are complex128 either way.
     """

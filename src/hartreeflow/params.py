@@ -7,6 +7,8 @@ of strict inequalities.  ``validate_assumptions`` evaluates every clause with
 an explicit numeric margin so a rejected configuration can name the inequality
 that excludes it.  SystemParams carries the two exponents of the power
 kernel's dilation laws: s of the virial identity and gamma of the mass scaling.
+SolverConfig holds the minimiser's settings.  Each record checks its values
+when built and raises InvalidParameterError; a bool is never a number.
 
 All functions here are pure and safe to call from any thread.
 """
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+
+from .grid import grid_for
 
 
 class InvalidParameterError(ValueError):
@@ -41,34 +45,22 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(v) for v in self.masses))
-        for name in ("space_dim", "component_count", "points_per_dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an int, got {value!r}")
-            try:
-                float(value)
-            except OverflowError:
-                raise InvalidParameterError(f"{name} is too large for a float") from None
-        if self.space_dim < 1:
-            raise InvalidParameterError(f"space_dim must be a positive integer, got {self.space_dim}")
+        try:
+            grid_for(self)  # space_dim, points_per_dim and box_length are the grid's
+        except ValueError as exc:
+            raise InvalidParameterError(str(exc)) from None
+        _check_type(self, numbers.Integral, "space_dim", "component_count", "points_per_dim")
         if self.component_count not in (1, 2, 3):
             raise InvalidParameterError(f"component_count must be 1, 2, or 3, got {self.component_count}")
         if len(self.masses) != self.component_count:
-            raise InvalidParameterError(
-                f"expected {self.component_count} masses, got {len(self.masses)}"
-            )
-        for v in (self.power, self.kernel_exponent, self.box_length, *self.masses):
+            raise InvalidParameterError(f"expected {self.component_count} masses, got {len(self.masses)}")
+        for v in (self.power, self.kernel_exponent, *self.masses):
             if not math.isfinite(v):
                 raise InvalidParameterError(f"non-finite parameter value {v!r}")
         if any(m <= 0 for m in self.masses):
             raise InvalidParameterError(f"all masses must be positive, got {self.masses}")
-        if self.box_length <= 0:
-            raise InvalidParameterError(f"box_length must be positive, got {self.box_length}")
         if self.kernel_exponent <= 0:
             raise InvalidParameterError(f"kernel_exponent must be positive, got {self.kernel_exponent}")
-        n = self.points_per_dim
-        if n < 8 or n % 2 != 0:
-            raise InvalidParameterError(f"points_per_dim must be even and >= 8, got {n}")
 
     @property
     def total_mass(self) -> float:
@@ -93,6 +85,38 @@ class SystemParams:
                 f"the mass-scaling exponent needs s = Np - 2N + alpha < 2 (h2.kernel-growth), got s = {s:.6g}"
             )
         return 1 + 2 * (self.power - 1) / (2 - s)
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Every solve stops at residual tol (finite, > 0) or after max_iters
+    iterations; an infimum is the lowest of seeds runs (both ints >= 1)."""
+
+    tol: float = 1e-6
+    max_iters: int = 300_000
+    seeds: int = 2
+
+    def __post_init__(self):
+        _check_type(self, numbers.Real, "tol")
+        _check_type(self, numbers.Integral, "max_iters", "seeds")
+        if not 0 < self.tol < math.inf:
+            raise InvalidParameterError(f"tol must be finite and positive, got {self.tol!r}")
+        for name in ("max_iters", "seeds"):
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
+
+
+def _check_type(record, kind, *names: str) -> None:
+    """Refuse each named field unless it is an int (kind numbers.Integral) or number (numbers.Real) in float range."""
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an int" if kind is numbers.Integral else "a number"
+            raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise InvalidParameterError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,7 @@ def gs_m1(desk_params, desk_kernel):
 @pytest.fixture(scope="session")
 def scan_m2(desk_params, desk_kernel):
     return hf.subadditivity_scan(
-        hf.default_pairs(2), desk_params, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0
+        hf.default_pairs(2), desk_params, desk_kernel, solver=hf.SolverConfig(tol=TOL, seeds=2), base_seed=0
     )
 
 
@@ -115,7 +115,7 @@ def scan_m2(desk_params, desk_kernel):
 def scan_m3(desk_params, desk_kernel):
     params3 = replace(desk_params, component_count=3, masses=(1.0, 1.0, 1.0))
     return hf.subadditivity_scan(
-        hf.default_pairs(3, 0), params3, desk_kernel, tol=TOL, seeds_per_value=2, base_seed=0
+        hf.default_pairs(3, 0), params3, desk_kernel, solver=hf.SolverConfig(tol=TOL, seeds=2), base_seed=0
     )
 
 

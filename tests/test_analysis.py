@@ -120,7 +120,7 @@ class TestSubadditivityScan:
     def test_small_scan_positive_margins(self, setup128):
         params, _, kernel = setup128
         pairs = [((0.5, 0.5), (0.5, 0.5)), ((0.0, 1.0), (1.0, 0.0))]
-        scan = hf.subadditivity_scan(pairs, params, kernel, tol=1e-5, seeds_per_value=1)
+        scan = hf.subadditivity_scan(pairs, params, kernel, solver=hf.SolverConfig(tol=1e-5, seeds=1))
         assert len(scan.records) == 2 and not scan.excluded
         for rec in scan.records:
             assert rec.converged
@@ -131,7 +131,7 @@ class TestSubadditivityScan:
         # the two single-component minimisers placed as a product state
         params, _, kernel = setup128
         scan = hf.subadditivity_scan(
-            [((0.0, 1.0), (1.0, 0.0))], params, kernel, tol=1e-5, seeds_per_value=1
+            [((0.0, 1.0), (1.0, 0.0))], params, kernel, solver=hf.SolverConfig(tol=1e-5, seeds=1)
         )
         rec = scan.records[0]
         single = replace(params, component_count=1, masses=(1.0,))
@@ -145,7 +145,7 @@ class TestSubadditivityScan:
     def test_unconverged_runs_excluded(self, setup128):
         params, _, kernel = setup128
         scan = hf.subadditivity_scan(
-            [((0.5, 0.5), (0.5, 0.5))], params, kernel, tol=1e-12, max_iters=3, seeds_per_value=1
+            [((0.5, 0.5), (0.5, 0.5))], params, kernel, solver=hf.SolverConfig(tol=1e-12, max_iters=3, seeds=1)
         )
         assert not scan.records
         assert len(scan.excluded) == 1
@@ -168,14 +168,12 @@ class TestSubadditivityScan:
                 hf.subadditivity_scan([pair], params, kernel)
             assert str(pair) in str(info.value)
 
-    def test_zero_seeds_per_value_rejected(self, setup128):
-        params, _, kernel = setup128
-        # a float used to fail inside range() and True to count as one seed
-        for bad in (0, 2.0, True):
-            with pytest.raises(ValueError, match="seeds_per_value"):
-                hf.subadditivity_scan([((1.0, 0.0), (0.0, 1.0))], params, kernel, seeds_per_value=bad)
-            with pytest.raises(ValueError, match="seeds_per_value"):
-                hf.infimum_value((1.0, 1.0), params, kernel, seeds_per_value=bad)
+    def test_zero_seeds_rejected(self):
+        # the scan's seed count is SolverConfig's, which refuses anything but a
+        # positive int: a float used to fail inside range() and True to count as one seed
+        for bad in (0, -1, 2.0, True):
+            with pytest.raises(hf.InvalidParameterError, match="seeds must be"):
+                hf.SolverConfig(seeds=bad)
 
     def test_infimum_value_rejects_the_masses_a_scan_rejects(self, setup128, monkeypatch):
         # a negative or NaN entry used to be dropped, returning I of the other masses
@@ -230,8 +228,8 @@ class TestMassScalingOfSingleEnergy:
     def test_doubling_mass_strictly_lowers_energy(self, setup128):
         # I at mass Gamma M sits below Gamma I at mass M (both negative)
         params, _, kernel = setup128
-        i1 = hf.infimum_value((1.0,), params, kernel, tol=1e-5, seeds_per_value=1)
-        i2 = hf.infimum_value((2.0,), params, kernel, tol=1e-5, seeds_per_value=1)
+        i1 = hf.infimum_value((1.0,), params, kernel, solver=hf.SolverConfig(tol=1e-5, seeds=1))
+        i2 = hf.infimum_value((2.0,), params, kernel, solver=hf.SolverConfig(tol=1e-5, seeds=1))
         assert i1.converged and i2.converged
         assert i2.value < 2 * i1.value < i1.value < 0
 
@@ -284,7 +282,7 @@ def _assert_scan_matches_solo_solves(params, kernel, pairs, monkeypatch):
         return stacked(problems, *args, **kwargs)
 
     monkeypatch.setattr(hf.analysis, "ground_state", spy)
-    scan = hf.subadditivity_scan(pairs, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)
+    scan = hf.subadditivity_scan(pairs, params, kernel, solver=hf.SolverConfig(tol=1e-5, seeds=2), base_seed=3)
     monkeypatch.undo()
 
     expected = {}
@@ -299,7 +297,7 @@ def _assert_scan_matches_solo_solves(params, kernel, pairs, monkeypatch):
     assert list(scan.infimum_cache) == list(expected)
     for key, want in expected.items():
         for got in (scan.infimum_cache[key],
-                    hf.infimum_value(key, params, kernel, tol=1e-5, seeds_per_value=2, base_seed=3)):
+                    hf.infimum_value(key, params, kernel, solver=hf.SolverConfig(tol=1e-5, seeds=2), base_seed=3)):
             assert (got.energy, got.seeds, got.stop_reasons) == (want.energy, want.seeds, want.stop_reasons)
             assert got.value == got.energy.total
             assert np.array_equal(got.multipliers, want.multipliers)
@@ -340,7 +338,7 @@ class TestStackedScan:
 
         monkeypatch.setattr(hf.analysis, "ground_state", spy)
         # the default m=2 grid: 2 keys of m=1 and 10 of m=2, at 3 seeds each
-        hf.subadditivity_scan(hf.default_pairs(2), params, kernel, tol=1e-3, seeds_per_value=3)
+        hf.subadditivity_scan(hf.default_pairs(2), params, kernel, solver=hf.SolverConfig(tol=1e-3, seeds=3))
         cap = hf.minimize._STACK_POINTS
         assert all(b * m * grid.total_points <= cap for b, m in sizes)
         assert sizes == [(6, 1), (30, 2)]
@@ -363,7 +361,6 @@ class TestStackedScan:
             return stacked(problems, *args, **kwargs)
 
         monkeypatch.setattr(hf.analysis, "ground_state", spy)
-        scan = hf.subadditivity_scan(hf.default_pairs(2), desk_params, desk_kernel, tol=1e-6,
-                                     seeds_per_value=seeds)
+        scan = hf.subadditivity_scan(hf.default_pairs(2), desk_params, desk_kernel, solver=hf.SolverConfig(tol=1e-6, seeds=seeds))
         assert sizes == calls
         assert not scan.excluded

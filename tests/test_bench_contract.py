@@ -103,7 +103,7 @@ def test_every_patched_name_exists(hooks):
         # Tracer wraps infimum_value by name; Counter leaves it and counts the solve inside
         assert (analysis.infimum_value is not infimum) == (hooks is Tracer)
         assert getattr(analysis.infimum_value, "__wrapped__", infimum) is infimum
-        result = analysis.infimum_value((1.0,), params, kernel, max_iters=5000, seeds_per_value=1)
+        result = analysis.infimum_value((1.0,), params, kernel, solver=hf.SolverConfig(max_iters=5000, seeds=1))
     finally:
         installed.uninstall()
     assert analysis.ground_state is solve and analysis.infimum_value is infimum

@@ -10,10 +10,13 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hartreeflow as hf
 from hartreeflow import cli
 from hartreeflow.cli import ConfigError, EvolutionConfig, RunConfig, SolverConfig, main, parse_config
+from hartreeflow.evolve import NanAbortError
+from hartreeflow.params import InvalidParameterError
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.json")
 PARAM_KEYS = ("space_dim", "component_count", "power", "kernel_exponent", "masses", "box_length", "points_per_dim")
@@ -172,6 +175,99 @@ class TestLoadConfig:
         )
 
 
+# Every JSON scalar: null, true/false, an integer (past int64 and past the
+# float range included), any float (NaN and the infinities included) and a
+# short string.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**70, 10**400, -(10**400)]), st.floats(),
+    st.text(max_size=2),
+)
+
+
+class TestConfigRecords:
+    """Each record checks its own values: parse_config and a record built in Python refuse alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        solver=st.dictionaries(st.sampled_from(["tol", "max_iters", "seeds"]), JSON_SCALARS),
+        evolution=st.dictionaries(st.sampled_from(["T", "dt"]), JSON_SCALARS),
+        seed=JSON_SCALARS,
+    )
+    def test_parse_config_refuses_exactly_what_the_records_refuse(self, solver, evolution, seed):
+        params = parse_config(base_config()).params
+        try:
+            parse_config(base_config(solver=solver, evolution=evolution, seed=seed))
+        except ConfigError:
+            parsed = False
+        else:
+            parsed = True
+        try:
+            RunConfig(params, SolverConfig(**solver), EvolutionConfig(**evolution), seed=seed)
+        except InvalidParameterError:
+            built = False
+        else:
+            built = True
+        assert parsed == built
+
+    def test_unknown_experiment_refused_before_the_output_dir(self, tmp_path):
+        params = parse_config(base_config()).params
+        with pytest.raises(InvalidParameterError, match="unknown experiment 'nope'"):
+            hf.run(RunConfig(params, experiment="nope", output_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_seeds_refused_before_the_scan(self, tmp_path):
+        params = parse_config(base_config()).params
+        with pytest.raises(InvalidParameterError, match="seeds must be positive, got 0"):
+            hf.run(RunConfig(params, SolverConfig(seeds=0), experiment="scan-subadditivity",
+                             output_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_dt_refused_before_the_reference_solve(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ground_state", lambda *a, **kw: pytest.fail("solved"))
+        params = parse_config(base_config()).params
+        with pytest.raises(InvalidParameterError, match="dt must be finite and positive, got 0.0"):
+            hf.run(RunConfig(params, evolution=EvolutionConfig(dt=0.0), experiment="stability",
+                             output_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_refused_by_construction_and_replace(self, tmp_path):
+        params = parse_config(base_config()).params
+        with pytest.raises(InvalidParameterError, match="config.seed must be non-negative, got -1"):
+            RunConfig(params, experiment="minimize", output_dir=str(tmp_path / "out"), seed=-1)
+        config = RunConfig(params, experiment="minimize", output_dir=str(tmp_path / "out"))
+        with pytest.raises(InvalidParameterError, match="config.seed must be non-negative, got -1"):
+            replace(config, seed=-1)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["minimize", "scan", "check-lemmas", "stability"])
+    def test_every_solve_runs_at_the_config_solver(self, tmp_path, monkeypatch, capsys, command):
+        # tol, max_iters and seeds all off their defaults: a path that dropped
+        # config.solver would solve at SolverConfig() and show it here
+        solver = {"tol": 2e-4, "max_iters": 40000, "seeds": 3}
+        assert all(solver[k] != v for k, v in asdict(SolverConfig()).items())
+        loops, runs = [], []
+        loop, stacked = hf.minimize._minimize, hf.analysis.ground_state
+
+        def loop_spy(state, masses, tol, max_iters):
+            loops.append((tol, max_iters))
+            return loop(state, masses, tol, max_iters)
+
+        def stacked_spy(problems, *args, **kwargs):
+            runs.extend(q.masses for q in problems)
+            return stacked(problems, *args, **kwargs)
+
+        monkeypatch.setattr(hf.minimize, "_minimize", loop_spy)
+        monkeypatch.setattr(hf.analysis, "ground_state", stacked_spy)
+        cfg = base_config(solver=solver, output_dir=str(tmp_path / "out"))
+        assert main([command, "--config", write_config(tmp_path, cfg)]) in (0, 1)
+        assert loops and set(loops) == {(solver["tol"], solver["max_iters"])}
+        if command in ("scan", "check-lemmas"):
+            assert runs and all(runs.count(key) == solver["seeds"] for key in runs)
+        else:
+            assert not runs
+        capsys.readouterr()
+
+
 class TestRun:
     def test_validate_exit_zero_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -308,10 +404,9 @@ class TestRun:
         old = ["masses_m", "masses_t", "i_m", "i_t", "i_sum", "margin", "converged"]
         assert rows[0] == old + ["virial_m", "virial_t", "virial_sum"]
         config = hf.load_config(path)
-        solver = config.solver
         scan = hf.subadditivity_scan(
             hf.default_pairs(config.params.component_count, config.seed), config.params, cli._kernel(config),
-            tol=solver.tol, max_iters=solver.max_iters, seeds_per_value=solver.seeds, base_seed=config.seed,
+            solver=config.solver, base_seed=config.seed,
         )
         s = config.params.dilation_exponent
         records = scan.records + scan.excluded
@@ -349,7 +444,7 @@ class TestRun:
         params = cli.load_config(path).params
         kernel = hf.build_kernel(hf.grid_for(params), params.kernel_exponent)
         gs = hf.ground_state(params, kernel, tol=1e-6, max_iters=300000, seed=0)
-        half = hf.infimum_value((0.5, 0.5), params, kernel, tol=1e-6, max_iters=300000, seeds_per_value=2)
+        half = hf.infimum_value((0.5, 0.5), params, kernel, solver=hf.SolverConfig(tol=1e-6, max_iters=300000, seeds=2))
         sample = lemma_checks(tmp_path)["subadditivity-sample"]
         assert sample["passed"] is True
         assert sample["detail"] == f"margin={2 * half.value - gs.energy.total:.6g}"
@@ -461,6 +556,27 @@ class TestRun:
         assert err == "error: stability needs a converged reference solve; it stopped with max_iters\n"
         assert os.listdir(out) == ["manifest.json"]
         assert json.loads((out / "manifest.json").read_text())["outputs"] == {}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_energy_exits_one_with_one_error_line(self, tmp_path, capsys):
+        # masses of 1e200 overflow the start's energy: no traceback, and a manifest
+        out = tmp_path / "out"
+        cfg = base_config(output_dir=str(out))
+        cfg["params"]["masses"] = [1e200, 1e200]
+        assert main(["minimize", "--config", write_config(tmp_path, cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: minimize stopped: non-finite energy at iteration 0\n"
+        assert os.listdir(out) == ["manifest.json"]
+
+    def test_non_finite_field_exits_one_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def blow_up(*args, **kwargs):
+            raise NanAbortError("non-finite field during propagation")
+
+        monkeypatch.setattr(cli, "stability_experiment", blow_up)
+        out = tmp_path / "out"
+        assert main(["stability", "--config", write_config(tmp_path, base_config(output_dir=str(out)))]) == 1
+        assert capsys.readouterr().err == "error: stability stopped: non-finite field during propagation\n"
+        assert os.listdir(out) == ["manifest.json"]
 
     @pytest.mark.parametrize(
         "command, status",
