@@ -19,7 +19,7 @@ order in dt.
 
 Since the potential sub-flow preserves every |psi_j|, the closing half-kick of
 one step and the opening half-kick of the next rotate by the same phase.
-Propagator.step_array keeps the closing phase beside the array it returns and
+Propagator.step_array keeps the closing phase for the array it returns and
 reuses it when the next call receives that very array (any other input is a
 cold start), so a step costs one density->potential convolution, not two:
 two real transforms of the density, and the complex transform pair of the
@@ -27,12 +27,21 @@ kinetic sub-step.  The identity test is sound because step outputs are
 read-only; copy one to modify it.
 A step allocates one array, its output x * phase, and runs the kinetic
 sub-step and the closing half-kick in place on it, so the caller's array is
-never written.  A half-kick phase is cos + i sin of the real angle
--(dt/2) V, written into the real and imaginary views of one complex array:
-the complex exp of an argument with zero real part, at two thirds of its
-cost.  A non-finite field aborts (NanAbortError) at the total
-density of a half-kick, before any transform: the density has 1/m of the
-field's points.
+never written.  Nothing else is allocated: the half-kick chain writes
+through out= into a workspace for the stack's shape, made on the first step
+of a shape and replaced when the shape changes, and the phase, the kinetic
+phase and the kernel's half symbol are kept there at the full shape of what
+they multiply, since a numpy multiply that broadcasts allocates a buffer of
+its output's size and takes about 1 us more on a (3, 2, 256) stack.  Every
+floating-point operation keeps its order, so the outputs are the bits of
+allocating each array per call.  The kept closing phase is the workspace's,
+so a Propagator steps one stack at a time, and a step forgets it before it
+rewrites the workspace.
+A half-kick phase is cos + i sin of the real angle -(dt/2) V, written into
+the real and imaginary views of one complex array: the complex exp of an
+argument with zero real part, at two thirds of its cost.  A non-finite
+field aborts (NanAbortError) at the total density of a half-kick, before
+any transform: the density has 1/m of the field's points.
 
 step_array also steps a stack of fields, shape (..., m, *grid.shape): the
 total density sums the component axis, so every member sees only its own
@@ -124,8 +133,42 @@ class EvolutionTrace:
         return EvolutionTrace(self.times, self.masses[:, b], self.energy[:, b], self.orbit_distance[:, b])
 
 
+class _Workspace:
+    """The buffers of a step for stacks of one shape (111,456 B for (3, 2, 256) at p = 2).
+
+    powers holds the |x_j|^p and, for p = 2, the squares of their real and
+    imaginary parts; density, finite, spectrum and potential have one
+    component row.  For p = 2 the angle is the potential, and its phase is
+    written into rotation, of one component row, then spread into phase;
+    otherwise the angle is powers[0] and rotation is phase.  phase, kinetic
+    and symbol (the kernel's half symbol, complex since the multiply casts
+    it anyway) have the full shape of what they multiply.
+    """
+
+    __slots__ = ("shape", "powers", "density", "finite", "spectrum", "potential", "rotation", "phase", "kinetic", "symbol")
+
+    def __init__(self, prop: "Propagator", shape: tuple[int, ...]):
+        g = prop.grid
+        density = shape[: -1 - g.space_dim] + (1,) + g.shape
+        half = density[:-1] + (g.points_per_dim // 2 + 1,)
+        self.shape = shape
+        self.powers = np.empty((2,) + shape)
+        self.density = np.empty(density)
+        self.finite = np.empty(density, dtype=bool)
+        self.spectrum = np.empty(half, dtype=np.complex128)
+        self.potential = np.empty(density)
+        self.phase = np.empty(shape, dtype=np.complex128)
+        self.rotation = np.empty(density, dtype=np.complex128) if prop.p == 2 else self.phase
+        self.kinetic = np.broadcast_to(prop.kinetic_phase, shape).copy()
+        self.symbol = np.broadcast_to(prop.kernel.half_multiplier.astype(np.complex128), half).copy()
+
+
 class Propagator:
-    """Cached Strang-splitting stepper for a fixed (grid, kernel, p, dt)."""
+    """Cached Strang-splitting stepper for a fixed (grid, kernel, p, dt).
+
+    It steps one stack at a time: a step runs in a workspace for the shape
+    of the last stack stepped.
+    """
 
     def __init__(self, grid: Grid, kernel: Kernel, p: float, dt: float):
         if not (np.isfinite(dt) and dt > 0):
@@ -137,45 +180,50 @@ class Propagator:
         self.dt = dt
         self.kernel = kernel
         self.kinetic_phase = np.exp(1j * grid.k_squared * dt)
-        # (last returned array, the phase of its closing half-kick)
-        self._last = (None, None)
+        self._work = None
+        self._last = None  # the last returned array; its closing phase is the workspace's
 
     def _half_kick_phase(self, x: np.ndarray) -> np.ndarray:
-        """exp(-i dt/2 V), the pointwise rotation of a half potential step.
+        """exp(-i dt/2 V), the pointwise rotation of a half potential step, as the workspace's phase.
 
         NaN or inf anywhere in x makes the total density, which has 1/m of
         its points, non-finite there; it is checked before any transform.
         """
-        rho = total_density(self.grid, x, self.p)
-        if not np.isfinite(rho).all():
+        w = self._work
+        if w is None or w.shape != x.shape:
+            w = self._work = _Workspace(self, x.shape)
+        rho = total_density(self.grid, x, self.p, out=w.density, scratch=w.powers)
+        if not np.isfinite(rho, out=w.finite).all():
             raise NanAbortError("non-finite field during propagation")
-        potential = _convolve_array(self.kernel, rho)
-        u = potential if self.p == 2 else potential * np.abs(x) ** (self.p - 2)
+        u = _convolve_array(self.kernel, rho, out=w.potential, spectrum=w.spectrum, symbol=w.symbol)
+        if self.p != 2:
+            factor = np.abs(x, out=w.powers[0])
+            factor **= self.p - 2
+            u = np.multiply(u, factor, out=factor)
         # 0 - (dt/2) u, not -(dt/2) u: the angle is the imaginary part of
         # -0.5j * dt * u bit for bit, +0 where u is zero
         theta = np.subtract(0.0, np.multiply(0.5 * self.dt, u, out=u), out=u)
-        phase = np.empty(theta.shape, dtype=np.complex128)
-        np.cos(theta, out=phase.real)
-        np.sin(theta, out=phase.imag)
-        return phase
+        np.cos(theta, out=w.rotation.real)
+        np.sin(theta, out=w.rotation.imag)
+        if w.rotation is not w.phase:
+            np.copyto(w.phase, w.rotation)
+        return w.phase
 
     def step_array(self, x: np.ndarray) -> np.ndarray:
         """One step of x, shape (..., m, *grid.shape); leading axes stack independent fields.
 
         Returns a new read-only array; x is never written.
         """
-        last, phase = self._last
-        if x is not last:
-            phase = self._half_kick_phase(x)
+        warm, self._last = x is self._last, None  # this step rewrites the kept phase
+        phase = self._work.phase if warm else self._half_kick_phase(x)
         g = self.grid
         y = x * phase
         gridmod.fftn_grid(g, y, out=y)
-        np.multiply(self.kinetic_phase, y, out=y)
+        np.multiply(self._work.kinetic, y, out=y)
         gridmod.ifftn_grid(g, y, out=y)
-        phase = self._half_kick_phase(y)
-        y *= phase
+        y *= self._half_kick_phase(y)
         y.setflags(write=False)
-        self._last = (y, phase)
+        self._last = y
         return y
 
 

@@ -230,11 +230,16 @@ def stack_of(grid: Grid, fields) -> np.ndarray:
     return arr
 
 
-def abs_sq(x: np.ndarray) -> np.ndarray:
-    """|x|^2 elementwise; a real array skips the zero imaginary part, with the same bits."""
-    if np.iscomplexobj(x):
-        return x.real**2 + x.imag**2
-    return x**2
+def abs_sq(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """|x|^2 elementwise; a real array skips the zero imaginary part, with the same bits.
+
+    out receives it when given, and scratch the square of a complex x's
+    imaginary part; both are float arrays of x's shape.
+    """
+    if not np.iscomplexobj(x):
+        return np.square(x, out=out)
+    out = np.square(x.real, out=out)
+    return np.add(out, np.square(x.imag, out=scratch), out=out)
 
 
 def norms_sq(grid: Grid, x: np.ndarray) -> np.ndarray:
@@ -275,22 +280,22 @@ def ifftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np
     return np.fft.ifftn(arr, s=grid.shape, axes=grid.spatial_axes, out=out)
 
 
-def rfftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
+def rfftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """FFT of a real array over the trailing spatial axes.
 
     The half spectrum lies along the last axis: n // 2 + 1 bins, the same
     bins as the first n // 2 + 1 of fftn_grid.
     """
     if grid.space_dim == 1:
-        return np.fft.rfft(arr, n=grid.points_per_dim, axis=-1)
-    return np.fft.rfftn(arr, s=grid.shape, axes=grid.spatial_axes)
+        return np.fft.rfft(arr, n=grid.points_per_dim, axis=-1, out=out)
+    return np.fft.rfftn(arr, s=grid.shape, axes=grid.spatial_axes, out=out)
 
 
-def irfftn_grid(grid: Grid, arr: np.ndarray) -> np.ndarray:
+def irfftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real inverse of a half spectrum from rfftn_grid, of grid shape on the trailing axes."""
     if grid.space_dim == 1:
-        return np.fft.irfft(arr, n=grid.points_per_dim, axis=-1)
-    return np.fft.irfftn(arr, s=grid.shape, axes=grid.spatial_axes)
+        return np.fft.irfft(arr, n=grid.points_per_dim, axis=-1, out=out)
+    return np.fft.irfftn(arr, s=grid.shape, axes=grid.spatial_axes, out=out)
 
 
 def spectral_weights(grid: Grid, dtype):

@@ -168,14 +168,17 @@ def build_kernel(grid: Grid, alpha: float) -> Kernel:
     return Kernel.from_samples(grid, samples)
 
 
-def _convolve_array(kernel: Kernel, rho: np.ndarray) -> np.ndarray:
+def _convolve_array(kernel: Kernel, rho: np.ndarray, out=None, spectrum=None, symbol=None) -> np.ndarray:
     """W * rho for a real density array; quadrature weight is folded into the symbol.
 
     Real transforms: the half spectrum of rho times the kernel's half symbol.
+    out receives the result and spectrum the half spectrum when given;
+    symbol, if given, is half_multiplier spread to the spectrum's shape, the
+    same products without a broadcast.
     """
-    spectrum = rfftn_grid(kernel.grid, rho)
-    np.multiply(kernel.half_multiplier, spectrum, out=spectrum)
-    return irfftn_grid(kernel.grid, spectrum)
+    spectrum = rfftn_grid(kernel.grid, rho, out=spectrum)
+    np.multiply(kernel.half_multiplier if symbol is None else symbol, spectrum, out=spectrum)
+    return irfftn_grid(kernel.grid, spectrum, out=out)
 
 
 def convolve_density(kernel: Kernel, density: MultiField) -> MultiField:
@@ -183,16 +186,29 @@ def convolve_density(kernel: Kernel, density: MultiField) -> MultiField:
     return MultiField(kernel.grid, _convolve_array(kernel, stack_of(kernel.grid, density).real).astype(complex))
 
 
-def abs_power(data: np.ndarray, p: float) -> np.ndarray:
-    """|z|^p, exact for p = 2 and with |0|^p = 0 for non-integer p > 0."""
+def abs_power(data: np.ndarray, p: float, out=None, scratch=None) -> np.ndarray:
+    """|z|^p, exact for p = 2 and with |0|^p = 0 for non-integer p > 0.
+
+    out receives it when given, and scratch the square of a complex
+    imaginary part for p = 2; both are float arrays of data's shape.
+    """
     if p == 2:
-        return abs_sq(data)
-    return np.abs(data) ** p
+        return abs_sq(data, out, scratch)
+    if out is None:
+        return np.abs(data) ** p
+    np.abs(data, out=out)
+    out **= p
+    return out
 
 
-def total_density(grid: Grid, x: np.ndarray, p: float = 2) -> np.ndarray:
-    """sum_j |x_j|^p over the component axis of a stack, kept as a length-1 axis."""
-    return abs_power(x, p).sum(axis=-1 - grid.space_dim, keepdims=True)
+def total_density(grid: Grid, x: np.ndarray, p: float = 2, out=None, scratch=None) -> np.ndarray:
+    """sum_j |x_j|^p over the component axis of a stack, kept as a length-1 axis.
+
+    out receives it when given; scratch, a float array of shape (2,) +
+    x.shape, then holds the |x_j|^p, so the call allocates nothing.
+    """
+    powers = abs_power(x, p) if scratch is None else abs_power(x, p, scratch[0], scratch[1])
+    return powers.sum(axis=-1 - grid.space_dim, keepdims=True, out=out)
 
 
 def _nonlinear_factor(data: np.ndarray, p: float) -> np.ndarray:

@@ -342,7 +342,7 @@ def ground_state(
         rows = [b for b, s in enumerate(starts) if s.dtype == dtype]
         # The loop holds the start only through its state, and drops it at the first step.
         fields, lambdas, residuals, iterations, reasons = _minimize(
-            _EnergyState(kernel, p, _project(g, np.stack([starts[b] for b in rows]), masses[rows])),
+            _start_state(kernel, p, _project(g, np.stack([starts[b] for b in rows]), masses[rows])),
             masses[rows],
             tol,
             max_iters,
@@ -380,6 +380,12 @@ def _one_per_problem(values, count: int, name: str) -> list:
     if len(values) != count:
         raise ValueError(f"expected one {name} per problem ({count}), got {len(values)}")
     return values
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _start_state(kernel: Kernel, p: float, x: np.ndarray) -> _EnergyState:
+    """The state of a start; an energy that overflows is named by _minimize's non-finite check, unwarned."""
+    return _EnergyState(kernel, p, x)
 
 
 def _minimize(state: _EnergyState, masses: np.ndarray, tol: float, max_iters: int):

@@ -44,6 +44,9 @@ class SystemParams:
     points_per_dim: int
 
     def __post_init__(self):
+        _check_type(self, numbers.Real, "power", "kernel_exponent", "box_length")
+        for i, v in enumerate(self.masses):
+            _check_number(f"masses[{i}]", v, numbers.Real)
         object.__setattr__(self, "masses", tuple(float(v) for v in self.masses))
         try:
             grid_for(self)  # space_dim, points_per_dim and box_length are the grid's
@@ -107,16 +110,20 @@ class SolverConfig:
 
 
 def _check_type(record, kind, *names: str) -> None:
-    """Refuse each named field unless it is an int (kind numbers.Integral) or number (numbers.Real) in float range."""
+    """Refuse each named field of record as _check_number does."""
     for name in names:
-        value = getattr(record, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            what = "an int" if kind is numbers.Integral else "a number"
-            raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
-        try:
-            float(value)
-        except OverflowError:
-            raise InvalidParameterError(f"{name} is too large for a float") from None
+        _check_number(name, getattr(record, name), kind)
+
+
+def _check_number(name: str, value, kind) -> None:
+    """Refuse value unless it is an int (kind numbers.Integral) or number (numbers.Real) in float range."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an int" if kind is numbers.Integral else "a number"
+        raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,13 @@ change that moves a reported number commits the rewritten files with that
 printout; any other change leaves them untouched.  Rewriting them to make a
 failing refactor pass loosens the check.
 
+    PYTHONPATH=src python tests/golden/regen.py --exact
+
+re-runs the matrix and writes nothing: it prints every value that differs at
+all from its file, in the same form, and exits with status 1 if any does.  It
+shows that a change moves no reported number by even one bit, which the
+1e-12 tolerance of the test cannot show.
+
 The matrix, each run at seeds 0 and 121: every subcommand at
 configs/reference.json; check-lemmas at the 2D inputs of the benchmark's
 lemmas-2d workload; check-lemmas and scan at m=1 (masses (1)) and m=3
@@ -36,6 +43,7 @@ takes 80-100 s, against a few seconds for the whole matrix.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import glob
@@ -163,19 +171,19 @@ def _by_file(record: dict) -> dict:
     return files
 
 
-def same(a, b) -> bool:
-    """Equal as golden numbers: same type, and floats within RELATIVE_TOL (floor 1; NaN equals NaN)."""
+def same(a, b, tol: float = RELATIVE_TOL) -> bool:
+    """Equal as golden numbers: same type, and floats within tol (floor 1; NaN equals NaN); tol 0 is exact."""
     if type(a) is not type(b):
         return False
     if isinstance(a, float) and a != b:
         if math.isnan(a) or math.isnan(b):
             return math.isnan(a) and math.isnan(b)
-        return math.isfinite(a - b) and abs(a - b) <= RELATIVE_TOL * max(abs(a), abs(b), 1.0)
+        return math.isfinite(a - b) and abs(a - b) <= tol * max(abs(a), abs(b), 1.0)
     return a == b
 
 
-def changes(name: str, old: dict, new: dict) -> list[str]:
-    """One line per difference of two records of run `name`: a file that came or went, a key, a moved value."""
+def changes(name: str, old: dict, new: dict, tol: float = RELATIVE_TOL) -> list[str]:
+    """One line per difference of two records of run `name`: a file that came or went, a key, a value moved beyond tol."""
     old_files, new_files = _by_file(old), _by_file(new)
     lines = []
     for f in sorted(old_files.keys() - new_files.keys()):
@@ -189,29 +197,39 @@ def changes(name: str, old: dict, new: dict) -> list[str]:
                 lines.append(f"{name}, {f}, {key}: removed")
             elif key not in a:
                 lines.append(f"{name}, {f}, {key}: added")
-            elif not same(a[key], b[key]):
+            elif not same(a[key], b[key], tol):
                 lines.append(f"{name}, {f}, {key}: {a[key]!r} -> {b[key]!r}")
     return sorted(lines)
 
 
-def main() -> int:
-    """Rewrite every golden file from a fresh run and print what changed."""
+def main(argv=None) -> int:
+    """Rewrite every golden file from a fresh run and print what changed; with --exact, only compare."""
+    parser = argparse.ArgumentParser(description="Re-run the golden-numbers matrix.")
+    parser.add_argument(
+        "--exact", action="store_true", help="write nothing; list every value that differs at all, exit 1 if any"
+    )
+    exact = parser.parse_args(argv).exact
     lines = []
     for path in sorted(glob.glob(os.path.join(HERE, "*.json"))):
         stale = os.path.basename(path)[: -len(".json")]
         if stale not in MATRIX:
-            os.remove(path)
+            if not exact:
+                os.remove(path)
             lines.append(f"{stale}: removed")
     for name in MATRIX:
         with tempfile.TemporaryDirectory() as tmp:
             record = run(name, tmp)
-        lines += changes(name, load(name), record) if os.path.exists(_path(name)) else [f"{name}: added"]
-        with open(_path(name), "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        if os.path.exists(_path(name)):
+            lines += changes(name, load(name), record, 0.0 if exact else RELATIVE_TOL)
+        else:
+            lines.append(f"{name}: added")
+        if not exact:
+            with open(_path(name), "w", encoding="utf-8") as fh:
+                json.dump(record, fh, indent=1, sort_keys=True)
+                fh.write("\n")
     print("\n".join(lines) if lines else "no change")
     print(f"{len(MATRIX)} runs, {len(lines)} changes")
-    return 0
+    return 1 if exact and lines else 0
 
 
 if __name__ == "__main__":

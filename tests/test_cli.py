@@ -557,9 +557,9 @@ class TestRun:
         assert os.listdir(out) == ["manifest.json"]
         assert json.loads((out / "manifest.json").read_text())["outputs"] == {}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_energy_exits_one_with_one_error_line(self, tmp_path, capsys):
-        # masses of 1e200 overflow the start's energy: no traceback, and a manifest
+        # masses of 1e200 overflow the start's energy: no traceback, no numpy
+        # warning, and a manifest
         out = tmp_path / "out"
         cfg = base_config(output_dir=str(out))
         cfg["params"]["masses"] = [1e200, 1e200]

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -170,7 +171,7 @@ class TestFusedStep:
         expected = np.exp(-0.5j * dt * u * np.abs(x) ** (p - 2))
         phase = Propagator(perturbed_m2.grid, desk_kernel, p, dt)._half_kick_phase(x)
         assert phase.dtype == expected.dtype
-        # for p = 2 the phase has one component row, shared by every component
+        # for p = 2 the phase is one component row, spread over every component
         phase = np.broadcast_to(phase, expected.shape)
         np.testing.assert_array_max_ulp(phase.real, expected.real, maxulp=2)
         np.testing.assert_array_max_ulp(phase.imag, expected.imag, maxulp=2)
@@ -214,6 +215,125 @@ class TestFusedStep:
         stack[1, 0, 5] = np.nan
         with pytest.raises(NanAbortError):
             Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3).step_array(stack)
+
+
+class ReferenceStep:
+    """The step as it stood before the propagator's workspace, kept to compare bits.
+
+    step_array and _half_kick_phase of that version with the helpers they
+    called inlined (total_density, abs_sq, _convolve_array and the grid
+    transforms): every array of the half-kick chain is allocated per call,
+    and the closing phase is kept beside the returned array.
+    """
+
+    def __init__(self, grid, kernel, p, dt):
+        self.grid, self.kernel, self.p, self.dt = grid, kernel, p, dt
+        self.kinetic_phase = np.exp(1j * grid.k_squared * dt)
+        self._last = (None, None)
+
+    def transform(self, name, arr, **kwargs):
+        g = self.grid
+        if g.space_dim == 1:
+            return getattr(np.fft, name)(arr, n=g.points_per_dim, axis=-1, **kwargs)
+        return getattr(np.fft, name + "n")(arr, s=g.shape, axes=g.spatial_axes, **kwargs)
+
+    def _half_kick_phase(self, x):
+        powers = x.real**2 + x.imag**2 if self.p == 2 else np.abs(x) ** self.p
+        rho = powers.sum(axis=-1 - self.grid.space_dim, keepdims=True)
+        if not np.isfinite(rho).all():
+            raise NanAbortError("non-finite field during propagation")
+        spectrum = self.transform("rfft", rho)
+        np.multiply(self.kernel.half_multiplier, spectrum, out=spectrum)
+        potential = self.transform("irfft", spectrum)
+        u = potential if self.p == 2 else potential * np.abs(x) ** (self.p - 2)
+        theta = np.subtract(0.0, np.multiply(0.5 * self.dt, u, out=u), out=u)
+        phase = np.empty(theta.shape, dtype=np.complex128)
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        return phase
+
+    def step_array(self, x):
+        last, phase = self._last
+        if x is not last:
+            phase = self._half_kick_phase(x)
+        y = x * phase
+        self.transform("fft", y, out=y)
+        np.multiply(self.kinetic_phase, y, out=y)
+        self.transform("ifft", y, out=y)
+        phase = self._half_kick_phase(y)
+        y *= phase
+        y.setflags(write=False)
+        self._last = (y, phase)
+        return y
+
+
+class TestWorkspace:
+    """The propagator's workspace moves no bit and allocates none of the half-kick chain."""
+
+    @staticmethod
+    def assert_same_bits(grid, kernel, p, stacks, warm_steps=50):
+        # each stack in turn on one propagator: a cold step, warm_steps warm
+        # ones and a cold step of a copy, all the bytes of the reference's
+        prop, ref = Propagator(grid, kernel, p, 1e-3), ReferenceStep(grid, kernel, p, 1e-3)
+        for x in stacks:
+            a = b = x
+            for _ in range(1 + warm_steps):
+                a, b = prop.step_array(a), ref.step_array(b)
+                assert a.tobytes() == b.tobytes()
+            assert prop.step_array(a.copy()).tobytes() == ref.step_array(b.copy()).tobytes()
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_1d_stack_steps_are_the_reference_bits(self, desk_kernel, perturbed_m2, p):
+        pert = hf.analysis.random_h1_perturbation(perturbed_m2.grid, 2, 3).data
+        stack = np.stack([perturbed_m2.data, perturbed_m2.data + 1e-2 * pert, 0.5 * perturbed_m2.data])
+        self.assert_same_bits(perturbed_m2.grid, desk_kernel, p, [stack])
+
+    def test_2d_steps_are_the_reference_bits(self):
+        grid = hf.Grid(space_dim=2, points_per_dim=16, box_length=12.0)
+        x = hf.project_masses(trig_field(grid, seed=6, m=2), [1.0, 1.0]).data
+        self.assert_same_bits(grid, hf.build_kernel(grid, 1.0), 2.0, [np.stack([x, 0.5 * x])])
+
+    def test_a_new_stack_shape_gets_a_new_workspace(self, desk_kernel, perturbed_m2):
+        # 3 members, then 1, then 3 again on one propagator
+        three = np.stack([perturbed_m2.data, 0.5 * perturbed_m2.data, perturbed_m2.data.conj()])
+        self.assert_same_bits(perturbed_m2.grid, desk_kernel, 2.0, [three, three[1:2].copy(), three])
+
+    def test_an_aborted_step_leaves_no_stale_phase(self, desk_kernel, perturbed_m2):
+        # the huge input's density is finite, so its opening phase is written
+        # to the workspace, but the step overflows and aborts at the closing
+        # half-kick; the last output then steps as on a fresh propagator
+        grid = perturbed_m2.grid
+        prop = Propagator(grid, desk_kernel, 2.0, 1e-3)
+        out = prop.step_array(perturbed_m2.data)
+        huge = 1e153 * perturbed_m2.data
+        assert np.isfinite(total_density(grid, huge)).all()
+        with np.errstate(all="ignore"), pytest.raises(NanAbortError):
+            prop.step_array(huge)
+        fresh = Propagator(grid, desk_kernel, 2.0, 1e-3).step_array(out)
+        assert np.linalg.norm(prop.step_array(out) - fresh) <= 1e-14 * np.linalg.norm(fresh)
+
+    @staticmethod
+    def warm_step_peak(prop, x) -> int:
+        """tracemalloc peak of one warm step of x, over what was traced before it."""
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                x = prop.step_array(x)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            prop.step_array(x)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_warm_step_allocates_its_output_and_no_chain(self, desk_kernel, perturbed_m2):
+        # a warm (3, 2, 256) step peaks at its 24,576 B output and 1,520 B of
+        # numpy's own (numpy 2.4); the reference, which allocates its
+        # half-kick chain and broadcasts its multiplies, peaks at 62,784 B
+        x = np.stack([perturbed_m2.data] * 3)
+        bound = x.nbytes + 4096
+        assert self.warm_step_peak(Propagator(perturbed_m2.grid, desk_kernel, 2.0, 1e-3), x) <= bound
+        assert self.warm_step_peak(ReferenceStep(perturbed_m2.grid, desk_kernel, 2.0, 1e-3), x) > bound
 
 
 class TestEvolve:

@@ -9,6 +9,7 @@ the same lines when it rewrites the files.
 
 import glob
 import os
+import pathlib
 import sys
 from dataclasses import replace
 
@@ -56,3 +57,30 @@ def test_same_compares_types_exactly_and_floats_within_the_tolerance():
     assert not regen.same(1.0, 1.0 + 2e-12) and not regen.same(1, 1.0) and not regen.same(True, 1)
     assert regen.same(float("inf"), float("inf")) and not regen.same(float("inf"), float("-inf"))
     assert not regen.same("margin=0.146736", "margin=0.146737")
+    # tol 0, regen.py --exact: any move differs, NaN still equals NaN
+    assert not regen.same(1.0, 1.0 + 2**-52, 0.0) and regen.same(float("nan"), float("nan"), 0.0)
+
+
+@pytest.mark.parametrize("relative", [0.0, 1e-15])
+def test_exact_mode_lists_every_moved_value_and_writes_nothing(monkeypatch, capsys, relative):
+    # regen.py --exact over a matrix whose runs read back their own files,
+    # one energy moved by `relative`: a move the 1e-12 comparison accepts is
+    # listed and gives exit status 1; no move gives "no change" and 0
+    name = "reference-minimize-seed0"
+
+    def rerun(run_name, tmp_dir):
+        record = regen.load(run_name)
+        if run_name == name:
+            record["files"]["ground_state.json"]["energy"]["total"] *= 1 + relative
+        return record
+
+    files = {p: pathlib.Path(p).read_bytes() for p in glob.glob(os.path.join(GOLDEN, "*.json"))}
+    monkeypatch.setattr(regen, "run", rerun)
+    assert regen.changes(name, regen.load(name), rerun(name, None)) == []
+    assert regen.main(["--exact"]) == (1 if relative else 0)
+    lines = capsys.readouterr().out.splitlines()
+    if relative:
+        assert len(lines) == 2 and lines[0].startswith(f"{name}, ground_state.json, energy.total: ")
+    else:
+        assert lines[0] == "no change"
+    assert {p: pathlib.Path(p).read_bytes() for p in files} == files

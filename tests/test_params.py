@@ -81,6 +81,23 @@ class TestValidateAssumptions:
         with pytest.raises(InvalidParameterError, match=f"{field} must be an int"):
             hf.SystemParams(**(args | {field: value}))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("power", 10**400, "power is too large for a float"),
+            ("power", "2", "power must be a number, got '2'"),
+            ("kernel_exponent", None, "kernel_exponent must be a number, got None"),
+            ("box_length", True, "box_length must be a number, got True"),
+            ("masses", (1.0, 10**400), r"masses\[1\] is too large for a float"),
+            ("masses", ("1", 1.0), r"masses\[0\] must be a number, got '1'"),
+        ],
+        ids=["huge-power", "str-power", "none-kernel-exponent", "bool-box-length", "huge-mass", "str-mass"],
+    )
+    def test_float_fields_must_be_numbers(self, field, value, message):
+        args = dict(space_dim=1, component_count=2, power=2.0, kernel_exponent=0.5, masses=(1.0, 1.0), box_length=20.0, points_per_dim=64)
+        with pytest.raises(InvalidParameterError, match=message):
+            hf.SystemParams(**(args | {field: value}))
+
     @settings(max_examples=50, deadline=None)
     @given(
         n_dim=st.integers(1, 3),
