@@ -51,7 +51,8 @@ def concentration_profile(mf: MultiField, radii) -> np.ndarray:
     """Q(R) = sup over grid centres y of the mass of B_R(y), one value per radius.
 
     The sup is realised exactly over all grid centres by convolving the total
-    density with the ball indicator.  Radii must be finite, nonnegative,
+    density with the ball indicator, whose half spectrum is the symbol of
+    grid.convolve_real.  Radii must be finite, nonnegative,
     strictly increasing and at most L/2; R = 0 is the cell at the centre.  The
     values are nondecreasing in R and equal the total mass once a ball
     covers the box.
@@ -64,12 +65,11 @@ def concentration_profile(mf: MultiField, radii) -> np.ndarray:
     g = mf.grid
     if np.any(radii > 0.5 * g.box_length):
         raise ValueError("radii must not exceed L/2")
-    rho_hat = gridmod.rfftn_grid(g, total_density(g, mf.data))
+    rho = total_density(g, mf.data)
     values = np.empty_like(radii)
     for i, r in enumerate(radii):
-        ball = (g.radius <= r).astype(float)
-        conv = gridmod.irfftn_grid(g, gridmod.rfftn_grid(g, ball) * rho_hat)
-        values[i] = g.cell_volume * conv.max()
+        ball_hat = gridmod.rfftn_grid(g, (g.radius <= r).astype(float))
+        values[i] = g.cell_volume * gridmod.convolve_real(g, rho, ball_hat).max()
     return values
 
 
@@ -323,12 +323,15 @@ class StabilityEntry:
 def random_h1_perturbation(grid, m: int, seed: int) -> MultiField:
     """Smooth random multifield normalised to unit H^1 norm.
 
-    Built from random low-wavenumber Fourier modes (|k| <= kmax/4), so the
-    perturbation is resolved and its H^1 norm is dominated by physical scales.
+    Built from random low-wavenumber Fourier modes, |k| <= kmax/4 with kmax =
+    sqrt(N) pi / h, so the perturbation is resolved and its H^1 norm is
+    dominated by physical scales; on the mode indices m, k = 2 pi m / L, that
+    is 64 |m|^2 <= N n^2, decided exactly.
     """
     rng = np.random.default_rng(seed)
-    cutoff = np.sqrt(grid.max_k_squared) / 4.0
-    mask = grid.k_squared <= cutoff**2
+    n = grid.points_per_dim
+    m_sq = np.fft.ifftshift(np.arange(n) - n // 2) ** 2  # fftfreq(n, 1 / n) squared, as exact ints
+    mask = 64 * sum(np.meshgrid(*([m_sq] * grid.space_dim), indexing="ij")) <= grid.space_dim * n**2
     spec = np.zeros((m,) + grid.shape, dtype=complex)
     coeffs = rng.standard_normal((m, int(mask.sum()))) + 1j * rng.standard_normal((m, int(mask.sum())))
     spec[:, mask] = coeffs

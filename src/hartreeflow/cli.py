@@ -298,7 +298,7 @@ def _run_minimize(config: RunConfig, out_dir: str, outputs: list) -> int:
     sidecar = {
         "masses": [float(v) for v in gridmod.norms_sq(gs.fields.grid, gs.fields.data)],
         "lambda": [float(v) for v in gs.multipliers],
-        "energy": asdict(gs.energy),
+        "energy": {**asdict(gs.energy), "total": gs.energy.total},
         "residuals": [float(v) for v in gs.residuals],
         "iterations": gs.iterations,
         "converged": gs.converged,

@@ -15,7 +15,8 @@ sub-step (it depends on the moduli only, which the sub-step preserves
 pointwise), so the potential sub-flow is a pointwise phase rotation, and the
 kinetic sub-flow is a spectral phase rotation.  Per-component mass is
 therefore conserved to roundoff each step, and the energy drift is second
-order in dt.
+order in dt.  A half-kick takes the energy's density->potential convolution
+(grid.convolve_real with the kernel's half symbol) and hartree.abs_power.
 
 Since the potential sub-flow preserves every |psi_j|, the closing half-kick of
 one step and the opening half-kick of the next rotate by the same phase.
@@ -50,8 +51,8 @@ records them alike: one total_energy and one orbit_distance call per sample
 cover every member, paying numpy's per-call overhead once.  A single start
 is a 1-member stack on the same path, so each member's arrays are the same
 bits as evolving it alone.  The trace arrays are allocated once, (samples,
-members, ...), and orbit_distance takes the minimiser's side of its
-cross-correlation from the GroundState, which computes it once.  An
+members, ...), and orbit_distance takes the symbol of its cross-correlation,
+a grid.convolve_real, from the GroundState, which computes it once.  An
 EvolutionTrace holds the sample times and the series; its drifts and its
 unstable flag are read off them, and the step size stays with the caller.
 
@@ -68,7 +69,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .grid import Grid, MultiField
-from .hartree import Kernel, _convolve_array, total_density, total_energy
+from .hartree import Kernel, abs_power, total_density, total_energy
 from .minimize import GroundState
 
 ENERGY_DRIFT_FLAG = 0.10
@@ -79,14 +80,15 @@ class NanAbortError(RuntimeError):
 
 
 def step_count(T: float, dt: float) -> int:
-    """Number of steps of size dt that evolve takes to reach T (at least 1)."""
+    """Steps of size dt that evolve takes to reach T; T/dt must be within 1e-9 relative of a positive integer."""
     for name, value in (("T", T), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     ratio = T / dt
-    if not math.isfinite(ratio):
-        raise ValueError(f"T/dt must give a finite step count, got T={T}, dt={dt}")
-    return max(1, int(round(ratio)))
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+        raise ValueError(f"T/dt must be a whole number of steps, got T={T}, dt={dt} (T/dt = {ratio!r})")
+    return steps
 
 
 def sample_count(steps: int, record_every: int) -> int:
@@ -195,10 +197,9 @@ class Propagator:
         rho = total_density(self.grid, x, self.p, out=w.density, scratch=w.powers)
         if not np.isfinite(rho, out=w.finite).all():
             raise NanAbortError("non-finite field during propagation")
-        u = _convolve_array(self.kernel, rho, out=w.potential, spectrum=w.spectrum, symbol=w.symbol)
+        u = gridmod.convolve_real(self.grid, rho, w.symbol, out=w.potential, spectrum=w.spectrum)
         if self.p != 2:
-            factor = np.abs(x, out=w.powers[0])
-            factor **= self.p - 2
+            factor = abs_power(x, self.p - 2, out=w.powers[0])
             u = np.multiply(u, factor, out=factor)
         # 0 - (dt/2) u, not -(dt/2) u: the angle is the imaginary part of
         # -0.5j * dt * u bit for bit, +0 where u is zero
@@ -241,8 +242,7 @@ def orbit_distance(fields, gs: GroundState):
     x = gridmod.stack_of(g, fields)
     if x.shape[-1 - g.space_dim] != phi.m:
         raise gridmod.SizeMismatchError(f"stack shape {x.shape} does not hold {phi.m} components")
-    corr_hat = gridmod.rfftn_grid(g, total_density(g, x)) * gs.correlation_spectrum
-    corr = gridmod.irfftn_grid(g, corr_hat)
+    corr = gridmod.convolve_real(g, total_density(g, x), gs.correlation_spectrum)
     peak = np.argmax(corr.reshape(corr.shape[: -1 - g.space_dim] + (-1,)), axis=-1)
     # phi rolled by each member's peak shift: index i of axis a reads (i - shift_a) mod n
     n = g.points_per_dim

@@ -24,6 +24,8 @@ rfftn_grid / irfftn_grid, whose half spectrum holds the first n // 2 + 1 bins
 of the last spatial axis; Grid.half_k_squared is |k|^2 on those bins, and
 Grid.half_k_squared_weighted counts each bin as often as it stands in the full
 spectrum, so that kinetic sums over the half spectrum equal full ones.
+convolve_real multiplies a half spectrum by a symbol between the two; every
+real convolution of the package (potentials, correlations, ball sums) is one.
 forward_spectrum / inverse_spectrum / spectral_weights are the one place that
 picks real or complex transforms, and the |k|^2 and Parseval weights to go
 with them, from the dtype of a field stack; spectral_inner takes inner
@@ -165,10 +167,6 @@ class Grid:
         |rfftn_grid(f)|^2) is sum(k_squared * |fftn_grid(f)|^2) for a real f."""
         return self.half_weight * self.half_k_squared
 
-    @property
-    def max_k_squared(self) -> float:
-        return self.space_dim * (np.pi / self.spacing) ** 2
-
     @cached_property
     def spectral_weight(self) -> float:
         """Weight turning sum_k |FFT(f)|^2 into the L^2 mass."""
@@ -296,6 +294,17 @@ def irfftn_grid(grid: Grid, arr: np.ndarray, out: np.ndarray | None = None) -> n
     if grid.space_dim == 1:
         return np.fft.irfft(arr, n=grid.points_per_dim, axis=-1, out=out)
     return np.fft.irfftn(arr, s=grid.shape, axes=grid.spatial_axes, out=out)
+
+
+def convolve_real(grid: Grid, rho: np.ndarray, symbol: np.ndarray, out=None, spectrum=None) -> np.ndarray:
+    """The real array whose half spectrum is symbol * rfftn_grid(rho), symbol broadcasting to it.
+
+    symbol stays the left operand, since numpy's complex multiply need not
+    commute bit for bit; out and spectrum receive the result and the product.
+    """
+    spectrum = rfftn_grid(grid, rho, out=spectrum)
+    np.multiply(symbol, spectrum, out=spectrum)
+    return irfftn_grid(grid, spectrum, out=out)
 
 
 def spectral_weights(grid: Grid, dtype):

@@ -16,11 +16,11 @@ E(u1) + E(u2) - F_p(u1, u2), and so on with one F_p cross term per pair.
 The kernel is periodised by real-space truncation at radius L/2 with the
 singular origin cell replaced by its cell average, and transformed
 numerically; the interaction then costs one convolution of the total density
-sum_j |phi_j|^p (total_density).  _convolve_array is the one
-density->potential convolution; the energy, the propagator, pair_interaction
-and convolve_density all call it.  The density is real, so it takes real
-transforms and multiplies the half spectrum by Kernel.half_multiplier, the
-symbol on the first n // 2 + 1 bins of the last axis, built once per kernel.
+sum_j |phi_j|^p (total_density).  grid.convolve_real with the symbol on the
+half spectrum, Kernel.half_multiplier, is the one density->potential
+convolution: the energy, the propagator, pair_interaction and
+convolve_density all call it.  abs_power is the one |z|^s, for the density
+and for the |z|^(p-2) of the gradient and of the propagator.
 _EnergyState is the one implementation of the energy and its L^2 gradient:
 total_energy, energy_gradient, el_residual, the minimiser and its
 extract_multipliers all evaluate it; the energy of one profile is
@@ -55,14 +55,13 @@ from .grid import (
     MultiField,
     SizeMismatchError,
     abs_sq,
+    convolve_real,
     fftn_grid,
     forward_spectrum,
     inverse_spectrum,
-    irfftn_grid,
     norms_sq,
     per_component,
     real_inner,
-    rfftn_grid,
     scalar_or_array,
     spectral_weights,
     stack_of,
@@ -168,22 +167,10 @@ def build_kernel(grid: Grid, alpha: float) -> Kernel:
     return Kernel.from_samples(grid, samples)
 
 
-def _convolve_array(kernel: Kernel, rho: np.ndarray, out=None, spectrum=None, symbol=None) -> np.ndarray:
-    """W * rho for a real density array; quadrature weight is folded into the symbol.
-
-    Real transforms: the half spectrum of rho times the kernel's half symbol.
-    out receives the result and spectrum the half spectrum when given;
-    symbol, if given, is half_multiplier spread to the spectrum's shape, the
-    same products without a broadcast.
-    """
-    spectrum = rfftn_grid(kernel.grid, rho, out=spectrum)
-    np.multiply(kernel.half_multiplier if symbol is None else symbol, spectrum, out=spectrum)
-    return irfftn_grid(kernel.grid, spectrum, out=out)
-
-
 def convolve_density(kernel: Kernel, density: MultiField) -> MultiField:
     """Spectral evaluation of (W * rho_j)(x) ~ int W(x - y) rho_j(y) dy for each component rho_j."""
-    return MultiField(kernel.grid, _convolve_array(kernel, stack_of(kernel.grid, density).real).astype(complex))
+    g = kernel.grid
+    return MultiField(g, convolve_real(g, stack_of(g, density).real, kernel.half_multiplier).astype(complex))
 
 
 def abs_power(data: np.ndarray, p: float, out=None, scratch=None) -> np.ndarray:
@@ -213,9 +200,7 @@ def total_density(grid: Grid, x: np.ndarray, p: float = 2, out=None, scratch=Non
 
 def _nonlinear_factor(data: np.ndarray, p: float) -> np.ndarray:
     """|z|^(p-2) z, the derivative direction of |z|^p / p; equals z for p = 2."""
-    if p == 2:
-        return data
-    return np.abs(data) ** (p - 2) * data
+    return data if p == 2 else abs_power(data, p - 2) * data
 
 
 def pair_interaction(q: float, f: MultiField, g: MultiField, kernel: Kernel, p: float) -> float:
@@ -225,18 +210,17 @@ def pair_interaction(q: float, f: MultiField, g: MultiField, kernel: Kernel, p: 
     grid = kernel.grid
     rho_f = total_density(grid, stack_of(grid, f), p)
     rho_g = total_density(grid, stack_of(grid, g), p)
-    return float(grid.cell_volume * np.sum(rho_f * _convolve_array(kernel, rho_g)) / q)
+    return float(grid.cell_volume * np.sum(rho_f * convolve_real(grid, rho_g, kernel.half_multiplier)) / q)
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
     kinetic: float
     interaction: float
-    total: float
 
-    @classmethod
-    def make(cls, kinetic: float, interaction: float) -> "EnergyBreakdown":
-        return cls(kinetic=kinetic, interaction=interaction, total=kinetic - interaction)
+    @property
+    def total(self) -> float:
+        return self.kinetic - self.interaction
 
 
 def virial_residual(energy: EnergyBreakdown, s: float) -> float:
@@ -273,14 +257,14 @@ class _EnergyState:
         self.xhat = forward_spectrum(g, x) if xhat is None else xhat
         self.kinetic = 0.5 * g.spectral_weight * (k_squared_weighted * abs_sq(self.xhat)).sum(axis=g.spatial_axes)
         rho = total_density(g, x, p)
-        self.potential = _convolve_array(kernel, rho)
+        self.potential = convolve_real(g, rho, kernel.half_multiplier)
         self.interaction = g.cell_volume * (rho * self.potential).sum(axis=g.field_axes) / (2 * p)
         self.total = self.kinetic.sum(axis=-1) - self.interaction
 
     @property
     def energy(self) -> EnergyBreakdown:
         """Python floats for an unstacked array, else arrays over the leading axes."""
-        return EnergyBreakdown.make(scalar_or_array(self.kinetic.sum(axis=-1)), scalar_or_array(self.interaction))
+        return EnergyBreakdown(scalar_or_array(self.kinetic.sum(axis=-1)), scalar_or_array(self.interaction))
 
     def take(self, rows) -> "_EnergyState":
         """The state of the members at rows (an index or mask of the leading axis).

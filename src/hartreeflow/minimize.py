@@ -356,7 +356,7 @@ def ground_state(
             results[b] = GroundState(
                 fields=_center_peak(mf) if center else mf,
                 multipliers=lambdas[r],
-                energy=EnergyBreakdown.make(float(energy.kinetic[r]), float(energy.interaction[r])),
+                energy=EnergyBreakdown(float(energy.kinetic[r]), float(energy.interaction[r])),
                 residuals=residuals[r],
                 iterations=iterations[r],
                 stop_reason=reasons[r],

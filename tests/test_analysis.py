@@ -272,6 +272,21 @@ class TestStabilityExperiment:
         assert steps == []
 
 
+class TestRandomH1Perturbation:
+    @pytest.mark.parametrize(
+        "space_dim,n,box_length,modes",
+        [(1, 256, 40.0, 65), (1, 256, 37.5, 65), *((1, 48, L, 13) for L in (7.3, 10.0, 20.0, 40.0, 80.0)),
+         (3, 48, 32.0, 4729)],
+    )
+    def test_modes_up_to_a_quarter_of_kmax(self, space_dim, n, box_length, modes):
+        # |k| <= kmax/4 is 64 |m|^2 <= N n^2 on the integer mode indices m: the
+        # modes with |k| exactly kmax/4 are in on every box, whatever the
+        # roundoff of |k|^2 in floats
+        grid = hf.Grid(space_dim, n, box_length)
+        spectrum = np.abs(hf.grid.fftn_grid(grid, hf.analysis.random_h1_perturbation(grid, 1, seed=3).data))
+        assert np.count_nonzero(spectrum > 1e-8 * spectrum.max()) == modes
+
+
 def _assert_scan_matches_solo_solves(params, kernel, pairs, monkeypatch):
     """Run a 2-seed scan of pairs, check every key against its solo solves, return the spied call sizes."""
     calls = []

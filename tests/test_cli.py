@@ -88,12 +88,12 @@ def spread(gs):
 # scaling-gap-positive has none: its delta = (1.5^p - 1.5) F(u, u) is positive
 # for every nonzero first component at p > 1.
 NEGATIVE_CONTROLS = {
-    "infimum-negative": lambda gs: replace(gs, energy=hf.EnergyBreakdown.make(2.0, 1.0)),
+    "infimum-negative": lambda gs: replace(gs, energy=hf.EnergyBreakdown(2.0, 1.0)),
     "multipliers-positive": lambda gs: replace(gs, multipliers=-gs.multipliers),
     "phase-factorization": ramped,
     "cross-term-negative": far_apart,
     # I(M) = 0 makes the sample margin 2 I(M/2) < 0
-    "subadditivity-sample": lambda gs: replace(gs, energy=hf.EnergyBreakdown.make(1.0, 1.0)),
+    "subadditivity-sample": lambda gs: replace(gs, energy=hf.EnergyBreakdown(1.0, 1.0)),
     "concentration-tight": spread,
 }
 
@@ -476,7 +476,7 @@ class TestRun:
 
     def test_check_lemmas_scaling_ratio_is_nan_at_zero_energy(self, tmp_path, monkeypatch, capsys):
         solve = cli.ground_state
-        zero = hf.EnergyBreakdown.make(1.0, 1.0)
+        zero = hf.EnergyBreakdown(1.0, 1.0)
         monkeypatch.setattr(cli, "ground_state", lambda *a, **kw: replace(solve(*a, **kw), energy=zero))
         out = tmp_path / "out"
         assert main(["check-lemmas", "--config", write_config(tmp_path, base_config(output_dir=str(out)))]) == 1
@@ -641,6 +641,18 @@ class TestRun:
         path = write_config(tmp_path, cfg)
         assert main(["stability", "--config", path]) == 2
         assert "T/dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("T", [0.0025, 0.0015, 0.0004])
+    def test_partial_step_exit_two(self, tmp_path, capsys, monkeypatch, T):
+        # T/dt = 2.5, 1.5 and 0.4: no whole number of steps reaches the T the
+        # manifest records, so the config is refused before any solve
+        monkeypatch.setattr(cli, "ground_state", lambda *a, **kw: pytest.fail("solved"))
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["evolution"] = {"T": T, "dt": 1e-3}
+        assert main(["stability", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"whole number of steps, got T={T}, dt=0.001" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "stability"])

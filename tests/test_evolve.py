@@ -9,8 +9,9 @@ import pytest
 import hartreeflow as hf
 from hartreeflow import cli
 from hartreeflow.cli import EvolutionConfig, RunConfig, SolverConfig
-from hartreeflow.evolve import NanAbortError, Propagator, sample_count
-from hartreeflow.hartree import _convolve_array, abs_power, total_density
+from hartreeflow.evolve import NanAbortError, Propagator, sample_count, step_count
+from hartreeflow.grid import convolve_real
+from hartreeflow.hartree import abs_power, total_density
 from conftest import gaussian_field, trig_field
 
 
@@ -167,7 +168,7 @@ class TestFusedStep:
         # the former formula; cos/sin of the real angle and the complex exp
         # may round differently in the last bits on another libm or CPU
         dt, x = 1e-3, np.stack([perturbed_m2.data] * 2)
-        u = _convolve_array(desk_kernel, total_density(desk_kernel.grid, x, p))
+        u = convolve_real(desk_kernel.grid, total_density(desk_kernel.grid, x, p), desk_kernel.half_multiplier)
         expected = np.exp(-0.5j * dt * u * np.abs(x) ** (p - 2))
         phase = Propagator(perturbed_m2.grid, desk_kernel, p, dt)._half_kick_phase(x)
         assert phase.dtype == expected.dtype
@@ -221,8 +222,8 @@ class ReferenceStep:
     """The step as it stood before the propagator's workspace, kept to compare bits.
 
     step_array and _half_kick_phase of that version with the helpers they
-    called inlined (total_density, abs_sq, _convolve_array and the grid
-    transforms): every array of the half-kick chain is allocated per call,
+    called inlined (total_density, abs_sq, the density convolution and the
+    grid transforms): every array of the half-kick chain is allocated per call,
     and the closing phase is kept beside the returned array.
     """
 
@@ -542,6 +543,19 @@ class TestStackedEvolve:
         mf = trig_field(grid, seed=1, m=2)
         with pytest.raises(ValueError, match="T/dt"):
             hf.evolve(mf, 1e300, 1e-10, kernel, 2.0)
+
+    @pytest.mark.parametrize("T", [2.5e-3, 1.5e-3, 4e-4])
+    def test_partial_step_rejected(self, setup128, T):
+        _, grid, kernel = setup128
+        with pytest.raises(ValueError, match=f"whole number of steps, got T={T}, dt=0.001"):
+            hf.evolve(trig_field(grid, seed=1, m=2), T, 1e-3, kernel, 2.0)
+
+    def test_roundoff_in_t_over_dt_is_forgiven(self, setup128):
+        # 0.3 / 0.1 is 2.9999999999999996: three steps
+        _, grid, _ = setup128
+        assert step_count(0.3, 0.1) == 3
+        trace = hf.evolve(trig_field(grid, seed=1, m=2), 0.3, 0.1, hf.Kernel.zero(grid), 2.0)
+        assert trace.times.tolist() == [0.0, 0.1, 0.2, 3 * 0.1]
 
 
 class TestStackedQuantities:

@@ -42,7 +42,7 @@ def test_a_moved_energy_fails_and_is_named(tmp_path, monkeypatch, relative, fail
     def moved(*args, **kwargs):
         gs = solve(*args, **kwargs)
         scale = 1 + relative
-        return replace(gs, energy=hf.EnergyBreakdown.make(gs.energy.kinetic * scale, gs.energy.interaction * scale))
+        return replace(gs, energy=hf.EnergyBreakdown(gs.energy.kinetic * scale, gs.energy.interaction * scale))
 
     monkeypatch.setattr(cli, "ground_state", moved)
     name = "reference-minimize-seed0"

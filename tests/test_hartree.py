@@ -1,9 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hartreeflow as hf
-from hartreeflow.hartree import SingularKernelError, _convolve_array, _EnergyState
+from hartreeflow.evolve import Propagator
+from hartreeflow.grid import convolve_real
+from hartreeflow.hartree import SingularKernelError, _EnergyState
 from conftest import rescaled_gaussian, trig_field
 
 
@@ -164,7 +168,7 @@ class TestConvolution:
         rho = np.random.default_rng(space_dim).random((3, 2) + g.shape)
         axes = g.spatial_axes
         oracle = np.fft.ifftn(k.multiplier * np.fft.fftn(rho, axes=axes), axes=axes).real
-        out = _convolve_array(k, rho)
+        out = convolve_real(g, rho, k.half_multiplier)
         assert out.shape == rho.shape
         assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
@@ -411,9 +415,9 @@ class TestInequalityShapes:
 
 class TestVirialResidual:
     def test_definition(self):
-        energy = hf.EnergyBreakdown.make(1.0, 3.0)
+        energy = hf.EnergyBreakdown(1.0, 3.0)
         assert hf.virial_residual(energy, 0.5) == (2.0 - 1.5) / 2.0
-        assert np.isnan(hf.virial_residual(hf.EnergyBreakdown.make(1.0, 1.0), 0.5))
+        assert np.isnan(hf.virial_residual(hf.EnergyBreakdown(1.0, 1.0), 0.5))
 
     def test_numerator_is_the_dilation_derivative(self, desk_params):
         # d/db E(b^(N/2) u(b x)) at b = 1 is 2K - sP on R^N; on the grid it
@@ -433,3 +437,61 @@ class TestVirialResidual:
             errors.append(abs(derivative - (2 * e.kinetic - s * e.interaction)) / abs(e.total))
         assert errors[0] <= 5e-3
         assert 1.3 <= errors[0] / errors[1] <= 1.55  # 2^(1/2) = 1.41
+
+
+class TestOneImplementation:
+    """Every real convolution runs grid.convolve_real, and every |z|^s runs abs_power."""
+
+    MODULES = ("grid", "hartree", "minimize", "evolve", "analysis", "cli")
+
+    @staticmethod
+    def spy_everywhere(monkeypatch, home, name, record):
+        # wrap each module binding of the original, so a caller that imported the name is caught too
+        original = getattr(home, name)
+
+        def spy(*args, **kwargs):
+            record.append(args[:3])
+            return original(*args, **kwargs)
+
+        for module_name in TestOneImplementation.MODULES:
+            module = importlib.import_module(f"hartreeflow.{module_name}")
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+
+    def test_every_convolution_calls_convolve_real(self, monkeypatch, desk_kernel, gs_m2):
+        calls = []
+        self.spy_everywhere(monkeypatch, hf.grid, "convolve_real", calls)
+        fields, g, half = gs_m2.fields, gs_m2.fields.grid, desk_kernel.half_multiplier
+        symbols = {
+            "total_energy": (lambda: hf.total_energy(fields, desk_kernel, 2.0), half),
+            "pair_interaction": (lambda: hf.pair_interaction(2.0, *fields.components, desk_kernel, 2.0), half),
+            "convolve_density": (lambda: hf.convolve_density(desk_kernel, fields), half),
+            "orbit_distance": (lambda: hf.orbit_distance(fields, gs_m2), gs_m2.correlation_spectrum),
+        }
+        for name, (call, symbol) in symbols.items():
+            calls.clear()
+            call()
+            assert len(calls) == 1 and calls[0][2] is symbol, name
+        # the propagator passes its workspace's copy of the half symbol, spread to the spectrum's shape
+        calls.clear()
+        Propagator(g, desk_kernel, 2.0, 1e-3).step_array(fields.data)
+        assert len(calls) == 2
+        assert all(np.array_equal(c[2], np.broadcast_to(half, c[2].shape)) for c in calls)
+        # a ball's half spectrum is the symbol, the density the input
+        calls.clear()
+        hf.concentration_profile(fields, [1.0, 2.0])
+        assert len(calls) == 2
+        for (_, rho, ball_hat), r in zip(calls, (1.0, 2.0)):
+            assert rho.shape == (1,) + g.shape
+            assert np.array_equal(ball_hat, hf.grid.rfftn_grid(g, (g.radius <= r).astype(float)))
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_every_power_of_the_modulus_calls_abs_power(self, monkeypatch, desk_kernel, gs_m2, p):
+        # the density's |z|^p, then the |z|^(p-2) of the half-kick and of the gradient
+        calls = []
+        self.spy_everywhere(monkeypatch, hf.hartree, "abs_power", calls)
+        x = gs_m2.fields.data
+        Propagator(gs_m2.fields.grid, desk_kernel, p, 1e-3)._half_kick_phase(x)
+        hf.energy_gradient(gs_m2.fields, desk_kernel, p)
+        exponents = [p, p - 2, p, p - 2] if p != 2 else [p, p]
+        assert [c[1] for c in calls] == exponents
